@@ -1,14 +1,18 @@
 """Build hook for the optional compiled kernel.
 
 The package works without the extension (a pure-Python fallback is selected
-at import time), so a missing compiler or Cython must not break installs.
-Set TWEETLEX_NO_EXT=1 to skip the extension build entirely.
+at import time), so a missing compiler must not break installs.  The
+extension is built from ``_core.pyx`` when Cython is importable, and from
+the committed Cython-generated ``_core.c`` otherwise, so a plain C compiler
+is enough.  Set TWEETLEX_NO_EXT=1 to skip the extension build entirely.
 """
 
 import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
+
+_CORE = "src/tweetlex/_kernels/_core"
 
 
 class optional_build_ext(build_ext):
@@ -29,19 +33,19 @@ class optional_build_ext(build_ext):
                   "falling back to the pure-Python kernels")
 
 
+def kernel_extensions() -> list[Extension]:
+    try:
+        from Cython.Build import cythonize
+    except ImportError:
+        return [Extension("tweetlex._kernels._core", [_CORE + ".c"])]
+    return cythonize([Extension("tweetlex._kernels._core", [_CORE + ".pyx"])],
+                     language_level="3")
+
+
 ext_modules = []
 cmdclass = {}
 if not os.environ.get("TWEETLEX_NO_EXT"):
-    try:
-        from Cython.Build import cythonize
-
-        ext_modules = cythonize(
-            [Extension("tweetlex._kernels._core",
-                       ["src/tweetlex/_kernels/_core.pyx"])],
-            language_level="3",
-        )
-        cmdclass["build_ext"] = optional_build_ext
-    except ImportError:
-        print("WARNING: Cython not available; building without compiled kernels")
+    ext_modules = kernel_extensions()
+    cmdclass["build_ext"] = optional_build_ext
 
 setup(ext_modules=ext_modules, cmdclass=cmdclass)

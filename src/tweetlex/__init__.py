@@ -19,7 +19,7 @@ from .errors import (
 )
 from .lexicon import Category, Lexicon, load_lexicon
 from .preprocess import CleanTweet, load_stopwords, preprocess
-from .tagger import CategoryCounts, TagResult, label, tag_tweet
+from .tagger import Tag, tag_tweet
 from ._kernels import BACKEND
 
 __version__ = "0.1.0"
@@ -27,17 +27,15 @@ __version__ = "0.1.0"
 __all__ = [
     "BACKEND",
     "Category",
-    "CategoryCounts",
     "CleanTweet",
     "CorpusFormatError",
     "GazetteerError",
     "Lexicon",
     "LexiconError",
     "OracleMismatchError",
-    "TagResult",
+    "Tag",
     "TweetlexError",
     "__version__",
-    "label",
     "load_lexicon",
     "load_stopwords",
     "preprocess",

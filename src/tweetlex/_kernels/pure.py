@@ -8,10 +8,10 @@ from __future__ import annotations
 
 import re
 
-# Anything that is neither a word character nor whitespace is punctuation;
-# underscore is punctuation too (tokens must be purely alphanumeric).
-_PUNCT_RE = re.compile(r"[^\w\s]|_")
 _REPEAT_RE = re.compile(r"(.)\1{2,}")
+# A token is a maximal run of alphanumeric characters (str.isalnum()):
+# word characters minus the underscore.
+_TOKEN_RE = re.compile(r"[^\W_]+")
 
 BACKEND = "pure"
 
@@ -24,15 +24,14 @@ def collapse_repeats(token: str) -> str:
 def tokenize(text: str, stopwords) -> list[str]:
     """Lowercase, strip punctuation, split, collapse repeats, then drop
     tokens that are shorter than 3 characters, contain "http" (URL debris),
-    or are stopwords."""
-    out = []
-    repeat_sub = _REPEAT_RE.sub
-    for raw in _PUNCT_RE.sub(" ", text.lower()).split():
-        tok = repeat_sub(r"\1\1", raw)
-        if len(tok) < 3 or "http" in tok or tok in stopwords:
-            continue
-        out.append(tok)
-    return out
+    or are stopwords.
+
+    Collapsing the whole text before splitting gives the same tokens as
+    collapsing each token: a run of one repeated character lies either
+    wholly inside a token or wholly between tokens.
+    """
+    return [tok for tok in _TOKEN_RE.findall(collapse_repeats(text.lower()))
+            if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 
 def count_masks(tokens: list[str], masks: dict[str, int]) -> list[int]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from .preprocess import CleanTweet
-from .tagger import TagResult
+from .tagger import Tag
 
 
 class FrequencyTable:
@@ -84,9 +84,9 @@ def top_n(table: FrequencyTable, n: int) -> list[tuple[str, int]]:
     return table.items_sorted()[:n]
 
 
-def filter_by_mention(records: Iterable[tuple[CleanTweet, TagResult]],
-                      user: str) -> Iterator[TagResult]:
-    """Tag results of exactly the tweets whose mention list contains
+def filter_by_mention(records: Iterable[tuple[CleanTweet, Tag]],
+                      user: str) -> Iterator[Tag]:
+    """Tags of exactly the tweets whose mention list contains
     ``user`` (a lowercase handle); each matching tweet yields once."""
     for clean, result in records:
         if user in clean.mentions:

@@ -89,11 +89,21 @@ def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
     return ts
 
 
+def _encodes(text: str) -> bool:
+    """False when ``text`` holds a lone surrogate, which JSON input can
+    carry but no UTF-8 output file can."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | Rejection:
     """Turn a parsed line into a record, or a Rejection naming the first
     failing field (checked in order: id, timestamp, text)."""
     rec_id = raw.get("id")
-    if not isinstance(rec_id, str) or not rec_id:
+    if not isinstance(rec_id, str) or not rec_id or not _encodes(rec_id):
         return Rejection("id")
     ts = parse_timestamp(raw.get("created_at"), default_tz)
     if ts is None:
@@ -128,16 +138,19 @@ class RecordReader:
         self._seen_ids: set[str] = set()
 
     def __iter__(self) -> Iterator[TweetRecord]:
+        # utf-8-sig drops a leading byte-order mark, so line 1 of a BOM'd
+        # file parses like any other line.
         if self.source == "-":
             # Decode stdin exactly as a file source, whatever the locale or
             # PYTHONIOENCODING; detach afterwards so sys.stdin stays open.
-            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8", newline="")
+            fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
+                                  newline="")
             try:
                 yield from self._read(fh)
             finally:
                 fh.detach()
         else:
-            with open(self.source, encoding="utf-8", newline="") as fh:
+            with open(self.source, encoding="utf-8-sig", newline="") as fh:
                 yield from self._read(fh)
 
     def _read(self, fh) -> Iterator[TweetRecord]:

@@ -93,47 +93,66 @@ class Lexicon:
         return len(self._masks)
 
 
+_BIT_BY_LABEL = {label: 1 << c for label, c in _BY_LABEL.items()}
+
+
 def load_lexicon(path) -> Lexicon:
     """Parse a word-level lexicon file into a :class:`Lexicon`.
 
-    Fatal conditions (``LexiconError`` naming the offending line): a row
-    without exactly three tab-separated fields, an unknown category token,
-    a flag outside {0, 1}, a duplicate (word, category) pair, or a word
-    containing whitespace.
+    Fatal conditions (``LexiconError`` naming the offending line), checked
+    in this order on each line: a row without exactly three tab-separated
+    fields, an empty word, a word containing whitespace, an unknown
+    category token, a flag outside {0, 1}, and a duplicate (word, category)
+    pair.
     """
     masks: dict[str, int] = {}
-    seen: set[tuple[str, int]] = set()
+    # word -> bits of the categories it has a row for, whatever the flag.
+    seen: dict[str, int] = {}
+    # Raw word field -> its validated lowercase word.  A word has one row
+    # per category, so most fields are validated once and then looked up.
+    words: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\r\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
+            parts = line.rstrip("\r\n").split("\t")
+            word = words.get(parts[0])
+            if word is None:
+                # Only a field that starts a data line is ever cached, so
+                # a cached field also proves the line is no comment.
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
+                if len(parts) == 3:
+                    raw_word = parts[0]
+                    word = raw_word.strip().lower()
+                    if not word:
+                        raise LexiconError(f"{path}: line {lineno}: empty word")
+                    if len(word.split()) != 1:
+                        raise LexiconError(
+                            f"{path}: line {lineno}: word contains "
+                            f"whitespace: {raw_word!r}")
+                    words[raw_word] = word
             if len(parts) != 3:
                 raise LexiconError(
                     f"{path}: line {lineno}: expected 3 tab-separated fields, "
                     f"got {len(parts)}")
-            raw_word, cat_token, flag_token = parts
-            word = raw_word.strip().lower()
-            if not word:
-                raise LexiconError(f"{path}: line {lineno}: empty word")
-            if any(ch.isspace() for ch in word):
-                raise LexiconError(
-                    f"{path}: line {lineno}: word contains whitespace: {raw_word!r}")
-            category = category_from_label(cat_token.strip())
-            if category is None:
-                raise LexiconError(
-                    f"{path}: line {lineno}: unknown category {cat_token.strip()!r}")
-            flag = flag_token.strip()
-            if flag not in ("0", "1"):
-                raise LexiconError(
-                    f"{path}: line {lineno}: flag must be 0 or 1, got {flag_token.strip()!r}")
-            key = (word, int(category))
-            if key in seen:
+            _raw_word, cat_token, flag = parts
+            bit = _BIT_BY_LABEL.get(cat_token)
+            if bit is None:
+                bit = _BIT_BY_LABEL.get(cat_token.strip())
+                if bit is None:
+                    raise LexiconError(f"{path}: line {lineno}: unknown "
+                                       f"category {cat_token.strip()!r}")
+            if flag != "1" and flag != "0":
+                flag = flag.strip()
+                if flag != "1" and flag != "0":
+                    raise LexiconError(f"{path}: line {lineno}: flag must "
+                                       f"be 0 or 1, got {flag!r}")
+            bits = seen.get(word, 0)
+            if bits & bit:
+                label = Category(bit.bit_length() - 1).label
                 raise LexiconError(
                     f"{path}: line {lineno}: duplicate row for "
-                    f"({word!r}, {category.label})")
-            seen.add(key)
+                    f"({word!r}, {label})")
+            seen[word] = bits | bit
             if flag == "1":
-                masks[word] = masks.get(word, 0) | (1 << category)
+                masks[word] = masks.get(word, 0) | bit
     return Lexicon(masks)

@@ -32,22 +32,20 @@ from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
                       Gazetteer, RegionAggregate, RegionStats,
                       default_gazetteer_path, load_gazetteer,
                       resolve_location)
-from .tagger import (EMOTION_LABELS, NEUTRAL, OVERALL_LABELS,
-                     SENTIMENT_LABELS, tag_tweet)
-from .temporal import CHANNELS, DayBuckets, HourBuckets, peak_slot
+from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, OVERALL_LABELS,
+                     OVERALL_NEUTRAL, SENTIMENT_LABELS, SENTIMENT_NEUTRAL,
+                     tag_tweet)
+from .temporal import CHANNELS, DAY_ROW, DayBuckets, HourBuckets, peak_slot
 
 CHUNK_SIZE = 1024
 
 WORDCLOUD_TOP_N = 40
 
-_CHANNEL_LABELS = {
-    "sentiment": SENTIMENT_LABELS,
-    "emotion": EMOTION_LABELS,
-    "overall": OVERALL_LABELS,
-}
+_COUNT_KEYS = tuple(c.label for c in Category)
 
-_EMOTION_COLS = ("joy", "trust", "anticipation", "surprise",
-                 "fear", "sadness", "anger", "disgust")
+# regions.csv label columns: the sentiment labels, then the emotion labels
+# without neutral.
+_REGION_COLS = SENTIMENT_LABELS + EMOTION_LABELS[:EMOTION_NEUTRAL]
 
 
 @dataclass
@@ -85,6 +83,8 @@ class _Partial:
     neutral: dict = field(default_factory=lambda: {c: 0 for c in CHANNELS})
     ties: int = 0
     non_latin: int = 0
+    # (id, vector, sentiment, emotion, overall, tied) per tagged tweet,
+    # kept only for --emit-tags.
     tag_rows: list = field(default_factory=list)
 
     def merge(self, other: "_Partial") -> "_Partial":
@@ -116,6 +116,9 @@ def _init_worker(lex: Lexicon, stopwords: frozenset[str], gz: Gazetteer,
     _G["lex"] = lex
     _G["stopwords"] = stopwords
     _G["gz"] = gz
+    # raw location -> region under gz.  Made afresh with gz, so it never
+    # outlives the run (or the gazetteer) it was filled by.
+    _G["regions"] = {}
     _G["tz"] = default_tz
     _G["emit_tags"] = emit_tags
     _G["mention"] = mention
@@ -125,6 +128,7 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
     lex: Lexicon = _G["lex"]
     stopwords = _G["stopwords"]
     gz: Gazetteer = _G["gz"]
+    region_of: dict = _G["regions"]
     tz = _G["tz"]
     emit_tags = _G["emit_tags"]
     mention = _G["mention"]
@@ -142,32 +146,30 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
             continue
         part.tagged += 1
         part.non_latin += count_non_ascii_tokens(clean.tokens)
-        result = tag_tweet(clean, lex)
-        for channel, label in (("sentiment", result.sentiment_label),
-                               ("emotion", result.emotion_label),
-                               ("overall", result.overall_label)):
-            if label == NEUTRAL:
-                part.neutral[channel] += 1
-        if result.tied:
+        tag = tag_tweet(clean, lex)
+        vector, s, e, o, tied = tag
+        if s == SENTIMENT_NEUTRAL:
+            part.neutral["sentiment"] += 1
+        if e == EMOTION_NEUTRAL:
+            part.neutral["emotion"] += 1
+        if o == OVERALL_NEUTRAL:
+            part.neutral["overall"] += 1
+        if tied:
             part.ties += 1
         local = record.timestamp.astimezone(tz)
-        part.day.add(result, local)
+        part.day.add(tag, local)
         part.hours.add(local)
-        region = resolve_location(record.user_location, gz)
+        raw_location = record.user_location
+        region = region_of.get(raw_location)
+        if region is None:
+            region = region_of[raw_location] = resolve_location(raw_location,
+                                                                gz)
         if region == UNKNOWN:
             part.unknown_locations += 1
         else:
-            part.regions.add(result, region)
+            part.regions.add(tag, region)
         if emit_tags:
-            vec = result.counts.vector()
-            part.tag_rows.append({
-                "id": result.record_id,
-                "counts": {c.label: vec[int(c)] for c in Category},
-                "sentiment": result.sentiment_label,
-                "emotion": result.emotion_label,
-                "overall": result.overall_label,
-                "tied": result.tied,
-            })
+            part.tag_rows.append((clean.record_id, vector, s, e, o, tied))
     return part
 
 
@@ -188,8 +190,11 @@ def _run_chunks(reader: RecordReader, initargs: tuple,
     total = _Partial()
     if workers <= 1:
         _init_worker(*initargs)
-        for chunk in _iter_chunks(reader):
-            total.merge(_process_chunk(chunk))
+        try:
+            for chunk in _iter_chunks(reader):
+                total.merge(_process_chunk(chunk))
+        finally:
+            _G.clear()
         return total
     with multiprocessing.Pool(workers, initializer=_init_worker,
                               initargs=initargs) as pool:
@@ -289,11 +294,11 @@ def _check_oracle(config: AnalyzeConfig, summary: dict,
         stopwords=stopwords, gazetteer=gz, default_tz=config.default_tz,
         date_from=config.date_from, date_to=config.date_to,
         mention_filter=config.mention)
-    mine_daily = {
-        channel: {day.isoformat(): dict(labels)
-                  for day, labels in part.day.channels[channel].items()}
-        for channel in CHANNELS
-    }
+    mine_daily: dict[str, dict] = {channel: {} for channel in CHANNELS}
+    for day, row in part.day.rows.items():
+        for (channel, label), count in zip(DAY_ROW, row):
+            if count:
+                mine_daily[channel].setdefault(day.isoformat(), {})[label] = count
     diffs: list[str] = []
     _diff_dicts("summary.", summary, ref["summary"], diffs)
     _diff_dicts("daily.", mine_daily, ref["daily"], diffs)
@@ -316,11 +321,9 @@ def write_daily_csv(path: Path, day: DayBuckets) -> None:
     with _open_out(path) as fh:
         fh.write("date,channel,label,count\n")
         for when in day.dates():
-            for channel in CHANNELS:
-                labels = day.channels[channel].get(when, {})
-                for label in _CHANNEL_LABELS[channel]:
-                    fh.write(f"{when.isoformat()},{channel},{label},"
-                             f"{labels.get(label, 0)}\n")
+            iso = when.isoformat()
+            for (channel, label), count in zip(DAY_ROW, day.rows[when]):
+                fh.write(f"{iso},{channel},{label},{count}\n")
 
 
 def write_hourly_csv(path: Path, hours: HourBuckets) -> None:
@@ -342,13 +345,8 @@ def write_freq_csv(path: Path, table: FrequencyTable) -> None:
 
 
 def _region_csv_row(name: str, stats: RegionStats, share: str) -> str:
-    cells = [name, str(stats.tweets)]
-    for label in ("positive", "negative", "neutral"):
-        cells.append(str(stats.sentiment.get(label, 0)))
-    for label in _EMOTION_COLS:
-        cells.append(str(stats.emotion.get(label, 0)))
-    cells.append(share)
-    return ",".join(cells) + "\n"
+    counts = stats.sentiment + stats.emotion[:EMOTION_NEUTRAL]
+    return ",".join([name, str(stats.tweets), *map(str, counts), share]) + "\n"
 
 
 def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
@@ -360,9 +358,8 @@ def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
     show their own share instead.  Header only when nothing was located.
     """
     with _open_out(path) as fh:
-        fh.write("region,tweets,positive,negative,neutral,joy,trust,"
-                 "anticipation,surprise,fear,sadness,anger,disgust,"
-                 "cum_share\n")
+        fh.write(",".join(("region", "tweets", *_REGION_COLS, "cum_share"))
+                 + "\n")
         grand = regions.grand_total()
         if grand == 0:
             return
@@ -392,9 +389,18 @@ def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
         fh.write(_region_csv_row("TOTAL", total, f"{grand / grand:.6f}"))
 
 
-def write_tags_jsonl(path: Path, rows: list[dict]) -> None:
+def write_tags_jsonl(path: Path, rows: list[tuple]) -> None:
+    """One JSON object per tagged tweet, labels named, in corpus order."""
     with _open_out(path) as fh:
-        for row in rows:
+        for rec_id, vector, s, e, o, tied in rows:
+            row = {
+                "id": rec_id,
+                "counts": dict(zip(_COUNT_KEYS, vector)),
+                "sentiment": SENTIMENT_LABELS[s],
+                "emotion": EMOTION_LABELS[e],
+                "overall": OVERALL_LABELS[o],
+                "tied": tied,
+            }
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
 
 

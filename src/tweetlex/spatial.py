@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import csv
 import re
-from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Iterable
 
 from .errors import GazetteerError
-from .tagger import TagResult
+from .tagger import EMOTION_LABELS, SENTIMENT_LABELS, Tag
 
 UNKNOWN = "UNKNOWN"
 INDIA_UNSPECIFIED = "INDIA_UNSPECIFIED"
@@ -140,34 +139,32 @@ def resolve_location(raw: str | None, gz: Gazetteer) -> str:
 
 
 class RegionStats:
-    """Tweet count plus per-channel label counts for one region."""
+    """Tweet count plus the sentiment and emotion label counts of one
+    region, indexed like ``SENTIMENT_LABELS`` and ``EMOTION_LABELS``."""
 
-    __slots__ = ("tweets", "sentiment", "emotion", "overall")
+    __slots__ = ("tweets", "sentiment", "emotion")
 
     def __init__(self):
         self.tweets = 0
-        self.sentiment: Counter = Counter()
-        self.emotion: Counter = Counter()
-        self.overall: Counter = Counter()
+        self.sentiment: list[int] = [0] * len(SENTIMENT_LABELS)
+        self.emotion: list[int] = [0] * len(EMOTION_LABELS)
 
-    def add(self, result: TagResult) -> None:
+    def add(self, tag: Tag) -> None:
+        _vector, s, e, _o, _tied = tag
         self.tweets += 1
-        self.sentiment[result.sentiment_label] += 1
-        self.emotion[result.emotion_label] += 1
-        self.overall[result.overall_label] += 1
+        self.sentiment[s] += 1
+        self.emotion[e] += 1
 
     def merge(self, other: "RegionStats") -> None:
         self.tweets += other.tweets
-        self.sentiment.update(other.sentiment)
-        self.emotion.update(other.emotion)
-        self.overall.update(other.overall)
+        self.sentiment = [a + b for a, b in zip(self.sentiment, other.sentiment)]
+        self.emotion = [a + b for a, b in zip(self.emotion, other.emotion)]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RegionStats)
                 and self.tweets == other.tweets
                 and self.sentiment == other.sentiment
-                and self.emotion == other.emotion
-                and self.overall == other.overall)
+                and self.emotion == other.emotion)
 
 
 class RegionAggregate:
@@ -179,11 +176,11 @@ class RegionAggregate:
     def __init__(self):
         self.regions: dict[str, RegionStats] = {}
 
-    def add(self, result: TagResult, region: str) -> None:
+    def add(self, tag: Tag, region: str) -> None:
         stats = self.regions.get(region)
         if stats is None:
             stats = self.regions[region] = RegionStats()
-        stats.add(result)
+        stats.add(tag)
 
     def merge(self, other: "RegionAggregate") -> "RegionAggregate":
         for region, stats in other.regions.items():
@@ -208,11 +205,3 @@ class RegionAggregate:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, RegionAggregate) and self.regions == other.regions
-
-
-def aggregate_by_region(results: Iterable[tuple[TagResult, str]]) -> RegionAggregate:
-    """Aggregate already-resolved (result, region) pairs."""
-    agg = RegionAggregate()
-    for result, region in results:
-        agg.add(result, region)
-    return agg

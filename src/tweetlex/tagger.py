@@ -1,4 +1,4 @@
-"""Per-word category tagging, count mapping, and max-count labeling.
+"""Per-tweet category counts and max-count labeling.
 
 Each tweet gets three labels:
 
@@ -12,11 +12,13 @@ Each tweet gets three labels:
 
 ``tied`` is set when any of the applied argmaxes had two or more maximal
 categories.
+
+Labels stay ints inside the pipeline: each is an index into its channel's
+label tuple below, whose last entry is ``neutral``.  Only the writers turn
+them into strings.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from . import _kernels
 from .lexicon import EMOTIONS, SENTIMENTS, Category, Lexicon
@@ -29,100 +31,41 @@ SENTIMENT_LABELS = tuple(c.label for c in SENTIMENTS) + (NEUTRAL,)
 EMOTION_LABELS = tuple(c.label for c in EMOTIONS) + (NEUTRAL,)
 OVERALL_LABELS = tuple(c.label for c in Category) + (NEUTRAL,)
 
-_SENTIMENT_IDX = tuple(int(c) for c in SENTIMENTS)
-_EMOTION_IDX = tuple(int(c) for c in EMOTIONS)
-_ALL_IDX = tuple(int(c) for c in Category)
+#: Neutral label index of each channel.
+SENTIMENT_NEUTRAL = len(SENTIMENT_LABELS) - 1
+EMOTION_NEUTRAL = len(EMOTION_LABELS) - 1
+OVERALL_NEUTRAL = len(OVERALL_LABELS) - 1
+
+_N_SENTIMENTS = len(SENTIMENTS)
+
+#: One tweet's tags: the 10-count vector indexed by ``Category``, the
+#: sentiment, emotion and overall label indices, and the tie flag.
+Tag = tuple[list[int], int, int, int, bool]
 
 
-@dataclass(frozen=True)
-class CategoryCounts:
-    """Association counts for all ten categories (every key present)."""
-
-    counts: dict[Category, int]
-
-    @classmethod
-    def from_vector(cls, vector: list[int]) -> "CategoryCounts":
-        return cls({c: vector[int(c)] for c in Category})
-
-    def vector(self) -> list[int]:
-        return [self.counts[c] for c in Category]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-    def __getitem__(self, category: Category) -> int:
-        return self.counts[category]
-
-
-@dataclass(frozen=True)
-class TagResult:
-    """Counts plus the three channel labels for one tweet."""
-
-    record_id: str
-    counts: CategoryCounts
-    sentiment_label: str
-    emotion_label: str
-    overall_label: str
-    tied: bool
-
-
-def tag_tokens(tokens: list[str], lex: Lexicon) -> list[tuple[str, frozenset[Category]]]:
-    """Pair each token occurrence with its lexicon categories (empty set
-    for unknown words)."""
-    return [(tok, lex.categories_of(tok)) for tok in tokens]
-
-
-def count_categories(tagged: list[tuple[str, frozenset[Category]]]) -> CategoryCounts:
-    """Count how many token occurrences carry each category."""
-    vector = [0] * len(Category)
-    for _tok, cats in tagged:
-        for cat in cats:
-            vector[int(cat)] += 1
-    return CategoryCounts.from_vector(vector)
-
-
-def _argmax(vector: list[int], indices: tuple[int, ...]) -> tuple[int | None, bool]:
-    """First maximal index in canonical order, or None when all zero;
-    second element flags a tie (2+ maximal)."""
-    best = 0
-    winner = None
-    tie = False
-    for i in indices:
-        c = vector[i]
-        if c > best:
-            best = c
-            winner = i
-            tie = False
-        elif c == best and c > 0:
-            tie = True
-    return winner, tie
-
-
-def _label_vector(vector: list[int]) -> tuple[str, str, str, bool]:
-    s_idx, s_tie = _argmax(vector, _SENTIMENT_IDX)
-    e_idx, e_tie = _argmax(vector, _EMOTION_IDX)
-    o_idx, o_tie = _argmax(vector, _ALL_IDX)
-    sentiment = Category(s_idx).label if s_idx is not None else NEUTRAL
-    emotion = Category(e_idx).label if e_idx is not None else NEUTRAL
-    overall = Category(o_idx).label if o_idx is not None else NEUTRAL
-    return sentiment, emotion, overall, s_tie or e_tie or o_tie
-
-
-def label(counts: CategoryCounts) -> tuple[str, str, str, bool]:
-    """(sentiment, emotion, overall, tied) for one tweet's counts."""
-    return _label_vector(counts.vector())
-
-
-def tag_tweet(clean: CleanTweet, lex: Lexicon) -> TagResult:
+def tag_tweet(clean: CleanTweet, lex: Lexicon) -> Tag:
     """Tag one preprocessed tweet; blank tweets come out all-neutral."""
     vector = _kernels.count_masks(clean.tokens, lex.masks)
-    sentiment, emotion, overall, tied = _label_vector(vector)
-    return TagResult(
-        record_id=clean.record_id,
-        counts=CategoryCounts.from_vector(vector),
-        sentiment_label=sentiment,
-        emotion_label=emotion,
-        overall_label=overall,
-        tied=tied,
-    )
+    sentiments = vector[:_N_SENTIMENTS]
+    emotions = vector[_N_SENTIMENTS:]
+    s_max = max(sentiments)
+    e_max = max(emotions)
+    if s_max:
+        s = sentiments.index(s_max)
+        tied = sentiments.count(s_max) > 1
+    else:
+        s = SENTIMENT_NEUTRAL
+        tied = False
+    if e_max:
+        e = emotions.index(e_max)
+        tied = tied or emotions.count(e_max) > 1
+    else:
+        e = EMOTION_NEUTRAL
+    if s_max >= e_max:
+        # Sentiments precede emotions in the overall order, so they win
+        # an overall tie; a sentiment index is also its Category index.
+        o = s if s_max else OVERALL_NEUTRAL
+        tied = tied or (s_max == e_max and s_max > 0)
+    else:
+        o = _N_SENTIMENTS + e
+    return vector, s, e, o, tied

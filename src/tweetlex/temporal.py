@@ -1,4 +1,4 @@
-"""Daily and hourly aggregation of tag results.
+"""Daily and hourly aggregation of tags.
 
 Both bucket types are mergeable partial aggregates: parallel workers own
 private buckets and the merged result is independent of how the corpus was
@@ -8,59 +8,61 @@ timezone before bucketing.
 
 from __future__ import annotations
 
-from collections import Counter
 from datetime import date, datetime
-from typing import Iterable
 
-from .tagger import TagResult
+from .tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS, Tag
 
 CHANNELS = ("sentiment", "emotion", "overall")
+
+#: (channel, label) of each slot of a DayBuckets row: the sentiment, then
+#: the emotion, then the overall labels, each in its canonical order.
+DAY_ROW = tuple((channel, label)
+                for channel, labels in zip(CHANNELS, (SENTIMENT_LABELS,
+                                                      EMOTION_LABELS,
+                                                      OVERALL_LABELS))
+                for label in labels)
+
+_EMOTION_OFFSET = len(SENTIMENT_LABELS)
+_OVERALL_OFFSET = _EMOTION_OFFSET + len(EMOTION_LABELS)
 
 SLOTS_PER_DAY = 24
 
 
 class DayBuckets:
-    """local date -> label -> count, kept separately for each channel."""
+    """local date -> row of label counts laid out as ``DAY_ROW``."""
 
-    __slots__ = ("channels",)
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.channels: dict[str, dict[date, Counter]] = {c: {} for c in CHANNELS}
+        self.rows: dict[date, list[int]] = {}
 
-    def add(self, result: TagResult, when: datetime | date) -> None:
+    def add(self, tag: Tag, when: datetime | date) -> None:
         day = when.date() if isinstance(when, datetime) else when
-        for channel, label in (("sentiment", result.sentiment_label),
-                               ("emotion", result.emotion_label),
-                               ("overall", result.overall_label)):
-            table = self.channels[channel]
-            if day not in table:
-                table[day] = Counter()
-            table[day][label] += 1
+        row = self.rows.get(day)
+        if row is None:
+            row = self.rows[day] = [0] * len(DAY_ROW)
+        _vector, s, e, o, _tied = tag
+        row[s] += 1
+        row[_EMOTION_OFFSET + e] += 1
+        row[_OVERALL_OFFSET + o] += 1
 
     def merge(self, other: "DayBuckets") -> "DayBuckets":
-        for channel in CHANNELS:
-            mine = self.channels[channel]
-            for day, labels in other.channels[channel].items():
-                if day in mine:
-                    mine[day].update(labels)
-                else:
-                    mine[day] = Counter(labels)
+        for day, row in other.rows.items():
+            mine = self.rows.get(day)
+            if mine is None:
+                self.rows[day] = row[:]
+            else:
+                self.rows[day] = [a + b for a, b in zip(mine, row)]
         return self
 
     def dates(self) -> list[date]:
-        seen = set()
-        for table in self.channels.values():
-            seen.update(table)
-        return sorted(seen)
-
-    def day_total(self, day: date, channel: str = "sentiment") -> int:
-        return sum(self.channels[channel].get(day, Counter()).values())
+        return sorted(self.rows)
 
     def total_tweets(self) -> int:
-        return sum(sum(c.values()) for c in self.channels["sentiment"].values())
+        return sum(sum(row[:_EMOTION_OFFSET]) for row in self.rows.values())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, DayBuckets) and self.channels == other.channels
+        return isinstance(other, DayBuckets) and self.rows == other.rows
 
 
 class HourBuckets:
@@ -86,22 +88,6 @@ class HourBuckets:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, HourBuckets) and self.slots == other.slots
-
-
-def bucket_by_day(results: Iterable[tuple[TagResult, datetime]]) -> DayBuckets:
-    """Each tweet contributes exactly 1 to its local date per channel."""
-    buckets = DayBuckets()
-    for result, when in results:
-        buckets.add(result, when)
-    return buckets
-
-
-def bucket_by_hour(results: Iterable[tuple[TagResult, datetime]]) -> HourBuckets:
-    """A tweet at local time HH:MM:SS increments slot HH."""
-    buckets = HourBuckets()
-    for _result, when in results:
-        buckets.add(when)
-    return buckets
 
 
 def peak_slot(buckets: HourBuckets) -> int | None:

@@ -25,11 +25,12 @@ from tweetlex.reference import (
 )
 from tweetlex.report import AnalyzeConfig, run_analyze
 from tweetlex.spatial import UNKNOWN, RegionAggregate, resolve_location
-from tweetlex.tagger import CategoryCounts, label, tag_tweet
+from tweetlex.tagger import tag_tweet
 from tweetlex.temporal import DayBuckets, HourBuckets
 
 import corpus_gen
 from golden_fixtures import FIXTURES, STOPWORDS
+from tag_helpers import label_names, tag_vector
 
 
 def _line(ok: bool, n: int, text: str) -> bool:
@@ -61,18 +62,14 @@ def test_criterion_1_per_tweet_oracle_equivalence(work_dir, toy_lexicon,
     mismatches = 0
     for record in RecordReader(str(corpus), "jsonl"):
         clean = preprocess(record, bundled_stopwords)
-        result = tag_tweet(clean, toy_lexicon)
+        tag = tag_tweet(clean, toy_lexicon)
 
         tokens, _m, _h, _u = naive_clean(record.text, bundled_stopwords)
         counts = naive_count(tokens, table)
-        sent, emo, overall, tied = naive_label(counts)
 
-        vec = result.counts.vector()
         expected_vec = [counts.get(c.label, 0) for c in Category]
-        same = (tokens == clean.tokens and vec == expected_vec
-                and (sent, emo, overall, tied) == (
-                    result.sentiment_label, result.emotion_label,
-                    result.overall_label, result.tied))
+        same = (tokens == clean.tokens and tag[0] == expected_vec
+                and naive_label(counts) == label_names(tag))
         compared += 1
         if not same:
             mismatches += 1
@@ -261,18 +258,16 @@ def test_criterion_6_tie_handling(toy_lexicon):
         vector = [0] * len(Category)
         for name, value in named.items():
             vector[int(Category[name.upper()])] = value
-        got = label(CategoryCounts.from_vector(vector))
+        got = label_names(tag_vector(vector))
         if got != expected:
             deviations += 1
 
     # End-to-end: hope (positive/anticipation/trust) + fear (negative/fear)
     # ties every channel and must flag it.
     from tweetlex.preprocess import CleanTweet
-    result = tag_tweet(CleanTweet("t", ["hope", "fear"], [], [], [], False),
-                       toy_lexicon)
-    e2e_ok = (result.sentiment_label, result.emotion_label,
-              result.overall_label, result.tied) == \
-        ("positive", "trust", "positive", True)
+    tag = tag_tweet(CleanTweet("t", ["hope", "fear"], [], [], [], False),
+                    toy_lexicon)
+    e2e_ok = label_names(tag) == ("positive", "trust", "positive", True)
 
     ok = deviations == 0 and e2e_ok
     _line(ok, 6, f"{len(cases)} engineered tie cases, {deviations} deviations "

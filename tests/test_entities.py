@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tweetlex.preprocess import CleanTweet
-from tweetlex.tagger import CategoryCounts, TagResult
+from tweetlex.tagger import (EMOTION_NEUTRAL, OVERALL_NEUTRAL,
+                             SENTIMENT_NEUTRAL)
 from tweetlex.entities import (
     FrequencyTable,
     filter_by_mention,
@@ -18,9 +19,11 @@ def _tweet(tid="t", mentions=(), hashtags=()) -> CleanTweet:
     return CleanTweet(tid, ["word"], list(hashtags), list(mentions), [], False)
 
 
-def _result(tid) -> TagResult:
-    return TagResult(tid, CategoryCounts.from_vector([0] * 10),
-                     "neutral", "neutral", "neutral", False)
+def _result(tid):
+    # An all-neutral tag whose vector carries the tweet's number, so the
+    # test can tell which tags came through.
+    return ([int(tid)] + [0] * 9, SENTIMENT_NEUTRAL, EMOTION_NEUTRAL,
+            OVERALL_NEUTRAL, False)
 
 
 class TestFrequencyTable:
@@ -98,8 +101,8 @@ class TestFilterByMention:
             (_tweet("3", mentions=["modi"]), _result("3")),
             (_tweet("4"), _result("4")),
         ]
-        got = [r.record_id for r in filter_by_mention(pairs, "modi")]
-        assert got == ["1", "3"]
+        got = [tag[0][0] for tag in filter_by_mention(pairs, "modi")]
+        assert got == [1, 3]
 
     def test_handle_matching_is_exact(self):
         pairs = [(_tweet("1", mentions=["modiji"]), _result("1"))]

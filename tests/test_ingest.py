@@ -87,6 +87,9 @@ class TestValidateRecord:
         ({"id": "a", "created_at": "nope", "text": "x"}, "timestamp"),
         ({"id": "a", "created_at": "2017-07-01T00:00:00Z"}, "text"),
         ({"id": "a", "created_at": "2017-07-01T00:00:00Z", "text": 7}, "text"),
+        # A lone surrogate cannot be written to any UTF-8 output file.
+        ({"id": "\ud800", "created_at": "2017-07-01T00:00:00Z", "text": "x"},
+         "id"),
     ])
     def test_first_failing_field_named(self, raw, reason):
         result = validate_record(raw)
@@ -187,6 +190,34 @@ class TestJsonlReader:
         monkeypatch.setattr("sys.stdin", stdin)
         reader = read_records("-", "jsonl")
         assert [r.id for r in reader] == ["s1"]
+
+    @pytest.mark.parametrize("fmt,source", [("jsonl", "file"),
+                                            ("csv", "file"),
+                                            ("jsonl", "stdin")])
+    def test_byte_order_mark_is_not_data(self, tmp_path, monkeypatch, fmt,
+                                         source):
+        if fmt == "jsonl":
+            body = "\n".join([_row("a"), _row("b")]) + "\n"
+        else:
+            body = (",".join(CSV_HEADER) + "\n"
+                    "a,2017-07-01T10:00:00+05:30,hello,Delhi\n"
+                    "b,2017-07-01T11:00:00+05:30,more,\n")
+        readers = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            data = bom + body.encode("utf-8")
+            if source == "stdin":
+                monkeypatch.setattr("sys.stdin",
+                                    io.TextIOWrapper(io.BytesIO(data)))
+                reader = read_records("-", fmt)
+            else:
+                p = tmp_path / f"corpus{len(bom)}.{fmt}"
+                p.write_bytes(data)
+                reader = read_records(p, fmt)
+            readers.append((reader, [r.id for r in reader]))
+        (plain, plain_ids), (marked, marked_ids) = readers
+        assert marked_ids == plain_ids == ["a", "b"]
+        assert marked.stats.lines == plain.stats.lines == 2
+        assert marked.stats.skipped == {}
 
     def test_unsupported_format_rejected(self, tmp_path):
         with pytest.raises(TweetlexError):

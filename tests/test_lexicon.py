@@ -81,6 +81,8 @@ def test_words_are_stored_lowercase(tmp_path):
     ("calm\tjoy\t2\n", "flag must be 0 or 1"),
     ("calm\tjoy\tyes\n", "flag must be 0 or 1"),
     ("calm\tjoy\t1\ncalm\tjoy\t0\n", "duplicate"),
+    # Non-adjacent, differing only in case and padding: still (calm, joy).
+    ("Calm\tjoy\t1\ncalm\ttrust\t1\n calm \tjoy\t0\n", "line 3: duplicate"),
     ("\tjoy\t1\n", "empty word"),
     ("two words\tjoy\t1\n", "whitespace"),
 ])

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweetlex.ingest import IST, TweetRecord
-from tweetlex.lexicon import Category
+from tweetlex.lexicon import Category, load_lexicon
 from tweetlex.preprocess import CleanTweet, preprocess
 from tweetlex.reference import (
     naive_clean,
@@ -29,6 +29,7 @@ from tweetlex.tagger import tag_tweet
 import corpus_gen
 from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL, TOY_LEXICON
 from golden_fixtures import FIXTURES, STOPWORDS
+from tag_helpers import label_names
 
 _WHEN = dt.datetime(2017, 7, 1, 12, 0, 0, tzinfo=IST)
 
@@ -75,16 +76,12 @@ def test_naive_count_and_label_match_tagger(tokens, toy_lexicon,
                                             toy_lexicon_path):
     table = scan_lexicon_file(str(toy_lexicon_path))
     clean = CleanTweet("t", list(tokens), [], [], [], not tokens)
-    result = tag_tweet(clean, toy_lexicon)
+    tag = tag_tweet(clean, toy_lexicon)
 
     counts = naive_count(tokens, table)
-    vec = result.counts.vector()
+    vec = tag[0]
     assert counts == {c.label: vec[int(c)] for c in Category if vec[int(c)]}
-
-    sent, emo, overall, tied = naive_label(counts)
-    assert (sent, emo, overall, tied) == (
-        result.sentiment_label, result.emotion_label,
-        result.overall_label, result.tied)
+    assert naive_label(counts) == label_names(tag)
 
 
 @pytest.mark.parametrize("raw", [r for r, _ in LOCATION_POOL] +
@@ -94,13 +91,38 @@ def test_naive_resolve_matches_resolve_location(raw, bundled_gazetteer):
         resolve_location(raw, bundled_gazetteer)
 
 
-def test_scan_lexicon_matches_loader(toy_lexicon, toy_lexicon_path):
-    table = scan_lexicon_file(str(toy_lexicon_path))
-    assert set(table) == set(TOY_LEXICON)
-    assert len(table) == toy_lexicon.entry_count
+# CRLF endings, padded category and flag fields, mixed-case words, and
+# indented comments; the loader must read it exactly as the line scan does.
+_MESSY_LEXICON = (
+    "# word\tcategory\tflag\r\n"
+    "   # indented comment\r\n"
+    "\t# tab-indented comment\r\n"
+    "Calm\tjoy\t0\r\n"
+    "CALM\t trust \t1\r\n"
+    "  Hope \tanticipation\t 1 \r\n"
+    "\r\n"
+    "hope\tpositive\t1\r\n"
+    "Dread\tfear \t1\r\n"
+    "dread\tnegative\t0 \r\n"
+    "zeal\tjoy\t0\r\n"
+)
+
+
+@pytest.mark.parametrize("messy", [False, True], ids=["toy", "messy"])
+def test_scan_lexicon_matches_loader(messy, toy_lexicon_path, tmp_path):
+    path = toy_lexicon_path
+    words = set(TOY_LEXICON)
+    if messy:
+        path = tmp_path / "messy.tsv"
+        path.write_bytes(_MESSY_LEXICON.encode("utf-8"))
+        words = {"calm", "hope", "dread"}
+    lexicon = load_lexicon(path)
+    table = scan_lexicon_file(str(path))
+    assert set(table) == words
+    assert len(table) == lexicon.entry_count
     for word, cats in table.items():
         assert cats == frozenset(
-            c.label for c in toy_lexicon.categories_of(word))
+            c.label for c in lexicon.categories_of(word))
 
 
 @pytest.fixture(scope="module")

@@ -8,6 +8,7 @@ emit-tags path handling, subcorpus and top subcommands, the oracle
 write-after-verify contract, and the exit-code contract.
 """
 
+import csv
 import importlib.metadata
 import io
 import json
@@ -248,6 +249,53 @@ class TestCsvFormat:
         assert summary["tweets_tagged"] == 2
         assert summary["locations"] == {"located": 1, "unknown": 1,
                                         "india_total": 1, "foreign": 0}
+
+
+class TestLocationMemo:
+    def test_each_run_resolves_with_its_own_gazetteer(self, tmp_path,
+                                                      toy_lexicon_path):
+        # Two in-process runs on one corpus, with gazetteers that send the
+        # same location string to different regions: a location memo that
+        # outlived its run would hand the second run the first's region.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"m{i}", "created_at": "2017-07-01T10:00:00Z",
+                        "text": "good day", "user_location": "Springfield"})
+            + "\n" for i in range(3)), encoding="utf-8")
+        tweets = {}
+        for region in ("Goa", "Kerala"):
+            gazetteer = tmp_path / f"{region}.csv"
+            gazetteer.write_text(f"springfield,{region},1\n", encoding="utf-8")
+            out = tmp_path / region
+            run_analyze(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), gazetteer_path=str(gazetteer)))
+            with open(out / "regions.csv", newline="") as fh:
+                tweets[region] = {row["region"]: int(row["tweets"])
+                                  for row in csv.DictReader(fh)}
+        assert (tweets["Goa"]["Goa"], tweets["Goa"]["Kerala"]) == (3, 0)
+        assert (tweets["Kerala"]["Goa"], tweets["Kerala"]["Kerala"]) == (0, 3)
+
+
+class TestLoneSurrogateId:
+    def test_rejected_at_admission_and_tags_encode(self, tmp_path, capsys):
+        # json.dumps escapes the lone surrogate as \ud800, which json.loads
+        # turns back into a str that no UTF-8 writer can encode.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": rec_id, "created_at": "2017-07-01T10:00:00Z",
+                        "text": "good day"}) + "\n"
+            for rec_id in ("ok1", "\ud800", "ok2")), encoding="ascii")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", str(corpus),
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out), "--emit-tags"])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text("utf-8"))
+        assert summary["rejected_reasons"] == {"id": 1}
+        tags = (out / "tags.jsonl").read_bytes().decode("utf-8")
+        assert [json.loads(line)["id"] for line in tags.splitlines()] == \
+            ["ok1", "ok2"]
 
 
 class TestExitCodes:

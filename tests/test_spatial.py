@@ -14,18 +14,29 @@ from tweetlex.spatial import (
     GazetteerRule,
     RegionAggregate,
     RegionStats,
-    aggregate_by_region,
     load_gazetteer,
     resolve_location,
 )
-from tweetlex.tagger import CategoryCounts, TagResult
+from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
 
 from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL
 
 
-def _result(sent="positive", emo="joy", overall="positive") -> TagResult:
-    return TagResult("t", CategoryCounts.from_vector([0] * 10),
-                     sent, emo, overall, False)
+def _result(sent="positive", emo="joy", overall="positive"):
+    return ([0] * 10, SENTIMENT_LABELS.index(sent), EMOTION_LABELS.index(emo),
+            OVERALL_LABELS.index(overall), False)
+
+
+def _sentiments(stats: RegionStats) -> dict[str, int]:
+    return {label: n for label, n in zip(SENTIMENT_LABELS, stats.sentiment)
+            if n}
+
+
+def _aggregate(pairs) -> RegionAggregate:
+    agg = RegionAggregate()
+    for tag, region in pairs:
+        agg.add(tag, region)
+    return agg
 
 
 class TestResolveLocation:
@@ -135,7 +146,8 @@ class TestRegionAggregate:
         assert agg.count("Nagaland") == 0
         assert agg.india_total() == 4
         assert agg.grand_total() == 5
-        assert agg.regions["Delhi-NCR"].sentiment == {"positive": 1, "negative": 1}
+        assert _sentiments(agg.regions["Delhi-NCR"]) == \
+            {"positive": 1, "negative": 1}
 
     def test_region_stats_merge(self):
         a, b = RegionStats(), RegionStats()
@@ -144,7 +156,9 @@ class TestRegionAggregate:
         b.add(_result())
         a.merge(b)
         assert a.tweets == 3
-        assert a.sentiment == {"positive": 2, "negative": 1}
+        assert _sentiments(a) == {"positive": 2, "negative": 1}
+        assert a.emotion[EMOTION_LABELS.index("joy")] == 2
+        assert a.emotion[EMOTION_LABELS.index("sadness")] == 1
 
     @given(picks=st.lists(
         st.tuples(st.sampled_from(["Delhi-NCR", "Goa", INDIA_UNSPECIFIED, FOREIGN]),
@@ -153,8 +167,7 @@ class TestRegionAggregate:
     def test_split_merge_equals_whole(self, picks, cut):
         cut = min(cut, len(picks))
         pairs = [(_result(sent=s, overall=s), region) for region, s in picks]
-        whole = aggregate_by_region(pairs)
-        merged = aggregate_by_region(pairs[:cut]).merge(
-            aggregate_by_region(pairs[cut:]))
+        whole = _aggregate(pairs)
+        merged = _aggregate(pairs[:cut]).merge(_aggregate(pairs[cut:]))
         assert merged == whole
         assert whole.grand_total() == len(picks)

@@ -8,25 +8,24 @@ from tweetlex.lexicon import Category
 from tweetlex.preprocess import CleanTweet
 from tweetlex.tagger import (
     EMOTION_LABELS,
+    EMOTION_NEUTRAL,
     NEUTRAL,
     OVERALL_LABELS,
+    OVERALL_NEUTRAL,
     SENTIMENT_LABELS,
-    CategoryCounts,
-    _argmax,
-    count_categories,
-    label,
-    tag_tokens,
+    SENTIMENT_NEUTRAL,
     tag_tweet,
 )
 
 from corpus_gen import TOY_LEXICON
+from tag_helpers import label_names, tag_vector
 
 
-def _counts(**named) -> CategoryCounts:
+def _vector(**counts) -> list[int]:
     vector = [0] * len(Category)
-    for name, value in named.items():
+    for name, value in counts.items():
         vector[int(Category[name.upper()])] = value
-    return CategoryCounts.from_vector(vector)
+    return vector
 
 
 def _clean(tokens) -> CleanTweet:
@@ -40,6 +39,9 @@ def test_label_order_constants():
     assert OVERALL_LABELS == ("positive", "negative", "joy", "trust",
                               "anticipation", "surprise", "fear", "sadness",
                               "anger", "disgust", "neutral")
+    assert SENTIMENT_LABELS[SENTIMENT_NEUTRAL] == NEUTRAL
+    assert EMOTION_LABELS[EMOTION_NEUTRAL] == NEUTRAL
+    assert OVERALL_LABELS[OVERALL_NEUTRAL] == NEUTRAL
 
 
 LABEL_CASES = [
@@ -59,66 +61,46 @@ LABEL_CASES = [
 
 @pytest.mark.parametrize("named,sent,emo,overall,tied", LABEL_CASES)
 def test_label_table(named, sent, emo, overall, tied):
-    got = label(_counts(**named))
+    got = label_names(tag_vector(_vector(**named)))
     assert got == (sent, emo, overall, tied)
-
-
-class TestCategoryCounts:
-    def test_vector_round_trip(self):
-        vec = list(range(10))
-        cc = CategoryCounts.from_vector(vec)
-        assert cc.vector() == vec
-        assert cc.total == sum(vec)
-        assert cc[Category.POSITIVE] == 0
-        assert cc[Category.DISGUST] == 9
-
-    def test_every_category_key_present(self):
-        cc = CategoryCounts.from_vector([0] * 10)
-        assert set(cc.counts) == set(Category)
 
 
 class TestTagTweet:
     def test_hand_traced_example(self, toy_lexicon):
         # good: positive+joy; love: positive+joy+trust; bad: negative+sadness.
-        result = tag_tweet(_clean(["good", "love", "bad"]), toy_lexicon)
-        assert result.counts[Category.POSITIVE] == 2
-        assert result.counts[Category.JOY] == 2
-        assert result.counts[Category.NEGATIVE] == 1
-        assert result.sentiment_label == "positive"
-        assert result.emotion_label == "joy"
+        tag = tag_tweet(_clean(["good", "love", "bad"]), toy_lexicon)
+        vector = tag[0]
+        assert vector[Category.POSITIVE] == 2
+        assert vector[Category.JOY] == 2
+        assert vector[Category.NEGATIVE] == 1
         # overall ties positive(2) against joy(2); sentiments come first.
-        assert result.overall_label == "positive"
-        assert result.tied is True
+        assert label_names(tag) == ("positive", "joy", "positive", True)
 
     def test_cross_channel_tie(self, toy_lexicon):
         # hope: positive+anticipation+trust; fear: negative+fear.
-        result = tag_tweet(_clean(["hope", "fear"]), toy_lexicon)
-        assert result.sentiment_label == "positive"
-        assert result.emotion_label == "trust"
-        assert result.overall_label == "positive"
-        assert result.tied is True
+        tag = tag_tweet(_clean(["hope", "fear"]), toy_lexicon)
+        assert label_names(tag) == ("positive", "trust", "positive", True)
 
     def test_unknown_tokens_are_neutral(self, toy_lexicon):
-        result = tag_tweet(_clean(["zzyzx", "qwerty"]), toy_lexicon)
-        assert (result.sentiment_label, result.emotion_label,
-                result.overall_label) == (NEUTRAL, NEUTRAL, NEUTRAL)
-        assert result.tied is False
-        assert result.counts.total == 0
+        tag = tag_tweet(_clean(["zzyzx", "qwerty"]), toy_lexicon)
+        assert tag[1:] == (SENTIMENT_NEUTRAL, EMOTION_NEUTRAL,
+                           OVERALL_NEUTRAL, False)
+        assert label_names(tag) == (NEUTRAL, NEUTRAL, NEUTRAL, False)
+        assert sum(tag[0]) == 0
 
     def test_blank_tweet_is_neutral(self, toy_lexicon):
-        result = tag_tweet(_clean([]), toy_lexicon)
-        assert result.overall_label == NEUTRAL
-        assert result.record_id == "t1"
+        vector, _s, _e, o, tied = tag_tweet(_clean([]), toy_lexicon)
+        assert vector == [0] * len(Category)
+        assert o == OVERALL_NEUTRAL
+        assert tied is False
 
     def test_repeated_tokens_count_each_occurrence(self, toy_lexicon):
         # fine: positive only; bad: negative+sadness.  positive reaches 2
         # with no other category matching it, so no channel ties.
-        result = tag_tweet(_clean(["fine", "fine", "bad"]), toy_lexicon)
-        assert result.counts[Category.POSITIVE] == 2
-        assert result.counts[Category.NEGATIVE] == 1
-        assert result.sentiment_label == "positive"
-        assert result.emotion_label == "sadness"
-        assert result.tied is False
+        tag = tag_tweet(_clean(["fine", "fine", "bad"]), toy_lexicon)
+        assert tag[0][Category.POSITIVE] == 2
+        assert tag[0][Category.NEGATIVE] == 1
+        assert label_names(tag) == ("positive", "sadness", "positive", False)
 
 
 _tokens = st.lists(
@@ -129,8 +111,15 @@ _tokens = st.lists(
 
 @given(tokens=_tokens)
 def test_count_categories_agrees_with_kernel(tokens, toy_lexicon):
-    via_pairs = count_categories(tag_tokens(tokens, toy_lexicon))
-    assert via_pairs.vector() == _kernels.count_masks(tokens, toy_lexicon.masks)
+    # Count each token's categories_of set by hand; tag_tweet's vector
+    # comes from the kernel's bitmask counting.
+    by_category = [0] * len(Category)
+    for tok in tokens:
+        for cat in toy_lexicon.categories_of(tok):
+            by_category[cat] += 1
+    vector = tag_tweet(_clean(tokens), toy_lexicon)[0]
+    assert vector == by_category
+    assert vector == _kernels.count_masks(tokens, toy_lexicon.masks)
 
 
 def _naive_argmax(vector, indices):
@@ -141,24 +130,24 @@ def _naive_argmax(vector, indices):
     return winners[0], len(winners) >= 2
 
 
-_IDX_SETS = (
-    tuple(int(c) for c in Category),
-    (0, 1),
-    tuple(range(2, 10)),
-)
-
-
-@given(
-    vector=st.lists(st.integers(0, 5), min_size=10, max_size=10),
-    indices=st.sampled_from(_IDX_SETS),
-)
-def test_argmax_matches_naive_reimplementation(vector, indices):
-    assert _argmax(vector, indices) == _naive_argmax(vector, indices)
+@given(vector=st.lists(st.integers(0, 5), min_size=10, max_size=10))
+def test_argmax_matches_naive_reimplementation(vector):
+    got, s, e, o, tied = tag_vector(vector)
+    assert got == vector
+    channels = []
+    for indices, picked, neutral, offset in (
+            ((0, 1), s, SENTIMENT_NEUTRAL, 0),
+            (tuple(range(2, 10)), e, EMOTION_NEUTRAL, 2),
+            (tuple(range(10)), o, OVERALL_NEUTRAL, 0)):
+        winner, tie = _naive_argmax(vector, indices)
+        assert picked == (neutral if winner is None else winner - offset)
+        channels.append(tie)
+    assert tied == any(channels)
 
 
 @given(vector=st.lists(st.integers(0, 5), min_size=10, max_size=10))
 def test_label_channels_consistent(vector):
-    sent, emo, overall, tied = label(CategoryCounts.from_vector(vector))
+    sent, emo, overall, tied = label_names(tag_vector(vector))
     assert sent in SENTIMENT_LABELS
     assert emo in EMOTION_LABELS
     assert overall in OVERALL_LABELS

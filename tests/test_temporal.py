@@ -2,18 +2,16 @@
 
 import datetime as dt
 import random
-from collections import Counter
 
 from hypothesis import given, strategies as st
 
 from tweetlex.ingest import IST
-from tweetlex.tagger import CategoryCounts, TagResult
+from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
 from tweetlex.temporal import (
     CHANNELS,
+    DAY_ROW,
     DayBuckets,
     HourBuckets,
-    bucket_by_day,
-    bucket_by_hour,
     peak_slot,
 )
 
@@ -25,10 +23,16 @@ _LABEL_MENU = (
 )
 
 
-def _result(kind=0) -> TagResult:
+def _result(kind=0):
     sent, emo, overall = _LABEL_MENU[kind % len(_LABEL_MENU)]
-    return TagResult("t", CategoryCounts.from_vector([0] * 10),
-                     sent, emo, overall, False)
+    return ([0] * 10, SENTIMENT_LABELS.index(sent), EMOTION_LABELS.index(emo),
+            OVERALL_LABELS.index(overall), False)
+
+
+def _channel(buckets, day, channel) -> dict[str, int]:
+    """The nonzero label counts of one channel on one day."""
+    return {label: n for (ch, label), n in zip(DAY_ROW, buckets.rows[day])
+            if ch == channel and n}
 
 
 def _when(day=1, hour=12) -> dt.datetime:
@@ -41,14 +45,14 @@ class TestDayBuckets:
         buckets.add(_result(0), _when(day=1))
         buckets.add(_result(1), _when(day=1))
         buckets.add(_result(0), _when(day=2))
-        assert buckets.channels["sentiment"][dt.date(2017, 7, 1)] == \
-            Counter(positive=1, negative=1)
-        assert buckets.channels["emotion"][dt.date(2017, 7, 1)] == \
-            Counter(joy=1, sadness=1)
-        assert buckets.channels["overall"][dt.date(2017, 7, 2)] == \
-            Counter(positive=1)
-        assert buckets.dates() == [dt.date(2017, 7, 1), dt.date(2017, 7, 2)]
-        assert buckets.day_total(dt.date(2017, 7, 1)) == 2
+        july1, july2 = dt.date(2017, 7, 1), dt.date(2017, 7, 2)
+        assert _channel(buckets, july1, "sentiment") == \
+            {"positive": 1, "negative": 1}
+        assert _channel(buckets, july1, "emotion") == {"joy": 1, "sadness": 1}
+        assert _channel(buckets, july1, "overall") == \
+            {"positive": 1, "negative": 1}
+        assert _channel(buckets, july2, "overall") == {"positive": 1}
+        assert buckets.dates() == [july1, july2]
         assert buckets.total_tweets() == 3
 
     def test_accepts_plain_date(self):
@@ -61,7 +65,8 @@ class TestDayBuckets:
         for i in range(17):
             buckets.add(_result(i), _when(day=1 + i % 3))
         per_channel = {
-            ch: sum(sum(c.values()) for c in buckets.channels[ch].values())
+            ch: sum(sum(_channel(buckets, day, ch).values())
+                    for day in buckets.dates())
             for ch in CHANNELS
         }
         assert set(per_channel.values()) == {17}
@@ -94,14 +99,24 @@ def _population(n, seed):
             for _ in range(n)]
 
 
+def _bucket(pop):
+    """Day and hour buckets filled the way the chunk worker fills them."""
+    days, hours = DayBuckets(), HourBuckets()
+    for tag, when in pop:
+        days.add(tag, when)
+        hours.add(when)
+    return days, hours
+
+
 @given(n=st.integers(0, 120), seed=st.integers(0, 999), cut=st.integers(0, 120))
 def test_split_merge_equals_whole(n, seed, cut):
     pop = _population(n, seed)
     cut = min(cut, n)
-    whole_days = bucket_by_day(pop)
-    whole_hours = bucket_by_hour(pop)
-    merged_days = bucket_by_day(pop[:cut]).merge(bucket_by_day(pop[cut:]))
-    merged_hours = bucket_by_hour(pop[:cut]).merge(bucket_by_hour(pop[cut:]))
+    whole_days, whole_hours = _bucket(pop)
+    merged_days, merged_hours = _bucket(pop[:cut])
+    right_days, right_hours = _bucket(pop[cut:])
+    merged_days.merge(right_days)
+    merged_hours.merge(right_hours)
     assert merged_days == whole_days
     assert merged_hours == whole_hours
     assert whole_days.total_tweets() == n
@@ -110,5 +125,5 @@ def test_split_merge_equals_whole(n, seed, cut):
 
 @given(n=st.integers(0, 120), seed=st.integers(0, 999))
 def test_day_and_hour_totals_agree(n, seed):
-    pop = _population(n, seed)
-    assert bucket_by_day(pop).total_tweets() == bucket_by_hour(pop).total == n
+    days, hours = _bucket(_population(n, seed))
+    assert days.total_tweets() == hours.total == n
