@@ -31,6 +31,8 @@ FORMATS = ("jsonl", "csv")
 #: Cap on stored per-line diagnostics; counts are always complete.
 _MAX_DIAGNOSTICS = 1000
 
+_BAD_BYTES = "invalid UTF-8 byte"
+
 
 @dataclass(frozen=True)
 class TweetRecord:
@@ -70,6 +72,14 @@ class ReadStats:
         logger.debug("line %d skipped (%s) %s", lineno, reason, detail)
 
 
+#: One tzinfo per UTC offset.  ``fromisoformat`` makes a new timezone on
+#: every call; with one shared per offset, a pickled chunk of records holds
+#: each offset once.  Timezones compare by offset, so sharing changes no
+#: value; the cap bounds what odd offsets in a corpus can add.
+_SHARED_TZ: dict[timezone, timezone] = {}
+_MAX_SHARED_TZ = 1024
+
+
 def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
     """Parse an RFC-3339 timestamp; naive values get ``default_tz``.
 
@@ -84,14 +94,23 @@ def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
         ts = datetime.fromisoformat(text)
     except ValueError:
         return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=default_tz)
+    tz = ts.tzinfo
+    if tz is None:
+        return ts.replace(tzinfo=default_tz)
+    shared = _SHARED_TZ.get(tz)
+    if shared is None:
+        if len(_SHARED_TZ) < _MAX_SHARED_TZ:
+            _SHARED_TZ[tz] = tz
+    elif shared is not tz:
+        # combine costs about a third of replace(tzinfo=...).
+        ts = datetime.combine(ts, ts.time(), shared)
     return ts
 
 
 def _encodes(text: str) -> bool:
     """False when ``text`` holds a lone surrogate, which JSON input can
-    carry but no UTF-8 output file can."""
+    carry but no UTF-8 output file can.  In a raw line decoded with
+    surrogateescape, a lone surrogate is an invalid UTF-8 byte."""
     try:
         text.encode("utf-8")
     except UnicodeEncodeError:
@@ -139,18 +158,21 @@ class RecordReader:
 
     def __iter__(self) -> Iterator[TweetRecord]:
         # utf-8-sig drops a leading byte-order mark, so line 1 of a BOM'd
-        # file parses like any other line.
+        # file parses like any other line.  surrogateescape turns each
+        # invalid byte into a lone surrogate, which the readers reject as
+        # "encoding" line by line instead of the decode ending the run.
         if self.source == "-":
             # Decode stdin exactly as a file source, whatever the locale or
             # PYTHONIOENCODING; detach afterwards so sys.stdin stays open.
             fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
-                                  newline="")
+                                  errors="surrogateescape", newline="")
             try:
                 yield from self._read(fh)
             finally:
                 fh.detach()
         else:
-            with open(self.source, encoding="utf-8-sig", newline="") as fh:
+            with open(self.source, encoding="utf-8-sig",
+                      errors="surrogateescape", newline="") as fh:
                 yield from self._read(fh)
 
     def _read(self, fh) -> Iterator[TweetRecord]:
@@ -183,6 +205,9 @@ class RecordReader:
             stripped = line.strip()
             if not stripped:
                 self.stats._skip(lineno, "blank_line")
+                continue
+            if not stripped.isascii() and not _encodes(stripped):
+                self.stats._skip(lineno, "encoding", _BAD_BYTES)
                 continue
             try:
                 raw = json.loads(stripped)
@@ -219,6 +244,9 @@ class RecordReader:
                 continue
             self.stats.lines += 1
             lineno = reader.line_num
+            if not all(map(str.isascii, row)) and not all(map(_encodes, row)):
+                self.stats._skip(lineno, "encoding", _BAD_BYTES)
+                continue
             if len(row) != len(CSV_HEADER):
                 self.stats._skip(lineno, "malformed",
                                  f"expected {len(CSV_HEADER)} fields, got {len(row)}")

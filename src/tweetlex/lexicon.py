@@ -10,6 +10,7 @@ result) but never stored.
 from __future__ import annotations
 
 import enum
+import re
 from typing import Iterable
 
 from .errors import LexiconError
@@ -42,13 +43,6 @@ class Category(enum.IntEnum):
 SENTIMENTS: tuple[Category, ...] = (Category.POSITIVE, Category.NEGATIVE)
 EMOTIONS: tuple[Category, ...] = tuple(c for c in Category if c not in SENTIMENTS)
 
-_BY_LABEL = {c.label: c for c in Category}
-
-
-def category_from_label(token: str) -> Category | None:
-    """Map a lowercase category token to its Category, or None if unknown."""
-    return _BY_LABEL.get(token)
-
 
 class Lexicon:
     """Immutable word -> category-set table with case-insensitive lookup.
@@ -72,9 +66,6 @@ class Lexicon:
         """word -> category bitmask mapping. Treat as read-only."""
         return self._masks
 
-    def mask_of(self, word: str) -> int:
-        return self._masks.get(word.lower(), 0)
-
     def categories_of(self, word: str) -> frozenset[Category]:
         """Categories associated with ``word`` (case-insensitive); empty set
         for unknown words."""
@@ -93,7 +84,28 @@ class Lexicon:
         return len(self._masks)
 
 
-_BIT_BY_LABEL = {label: 1 << c for label, c in _BY_LABEL.items()}
+_BIT_BY_LABEL = {c.label: 1 << c for c in Category}
+
+_ALL_BITS = (1 << len(Category)) - 1
+
+#: Characters read per piece.  Each piece is cut back to its last line end
+#: and the rest carried into the next one; reading the whole file at once
+#: would raise a run's peak memory by several percent.
+_PIECE_CHARS = 1 << 16
+
+
+def _block_matcher(order: list[int]):
+    """Regex for one word's ten rows with categories in ``order`` (their
+    bits), and the mask of each tuple of its ten captured flags."""
+    first, *others = [Category(bit.bit_length() - 1).label for bit in order]
+    pattern = re.compile(rf"([^\s#]\S*)\t{first}\t([01])\n"
+                         + "".join(rf"\1\t{label}\t([01])\n"
+                                   for label in others))
+    flag_masks: dict[tuple[str, ...], int] = {(): 0}
+    for bit in order:
+        flag_masks = {flags + (f,): mask | (bit if f == "1" else 0)
+                      for flags, mask in flag_masks.items() for f in "01"}
+    return pattern, flag_masks
 
 
 def load_lexicon(path) -> Lexicon:
@@ -104,6 +116,12 @@ def load_lexicon(path) -> Lexicon:
     fields, an empty word, a word containing whitespace, an unknown
     category token, a flag outside {0, 1}, and a duplicate (word, category)
     pair.
+
+    Files laid out like NRC's own (ten rows per word, every word's rows in
+    one category order) load a word per regex match: the order is taken
+    from the first ten data rows, and a run of ten rows in that order, for
+    one lowercase word not seen before, can break none of the checks.
+    Every other line is checked on its own.
     """
     masks: dict[str, int] = {}
     # word -> bits of the categories it has a row for, whatever the flag.
@@ -111,48 +129,88 @@ def load_lexicon(path) -> Lexicon:
     # Raw word field -> its validated lowercase word.  A word has one row
     # per category, so most fields are validated once and then looked up.
     words: dict[str, str] = {}
+    # Category bits of the first data rows, until there are ten of them.
+    order: list[int] = []
+    block = flag_masks = None
+    lineno = 0
+    rest = ""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            parts = line.rstrip("\r\n").split("\t")
-            word = words.get(parts[0])
-            if word is None:
-                # Only a field that starts a data line is ever cached, so
-                # a cached field also proves the line is no comment.
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                if len(parts) == 3:
-                    raw_word = parts[0]
-                    word = raw_word.strip().lower()
-                    if not word:
-                        raise LexiconError(f"{path}: line {lineno}: empty word")
-                    if len(word.split()) != 1:
-                        raise LexiconError(
-                            f"{path}: line {lineno}: word contains "
-                            f"whitespace: {raw_word!r}")
-                    words[raw_word] = word
-            if len(parts) != 3:
-                raise LexiconError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}")
-            _raw_word, cat_token, flag = parts
-            bit = _BIT_BY_LABEL.get(cat_token)
-            if bit is None:
-                bit = _BIT_BY_LABEL.get(cat_token.strip())
+        while rest is not None:
+            piece = fh.read(_PIECE_CHARS)
+            if piece:
+                text = rest + piece
+                cut = text.rfind("\n") + 1
+                text, rest = text[:cut], text[cut:]
+            else:  # end of file: the last line may lack its line end
+                text, rest = rest, None
+            pos = 0
+            end = len(text)
+            while pos < end:
+                if block is not None:
+                    m = block.match(text, pos)
+                    if m is not None:
+                        groups = m.groups()
+                        word = groups[0]
+                        if word not in seen and word.lower() == word:
+                            seen[word] = _ALL_BITS
+                            mask = flag_masks[groups[1:]]
+                            if mask:
+                                masks[word] = mask
+                            lineno += 10
+                            pos = m.end()
+                            continue
+                nl = text.find("\n", pos) + 1 or end
+                line = text[pos:nl]
+                pos = nl
+                lineno += 1
+                parts = line.rstrip("\r\n").split("\t")
+                word = words.get(parts[0])
+                if word is None:
+                    # Only a field that starts a data line is ever cached,
+                    # so a cached field also proves the line is no comment.
+                    if not line.strip() or line.lstrip().startswith("#"):
+                        continue
+                    if len(parts) == 3:
+                        raw_word = parts[0]
+                        word = raw_word.strip().lower()
+                        if not word:
+                            raise LexiconError(
+                                f"{path}: line {lineno}: empty word")
+                        if len(word.split()) != 1:
+                            raise LexiconError(
+                                f"{path}: line {lineno}: word contains "
+                                f"whitespace: {raw_word!r}")
+                        words[raw_word] = word
+                if len(parts) != 3:
+                    raise LexiconError(
+                        f"{path}: line {lineno}: expected 3 tab-separated "
+                        f"fields, got {len(parts)}")
+                _raw_word, cat_token, flag = parts
+                bit = _BIT_BY_LABEL.get(cat_token)
                 if bit is None:
-                    raise LexiconError(f"{path}: line {lineno}: unknown "
-                                       f"category {cat_token.strip()!r}")
-            if flag != "1" and flag != "0":
-                flag = flag.strip()
+                    bit = _BIT_BY_LABEL.get(cat_token.strip())
+                    if bit is None:
+                        raise LexiconError(f"{path}: line {lineno}: unknown "
+                                           f"category {cat_token.strip()!r}")
                 if flag != "1" and flag != "0":
-                    raise LexiconError(f"{path}: line {lineno}: flag must "
-                                       f"be 0 or 1, got {flag!r}")
-            bits = seen.get(word, 0)
-            if bits & bit:
-                label = Category(bit.bit_length() - 1).label
-                raise LexiconError(
-                    f"{path}: line {lineno}: duplicate row for "
-                    f"({word!r}, {label})")
-            seen[word] = bits | bit
-            if flag == "1":
-                masks[word] = masks.get(word, 0) | bit
+                    flag = flag.strip()
+                    if flag != "1" and flag != "0":
+                        raise LexiconError(f"{path}: line {lineno}: flag "
+                                           f"must be 0 or 1, got {flag!r}")
+                bits = seen.get(word, 0)
+                if bits & bit:
+                    label = Category(bit.bit_length() - 1).label
+                    raise LexiconError(
+                        f"{path}: line {lineno}: duplicate row for "
+                        f"({word!r}, {label})")
+                seen[word] = bits | bit
+                if flag == "1":
+                    masks[word] = masks.get(word, 0) | bit
+                if block is None:
+                    order.append(bit)
+                    if len(order) == len(Category):
+                        # A wrong guess only means fewer block matches.
+                        if len(set(order)) != len(Category):
+                            order = [1 << c for c in Category]
+                        block, flag_masks = _block_matcher(order)
     return Lexicon(masks)

@@ -38,6 +38,15 @@ class TestParseTimestamp:
         ts = parse_timestamp("2017-07-01T10:00:00+05:30")
         assert ts == dt.datetime(2017, 7, 1, 10, 0, tzinfo=IST)
 
+    def test_one_tzinfo_per_offset(self):
+        # One shared tzinfo lets a pickled chunk of records store it once.
+        texts = ["2017-07-01T10:00:00+02:00", "2017-07-02T23:59:59.5+02:00"]
+        a, b = (parse_timestamp(text) for text in texts)
+        assert a.tzinfo is b.tzinfo
+        assert [a, b] == [dt.datetime.fromisoformat(text) for text in texts]
+        assert [a.isoformat(), b.isoformat()] == [
+            "2017-07-01T10:00:00+02:00", "2017-07-02T23:59:59.500000+02:00"]
+
     @pytest.mark.parametrize("suffix", ["Z", "z"])
     def test_zulu(self, suffix):
         ts = parse_timestamp("2017-07-01T10:00:00" + suffix)
@@ -219,6 +228,38 @@ class TestJsonlReader:
         assert marked.stats.lines == plain.stats.lines == 2
         assert marked.stats.skipped == {}
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+    @pytest.mark.parametrize("bad", [0, 1], ids=["first-after-bom", "middle"])
+    def test_invalid_utf8_is_an_encoding_rejection(self, tmp_path,
+                                                   monkeypatch, fmt, source,
+                                                   bad):
+        texts = [b"good day", b"so good", b"fine day"]
+        texts[bad] = b"bad \xff\xfe byte"
+        if fmt == "jsonl":
+            head = b""
+            rows = [b'{"id": "%d", "created_at": "2017-07-01T10:00:00Z", '
+                    b'"text": "%s"}' % (i, text) for i, text in enumerate(texts)]
+        else:
+            head = ",".join(CSV_HEADER).encode() + b"\n"
+            rows = [b"%d,2017-07-01T10:00:00Z,%s,Delhi" % (i, text)
+                    for i, text in enumerate(texts)]
+        data = b"\xef\xbb\xbf" * (bad == 0) + head + b"\n".join(rows) + b"\n"
+        if source == "stdin":
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+            reader = read_records("-", fmt)
+        else:
+            p = tmp_path / f"corpus.{fmt}"
+            p.write_bytes(data)
+            reader = read_records(p, fmt)
+        ids = [r.id for r in reader]
+        assert ids == [str(i) for i in range(3) if i != bad]
+        assert reader.stats.skipped == {"encoding": 1}
+        assert reader.stats.lines == 3 == reader.stats.yielded + 1
+        lineno = bad + 1 + (fmt == "csv")
+        assert reader.stats.diagnostics == [
+            (lineno, "encoding", "invalid UTF-8 byte")]
+
     def test_unsupported_format_rejected(self, tmp_path):
         with pytest.raises(TweetlexError):
             read_records(tmp_path / "x", "parquet")
@@ -246,6 +287,12 @@ class TestCsvReader:
 
     def test_header_mismatch_raises(self, tmp_path):
         p = self._csv(tmp_path, ['a,b,c,d'], header="id,timestamp,text,loc")
+        with pytest.raises(CorpusFormatError):
+            list(read_records(p, "csv"))
+
+    def test_invalid_utf8_header_raises(self, tmp_path):
+        p = tmp_path / "corpus.csv"
+        p.write_bytes(b"id,created_at,te\xffxt,user_location\n")
         with pytest.raises(CorpusFormatError):
             list(read_records(p, "csv"))
 

@@ -298,6 +298,25 @@ class TestLoneSurrogateId:
             ["ok1", "ok2"]
 
 
+class TestInvalidUtf8:
+    def test_bad_byte_is_a_counted_rejection(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(
+            b'{"id": "a", "created_at": "2017-07-01T10:00:00Z", '
+            b'"text": "good \xff day"}\n'
+            b'{"id": "b", "created_at": "2017-07-01T10:00:00Z", '
+            b'"text": "good day"}\n')
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", str(corpus),
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out), "--oracle"])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text("utf-8"))
+        assert summary["rejected_reasons"] == {"encoding": 1}
+        assert summary["tweets_tagged"] == 1
+        assert summary["oracle_check"] == "ok"
+
+
 class TestExitCodes:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.jsonl"),
