@@ -18,7 +18,7 @@ import sys
 import time
 
 from tweetlex import _kernels
-from tweetlex._kernels import available_backends, get_backend
+from tweetlex._kernels import pure
 from tweetlex.ingest import IST, TweetRecord
 from tweetlex.lexicon import Category, Lexicon
 from tweetlex.preprocess import (default_stopwords_path, load_stopwords,
@@ -68,6 +68,18 @@ def make_texts(rng: random.Random, n: int) -> list[str]:
     return texts
 
 
+def kernel_backends() -> dict:
+    """Name -> module of each kernel backend importable here."""
+    backends = {"pure": pure}
+    try:
+        from tweetlex._kernels import _core
+    except ImportError:
+        pass
+    else:
+        backends["c"] = _core
+    return backends
+
+
 def best_of(repeat: int, fn) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -77,10 +89,9 @@ def best_of(repeat: int, fn) -> float:
     return best
 
 
-def bench_backend(name: str, texts: list[str], records: list[TweetRecord],
+def bench_backend(impl, texts: list[str], records: list[TweetRecord],
                   lex: Lexicon, stopwords: frozenset[str],
                   repeat: int) -> dict[str, float]:
-    impl = get_backend(name)
     token_lists = [impl.tokenize(t, stopwords) for t in texts]
 
     timings = {
@@ -92,17 +103,14 @@ def bench_backend(name: str, texts: list[str], records: list[TweetRecord],
             impl.count_masks(toks, lex.masks) for toks in token_lists]),
     }
 
-    saved = (_kernels.collapse_repeats, _kernels.tokenize,
-             _kernels.count_masks)
-    _kernels.collapse_repeats = impl.collapse_repeats
+    saved = (_kernels.tokenize, _kernels.count_masks)
     _kernels.tokenize = impl.tokenize
     _kernels.count_masks = impl.count_masks
     try:
         timings["preprocess+tag"] = best_of(repeat, lambda: [
             tag_tweet(preprocess(r, stopwords), lex) for r in records])
     finally:
-        (_kernels.collapse_repeats, _kernels.tokenize,
-         _kernels.count_masks) = saved
+        _kernels.tokenize, _kernels.count_masks = saved
     return timings
 
 
@@ -116,7 +124,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     args = parser.parse_args(argv)
 
-    backends = available_backends()
+    backends = kernel_backends()
     rng = random.Random(args.seed)
     lex = make_lexicon(rng)
     texts = make_texts(rng, args.tweets)
@@ -127,9 +135,9 @@ def main(argv=None) -> int:
 
     print(f"{args.tweets} synthetic tweets, best of {args.repeat} runs; "
           f"backends: {', '.join(backends)}")
-    results = {name: bench_backend(name, texts, records, lex, stopwords,
+    results = {name: bench_backend(impl, texts, records, lex, stopwords,
                                    args.repeat)
-               for name in backends}
+               for name, impl in backends.items()}
 
     ops = ("collapse_repeats", "tokenize", "count_masks", "preprocess+tag")
     header = f"{'op':>16}" + "".join(f"{name + ' tw/s':>16}"

@@ -4,10 +4,8 @@ The package works without the extension (a pure-Python fallback is selected
 at import time), so a missing compiler must not break installs.  The
 extension is built from ``_core.pyx`` when Cython is importable, and from
 the committed Cython-generated ``_core.c`` otherwise, so a plain C compiler
-is enough.  Set TWEETLEX_NO_EXT=1 to skip the extension build entirely.
+is enough.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -42,10 +40,5 @@ def kernel_extensions() -> list[Extension]:
                      language_level="3")
 
 
-ext_modules = []
-cmdclass = {}
-if not os.environ.get("TWEETLEX_NO_EXT"):
-    ext_modules = kernel_extensions()
-    cmdclass["build_ext"] = optional_build_ext
-
-setup(ext_modules=ext_modules, cmdclass=cmdclass)
+setup(ext_modules=kernel_extensions(),
+      cmdclass={"build_ext": optional_build_ext})

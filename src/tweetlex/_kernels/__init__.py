@@ -1,49 +1,14 @@
 """Hot-path kernels with backend selection at import time.
 
 The compiled Cython core is used when its extension module is importable;
-otherwise the pure-Python implementation takes over transparently.  Set
-``TWEETLEX_PURE=1`` to force the pure backend (useful for benchmarking and
-differential tests).
+otherwise the pure-Python implementation takes over transparently.
 """
 
-import os
-
-from . import pure as _pure
-
-if os.environ.get("TWEETLEX_PURE", "").lower() in ("1", "true", "yes"):
-    _impl = _pure
-else:
-    try:
-        from . import _core as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _pure
+try:
+    from . import _core as _impl
+except ImportError:
+    from . import pure as _impl  # type: ignore[no-redef]
 
 BACKEND: str = _impl.BACKEND
-collapse_repeats = _impl.collapse_repeats
 tokenize = _impl.tokenize
 count_masks = _impl.count_masks
-
-
-def available_backends() -> list[str]:
-    """Names of the backends importable in this environment."""
-    names = ["pure"]
-    try:
-        from . import _core  # noqa: F401
-        names.append("c")
-    except ImportError:
-        pass
-    return names
-
-
-def get_backend(name: str):
-    """Return the backend module for ``name`` ("pure" or "c").
-
-    Raises ImportError if the compiled backend was requested but is not
-    built in this environment.
-    """
-    if name == "pure":
-        return _pure
-    if name == "c":
-        from . import _core
-        return _core
-    raise ValueError(f"unknown kernel backend {name!r}")

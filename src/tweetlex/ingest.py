@@ -44,14 +44,6 @@ class TweetRecord:
     user_location: str | None = None
 
 
-@dataclass(frozen=True)
-class Rejection:
-    """Why a parsed line did not become a record; names the first failing
-    field (or "duplicate"/"out_of_range" at the reader level)."""
-
-    reason: str
-
-
 @dataclass
 class ReadStats:
     """Accounting for one read pass: lines == yielded + total skipped."""
@@ -118,18 +110,19 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | Rejection:
-    """Turn a parsed line into a record, or a Rejection naming the first
-    failing field (checked in order: id, timestamp, text)."""
+def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | str:
+    """Turn a parsed line into a record, or return the rejection reason:
+    the name of the first failing field (checked in order: id, timestamp,
+    text)."""
     rec_id = raw.get("id")
     if not isinstance(rec_id, str) or not rec_id or not _encodes(rec_id):
-        return Rejection("id")
+        return "id"
     ts = parse_timestamp(raw.get("created_at"), default_tz)
     if ts is None:
-        return Rejection("timestamp")
+        return "timestamp"
     text = raw.get("text")
     if not isinstance(text, str):
-        return Rejection("text")
+        return "text"
     loc = raw.get("user_location")
     if not isinstance(loc, str) or not loc.strip():
         loc = None
@@ -183,8 +176,8 @@ class RecordReader:
 
     def _admit(self, raw: Mapping, lineno: int) -> TweetRecord | None:
         result = validate_record(raw, self.default_tz)
-        if isinstance(result, Rejection):
-            self.stats._skip(lineno, result.reason)
+        if isinstance(result, str):
+            self.stats._skip(lineno, result)
             return None
         if result.id in self._seen_ids:
             self.stats._skip(lineno, "duplicate", result.id)
@@ -254,14 +247,6 @@ class RecordReader:
             record = self._admit(dict(zip(CSV_HEADER, row)), lineno)
             if record is not None:
                 yield record
-
-
-def read_records(source, fmt: str, *, default_tz: timezone = IST,
-                 date_from: date | None = None,
-                 date_to: date | None = None) -> RecordReader:
-    """Open a record stream over ``source`` ("-" for stdin)."""
-    return RecordReader(source, fmt, default_tz=default_tz,
-                        date_from=date_from, date_to=date_to)
 
 
 def parse_tz_offset(text: str) -> timezone:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterable
 
 from .errors import LexiconError
 
@@ -74,15 +73,6 @@ class Lexicon:
             return frozenset()
         return frozenset(c for c in Category if mask >> c & 1)
 
-    def words(self) -> Iterable[str]:
-        return self._masks.keys()
-
-    def __contains__(self, word: str) -> bool:
-        return word.lower() in self._masks
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
 
 _BIT_BY_LABEL = {c.label: 1 << c for c in Category}
 
@@ -115,7 +105,8 @@ def load_lexicon(path) -> Lexicon:
     in this order on each line: a row without exactly three tab-separated
     fields, an empty word, a word containing whitespace, an unknown
     category token, a flag outside {0, 1}, and a duplicate (word, category)
-    pair.
+    pair.  A byte that is not UTF-8 is fatal too (``LexiconError`` naming
+    the file).
 
     Files laid out like NRC's own (ten rows per word, every word's rows in
     one category order) load a word per regex match: the order is taken
@@ -136,7 +127,10 @@ def load_lexicon(path) -> Lexicon:
     rest = ""
     with open(path, encoding="utf-8") as fh:
         while rest is not None:
-            piece = fh.read(_PIECE_CHARS)
+            try:
+                piece = fh.read(_PIECE_CHARS)
+            except UnicodeDecodeError:
+                raise LexiconError(f"{path}: invalid UTF-8 byte") from None
             if piece:
                 text = rest + piece
                 cut = text.rfind("\n") + 1

@@ -11,8 +11,7 @@ The cleaning chain, in fixed order:
 5. shorten runs of 3+ identical characters to 2;
 6. drop tokens shorter than 3 characters and URL debris (tokens
    containing "http");
-7. drop stopwords;
-8. mark the tweet blank when no tokens remain.
+7. drop stopwords.
 
 Steps 2-7 run inside the kernel backend (compiled when available).
 Non-Latin-script tokens are kept: they simply never match an English
@@ -26,6 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from . import _kernels
+from .errors import TweetlexError
 from .ingest import TweetRecord
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
@@ -43,57 +43,27 @@ class CleanTweet:
     preserve occurrence multiplicity and text order.
     """
 
-    record_id: str
     tokens: list[str]
     hashtags: list[str]
     mentions: list[str]
     urls: list[str]
-    is_blank: bool
-
-
-def extract_mentions(text: str) -> list[str]:
-    """Every ``@handle`` occurrence, lowercased, in text order."""
-    return [m.lower() for m in _MENTION_RE.findall(text)]
-
-
-def extract_hashtags(text: str) -> list[str]:
-    """Every ``#tag`` occurrence, original case, in text order."""
-    return _HASHTAG_RE.findall(text)
-
-
-def strip_urls(text: str) -> str:
-    """Replace each http(s)/www URL with a single space."""
-    return _URL_RE.sub(" ", text)
-
-
-def collapse_repeats(token: str) -> str:
-    """Shorten every run of 3+ identical characters to exactly 2."""
-    return _kernels.collapse_repeats(token)
 
 
 def preprocess(record: TweetRecord, stopwords: frozenset[str]) -> CleanTweet:
     """Run the full cleaning chain on one validated record."""
-    urls: list[str] = []
-    mentions: list[str] = []
-    hashtags: list[str] = []
-
-    def _take_url(m: re.Match) -> str:
-        urls.append(m.group(0))
-        return " "
-
-    def _take_mention(m: re.Match) -> str:
-        mentions.append(m.group(1).lower())
-        return " "
-
-    def _take_hashtag(m: re.Match) -> str:
-        hashtags.append(m.group(1))
-        return " "
-
-    text = _URL_RE.sub(_take_url, record.text)
-    text = _MENTION_RE.sub(_take_mention, text)
-    text = _HASHTAG_RE.sub(_take_hashtag, text)
-    tokens = _kernels.tokenize(text, stopwords)
-    return CleanTweet(record.id, tokens, hashtags, mentions, urls, not tokens)
+    text = record.text
+    urls = _URL_RE.findall(text)
+    if urls:
+        text = _URL_RE.sub(" ", text)
+    mentions = _MENTION_RE.findall(text)
+    if mentions:
+        text = _MENTION_RE.sub(" ", text)
+        mentions = [m.lower() for m in mentions]
+    hashtags = _HASHTAG_RE.findall(text)
+    if hashtags:
+        text = _HASHTAG_RE.sub(" ", text)
+    return CleanTweet(_kernels.tokenize(text, stopwords), hashtags, mentions,
+                      urls)
 
 
 def count_non_ascii_tokens(tokens: list[str]) -> int:
@@ -105,13 +75,17 @@ def count_non_ascii_tokens(tokens: list[str]) -> int:
 def load_stopwords(path) -> frozenset[str]:
     """One stopword per line, ``#`` comments and blank lines ignored;
     entries are lowercased so they compare against normalized tokens."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise TweetlexError(f"{path}: invalid UTF-8 byte") from None
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word = line.strip()
-            if not word or word.startswith("#"):
-                continue
-            words.add(word.lower())
+    for line in lines:
+        word = line.strip()
+        if not word or word.startswith("#"):
+            continue
+        words.add(word.lower())
     return frozenset(words)
 
 

@@ -141,7 +141,7 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
         part.matched += 1
         part.mentions.update(clean.mentions)
         part.hashtags.update(tag.upper() for tag in clean.hashtags)
-        if clean.is_blank:
+        if not clean.tokens:
             part.blanks += 1
             continue
         part.tagged += 1
@@ -169,7 +169,7 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
         else:
             part.regions.add(tag, region)
         if emit_tags:
-            part.tag_rows.append((clean.record_id, vector, s, e, o, tied))
+            part.tag_rows.append((record.id, vector, s, e, o, tied))
     return part
 
 
@@ -284,11 +284,10 @@ def _check_oracle(config: AnalyzeConfig, summary: dict,
                   gz: Gazetteer) -> None:
     """Recompute the run through tweetlex.reference and compare.
 
-    Raises OracleMismatchError listing every differing figure.  Needs a
-    seekable file input because the reference makes its own pass.
+    Raises OracleMismatchError listing every differing figure.  The
+    reference makes its own pass over the input, so run_analyze admits an
+    oracle run only on a file input.
     """
-    if config.input_path == "-":
-        raise TweetlexError("--oracle needs a file input, not stdin")
     ref = reference.run_reference(
         config.input_path, config.fmt, config.lexicon_path,
         stopwords=stopwords, gazetteer=gz, default_tz=config.default_tz,
@@ -422,6 +421,8 @@ def write_summary_json(path: Path, summary: dict) -> None:
 
 def run_analyze(config: AnalyzeConfig) -> RunResult:
     """Full corpus run; writes files only after all checks pass."""
+    if config.oracle and config.input_path == "-":
+        raise TweetlexError("--oracle needs a file input, not stdin")
     lex, stopwords, gz = _load_inputs(config)
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,

@@ -76,9 +76,6 @@ class Gazetteer:
     def __init__(self, rules: Iterable[GazetteerRule]):
         self.rules: list[GazetteerRule] = list(rules)
 
-    def __len__(self) -> int:
-        return len(self.rules)
-
 
 def load_gazetteer(path) -> Gazetteer:
     """Parse a ``pattern,region,priority`` CSV (UTF-8, ``#`` comments).
@@ -87,29 +84,33 @@ def load_gazetteer(path) -> Gazetteer:
     whitespace collapsed).  Unknown region names and non-integer priorities
     are fatal, with the line number.
     """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise GazetteerError(f"{path}: invalid UTF-8 byte") from None
     rows: list[tuple[int, int, GazetteerRule]] = []  # (priority, file order, rule)
-    with open(path, encoding="utf-8") as fh:
-        data_lines = ((lineno, line) for lineno, line in enumerate(fh, 1)
-                      if line.strip() and not line.lstrip().startswith("#"))
-        for order, (lineno, line) in enumerate(data_lines):
-            fields = next(csv.reader([line]))
-            if len(fields) != 3:
-                raise GazetteerError(
-                    f"{path}: line {lineno}: expected pattern,region,priority")
-            pattern = _normalize(fields[0])
-            region = fields[1].strip()
-            if not pattern:
-                raise GazetteerError(f"{path}: line {lineno}: empty pattern")
-            if region not in REGIONS:
-                raise GazetteerError(
-                    f"{path}: line {lineno}: unknown region {region!r}")
-            try:
-                priority = int(fields[2].strip())
-            except ValueError:
-                raise GazetteerError(
-                    f"{path}: line {lineno}: priority must be an integer, "
-                    f"got {fields[2].strip()!r}") from None
-            rows.append((priority, order, GazetteerRule(pattern, region, priority)))
+    data_lines = ((lineno, line) for lineno, line in enumerate(lines, 1)
+                  if line.strip() and not line.lstrip().startswith("#"))
+    for order, (lineno, line) in enumerate(data_lines):
+        fields = next(csv.reader([line]))
+        if len(fields) != 3:
+            raise GazetteerError(
+                f"{path}: line {lineno}: expected pattern,region,priority")
+        pattern = _normalize(fields[0])
+        region = fields[1].strip()
+        if not pattern:
+            raise GazetteerError(f"{path}: line {lineno}: empty pattern")
+        if region not in REGIONS:
+            raise GazetteerError(
+                f"{path}: line {lineno}: unknown region {region!r}")
+        try:
+            priority = int(fields[2].strip())
+        except ValueError:
+            raise GazetteerError(
+                f"{path}: line {lineno}: priority must be an integer, "
+                f"got {fields[2].strip()!r}") from None
+        rows.append((priority, order, GazetteerRule(pattern, region, priority)))
     rows.sort(key=lambda r: (r[0], r[1]))
     return Gazetteer(rule for _p, _o, rule in rows)
 

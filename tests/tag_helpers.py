@@ -21,5 +21,4 @@ def label_names(tag) -> tuple[str, str, str, bool]:
 def tag_vector(vector: list[int]):
     """tag_tweet's result for a tweet whose category counts are ``vector``."""
     tokens = [c.label for c in Category for _ in range(vector[c])]
-    return tag_tweet(CleanTweet("t", tokens, [], [], [], not tokens),
-                     VECTOR_LEXICON)
+    return tag_tweet(CleanTweet(tokens, [], [], []), VECTOR_LEXICON)

@@ -116,7 +116,7 @@ def test_criterion_3_partition_invariants(work_dir, toy_lexicon,
         rows = []
         for record in RecordReader(str(corpus), "jsonl"):
             clean = preprocess(record, bundled_stopwords)
-            if clean.is_blank:
+            if not clean.tokens:
                 continue
             result = tag_tweet(clean, toy_lexicon)
             local = record.timestamp.astimezone(IST)
@@ -265,8 +265,7 @@ def test_criterion_6_tie_handling(toy_lexicon):
     # End-to-end: hope (positive/anticipation/trust) + fear (negative/fear)
     # ties every channel and must flag it.
     from tweetlex.preprocess import CleanTweet
-    tag = tag_tweet(CleanTweet("t", ["hope", "fear"], [], [], [], False),
-                    toy_lexicon)
+    tag = tag_tweet(CleanTweet(["hope", "fear"], [], [], []), toy_lexicon)
     e2e_ok = label_names(tag) == ("positive", "trust", "positive", True)
 
     ok = deviations == 0 and e2e_ok

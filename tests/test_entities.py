@@ -1,44 +1,41 @@
-"""Frequency-table tests: ordering, merging, case folding, sub-corpus filter."""
+"""Frequency-table tests, and the entity counts and mention filter of a
+run: ordering, merging, case folding, sub-corpus membership."""
+
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from tweetlex.preprocess import CleanTweet
-from tweetlex.tagger import (EMOTION_NEUTRAL, OVERALL_NEUTRAL,
-                             SENTIMENT_NEUTRAL)
-from tweetlex.entities import (
-    FrequencyTable,
-    filter_by_mention,
-    hashtag_frequencies,
-    mention_frequencies,
-    top_n,
-)
+from tweetlex.entities import FrequencyTable, top_n
+from tweetlex.report import AnalyzeConfig, run_analyze, run_subcorpus
 
 
-def _tweet(tid="t", mentions=(), hashtags=()) -> CleanTweet:
-    return CleanTweet(tid, ["word"], list(hashtags), list(mentions), [], False)
-
-
-def _result(tid):
-    # An all-neutral tag whose vector carries the tweet's number, so the
-    # test can tell which tags came through.
-    return ([int(tid)] + [0] * 9, SENTIMENT_NEUTRAL, EMOTION_NEUTRAL,
-            OVERALL_NEUTRAL, False)
+def _run(tmp_path, lexicon_path, texts, mention=None):
+    """A run, with tag rows, over one tweet per text (ids "1", "2", ...);
+    with a mention, the sub-corpus run on that handle."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": str(i), "created_at": "2017-07-01T10:00:00Z",
+                    "text": text}) + "\n"
+        for i, text in enumerate(texts, 1)), encoding="utf-8")
+    out = tmp_path / "out"
+    config = AnalyzeConfig(input_path=str(corpus),
+                           lexicon_path=str(lexicon_path), out_dir=str(out),
+                           emit_tags=str(out / "tags.jsonl"), mention=mention)
+    return (run_analyze if mention is None else run_subcorpus)(config)
 
 
 class TestFrequencyTable:
     def test_add_update_count(self):
         table = FrequencyTable()
-        table.add("a")
-        table.add("a", 2)
+        table.update(["a"])
+        table.update(["a", "a"])
         table.update(["b", "a", "c"])
         assert table.count("a") == 4
         assert table.count("b") == 1
         assert table.count("missing") == 0
         assert table.total_occurrences == 6
         assert table.distinct_keys == 3
-        assert len(table) == 3
-        assert "a" in table and "missing" not in table
 
     def test_sort_count_desc_then_key_asc(self):
         table = FrequencyTable()
@@ -71,39 +68,33 @@ class TestFrequencyTable:
 
 
 class TestEntityCounting:
-    def test_mentions_counted_per_occurrence(self):
-        tweets = [
-            _tweet("1", mentions=["modi", "modi", "pmo"]),
-            _tweet("2", mentions=["modi"]),
-            _tweet("3"),
-        ]
-        table = mention_frequencies(tweets)
+    def test_mentions_counted_per_occurrence(self, tmp_path, toy_lexicon_path):
+        result = _run(tmp_path, toy_lexicon_path,
+                      ["@modi @Modi @pmo good", "@MODI", "plain words"])
+        table = result.part.mentions
         assert table.count("modi") == 3
         assert table.count("pmo") == 1
         assert table.total_occurrences == 4
 
-    def test_hashtags_fold_to_uppercase(self):
-        tweets = [
-            _tweet("1", hashtags=["GST", "gst", "GstRollout"]),
-            _tweet("2", hashtags=["gStRoLlOuT"]),
-        ]
-        table = hashtag_frequencies(tweets)
+    def test_hashtags_fold_to_uppercase(self, tmp_path, toy_lexicon_path):
+        result = _run(tmp_path, toy_lexicon_path,
+                      ["#GST #gst #GstRollout", "#gStRoLlOuT"])
+        table = result.part.hashtags
         assert table.count("GST") == 2
         assert table.count("GSTROLLOUT") == 2
         assert table.distinct_keys == 2
 
 
 class TestFilterByMention:
-    def test_yields_once_per_matching_tweet(self):
-        pairs = [
-            (_tweet("1", mentions=["modi", "modi"]), _result("1")),
-            (_tweet("2", mentions=["pmo"]), _result("2")),
-            (_tweet("3", mentions=["modi"]), _result("3")),
-            (_tweet("4"), _result("4")),
-        ]
-        got = [tag[0][0] for tag in filter_by_mention(pairs, "modi")]
-        assert got == [1, 3]
+    def test_yields_once_per_matching_tweet(self, tmp_path, toy_lexicon_path):
+        result = _run(tmp_path, toy_lexicon_path,
+                      ["@modi @modi good", "@pmo good", "@Modi good", "good"],
+                      mention="modi")
+        assert result.summary["subcorpus_tweets"] == 2
+        assert [row[0] for row in result.part.tag_rows] == ["1", "3"]
 
-    def test_handle_matching_is_exact(self):
-        pairs = [(_tweet("1", mentions=["modiji"]), _result("1"))]
-        assert list(filter_by_mention(pairs, "modi")) == []
+    def test_handle_matching_is_exact(self, tmp_path, toy_lexicon_path):
+        result = _run(tmp_path, toy_lexicon_path, ["@modiji good"],
+                      mention="modi")
+        assert result.summary["subcorpus_tweets"] == 0
+        assert result.part.tag_rows == []

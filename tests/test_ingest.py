@@ -10,11 +10,10 @@ from tweetlex.errors import CorpusFormatError, TweetlexError
 from tweetlex.ingest import (
     CSV_HEADER,
     IST,
-    Rejection,
+    RecordReader,
     TweetRecord,
     parse_timestamp,
     parse_tz_offset,
-    read_records,
     validate_record,
 )
 
@@ -101,8 +100,7 @@ class TestValidateRecord:
          "id"),
     ])
     def test_first_failing_field_named(self, raw, reason):
-        result = validate_record(raw)
-        assert result == Rejection(reason)
+        assert validate_record(raw) == reason
 
     def test_empty_text_is_a_valid_string(self):
         rec = validate_record({"id": "a", "created_at": "2017-07-01T00:00:00Z",
@@ -136,7 +134,7 @@ class TestJsonlReader:
             json.dumps({"id": "c", "created_at": "2017-07-01T00:00:00Z"}),
             _row("d"),
         ])
-        reader = read_records(p, "jsonl")
+        reader = RecordReader(p, "jsonl")
         ids = [r.id for r in reader]
         assert ids == ["a", "d"]
         assert reader.stats.lines == 10
@@ -156,7 +154,7 @@ class TestJsonlReader:
             _row("b"),
             _row("b"),
         ])
-        reader = read_records(p, "jsonl")
+        reader = RecordReader(p, "jsonl")
         ids = [r.id for r in reader]
         assert ids == ["a", "b"]
         assert reader.stats.skipped["duplicate"] == 2
@@ -164,7 +162,7 @@ class TestJsonlReader:
 
     def test_diagnostics_carry_line_numbers(self, tmp_path):
         p = _jsonl(tmp_path, [_row("a"), "{oops"])
-        reader = read_records(p, "jsonl")
+        reader = RecordReader(p, "jsonl")
         list(reader)
         assert len(reader.stats.diagnostics) == 1
         lineno, reason, _detail = reader.stats.diagnostics[0]
@@ -179,7 +177,7 @@ class TestJsonlReader:
             _row("july2", ts="2017-07-02T23:59:59+05:30"),
             _row("july3", ts="2017-07-03T00:00:00+05:30"),
         ])
-        reader = read_records(p, "jsonl",
+        reader = RecordReader(p, "jsonl",
                               date_from=dt.date(2017, 7, 2),
                               date_to=dt.date(2017, 7, 2))
         ids = [r.id for r in reader]
@@ -189,15 +187,15 @@ class TestJsonlReader:
     def test_open_ended_windows(self, tmp_path):
         lines = [_row(f"d{d}", ts=f"2017-07-0{d}T12:00:00+05:30") for d in (1, 2, 3)]
         p = _jsonl(tmp_path, lines)
-        only_from = read_records(p, "jsonl", date_from=dt.date(2017, 7, 2))
+        only_from = RecordReader(p, "jsonl", date_from=dt.date(2017, 7, 2))
         assert [r.id for r in only_from] == ["d2", "d3"]
-        only_to = read_records(p, "jsonl", date_to=dt.date(2017, 7, 2))
+        only_to = RecordReader(p, "jsonl", date_to=dt.date(2017, 7, 2))
         assert [r.id for r in only_to] == ["d1", "d2"]
 
     def test_stdin_source(self, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO((_row("s1") + "\n").encode()))
         monkeypatch.setattr("sys.stdin", stdin)
-        reader = read_records("-", "jsonl")
+        reader = RecordReader("-", "jsonl")
         assert [r.id for r in reader] == ["s1"]
 
     @pytest.mark.parametrize("fmt,source", [("jsonl", "file"),
@@ -217,11 +215,11 @@ class TestJsonlReader:
             if source == "stdin":
                 monkeypatch.setattr("sys.stdin",
                                     io.TextIOWrapper(io.BytesIO(data)))
-                reader = read_records("-", fmt)
+                reader = RecordReader("-", fmt)
             else:
                 p = tmp_path / f"corpus{len(bom)}.{fmt}"
                 p.write_bytes(data)
-                reader = read_records(p, fmt)
+                reader = RecordReader(p, fmt)
             readers.append((reader, [r.id for r in reader]))
         (plain, plain_ids), (marked, marked_ids) = readers
         assert marked_ids == plain_ids == ["a", "b"]
@@ -247,11 +245,11 @@ class TestJsonlReader:
         data = b"\xef\xbb\xbf" * (bad == 0) + head + b"\n".join(rows) + b"\n"
         if source == "stdin":
             monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
-            reader = read_records("-", fmt)
+            reader = RecordReader("-", fmt)
         else:
             p = tmp_path / f"corpus.{fmt}"
             p.write_bytes(data)
-            reader = read_records(p, fmt)
+            reader = RecordReader(p, fmt)
         ids = [r.id for r in reader]
         assert ids == [str(i) for i in range(3) if i != bad]
         assert reader.stats.skipped == {"encoding": 1}
@@ -262,7 +260,7 @@ class TestJsonlReader:
 
     def test_unsupported_format_rejected(self, tmp_path):
         with pytest.raises(TweetlexError):
-            read_records(tmp_path / "x", "parquet")
+            RecordReader(tmp_path / "x", "parquet")
 
 
 class TestCsvReader:
@@ -279,7 +277,7 @@ class TestCsvReader:
             'a,2017-07-01T10:00:00+05:30,hello world,Delhi',
             'b,2017-07-01T11:00:00+05:30,more text,',
         ])
-        reader = read_records(p, "csv")
+        reader = RecordReader(p, "csv")
         recs = list(reader)
         assert [r.id for r in recs] == ["a", "b"]
         assert recs[0].user_location == "Delhi"
@@ -288,18 +286,18 @@ class TestCsvReader:
     def test_header_mismatch_raises(self, tmp_path):
         p = self._csv(tmp_path, ['a,b,c,d'], header="id,timestamp,text,loc")
         with pytest.raises(CorpusFormatError):
-            list(read_records(p, "csv"))
+            list(RecordReader(p, "csv"))
 
     def test_invalid_utf8_header_raises(self, tmp_path):
         p = tmp_path / "corpus.csv"
         p.write_bytes(b"id,created_at,te\xffxt,user_location\n")
         with pytest.raises(CorpusFormatError):
-            list(read_records(p, "csv"))
+            list(RecordReader(p, "csv"))
 
     def test_empty_file_yields_nothing(self, tmp_path):
         p = tmp_path / "empty.csv"
         p.write_text("", encoding="utf-8")
-        reader = read_records(p, "csv")
+        reader = RecordReader(p, "csv")
         assert list(reader) == []
         assert reader.stats.lines == 0
 
@@ -309,7 +307,7 @@ class TestCsvReader:
             'only,three,fields',
             'b,2017-07-01T11:00:00+05:30,ok,',
         ])
-        reader = read_records(p, "csv")
+        reader = RecordReader(p, "csv")
         assert [r.id for r in reader] == ["a", "b"]
         assert reader.stats.skipped["malformed"] == 1
 
@@ -318,7 +316,7 @@ class TestCsvReader:
             'a,2017-07-01T10:00:00+05:30,"line one\nline two",Delhi',
             'b,2017-07-01T11:00:00+05:30,plain,',
         ])
-        reader = read_records(p, "csv")
+        reader = RecordReader(p, "csv")
         recs = list(reader)
         assert recs[0].text == "line one\nline two"
         assert reader.stats.lines == 2

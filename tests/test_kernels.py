@@ -4,22 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweetlex import _kernels
-from tweetlex._kernels import available_backends, get_backend
-
-BACKENDS = available_backends()
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return get_backend(request.param)
-
+from tweetlex._kernels import pure
 
 STOP = frozenset({"the", "and", "for"})
 
 
 def test_both_backends_present_when_extension_built():
-    # The pure fallback must always be importable.
-    assert "pure" in BACKENDS
+    # The pure fallback always imports; the compiled kernel is the active
+    # one exactly when its extension module is built in place.
+    try:
+        from tweetlex._kernels import _core  # noqa: F401
+    except ImportError:
+        active = "pure"
+    else:
+        active = "c"
+    assert _kernels.BACKEND == active
+    assert pure.BACKEND == "pure"
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -34,8 +34,8 @@ def test_both_backends_present_when_extension_built():
     ("ееееда", "ееда"),  # Cyrillic е
     ("😀😀😀", "😀😀"),
 ])
-def test_collapse_repeats(backend, raw, expected):
-    assert backend.collapse_repeats(raw) == expected
+def test_collapse_repeats(kernel_backend, raw, expected):
+    assert kernel_backend.collapse_repeats(raw) == expected
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -52,25 +52,25 @@ def test_collapse_repeats(backend, raw, expected):
     ("!!!", []),
     ("中国好 else", ["中国好", "else"]),
 ])
-def test_tokenize(backend, text, expected):
-    assert backend.tokenize(text, STOP) == expected
+def test_tokenize(kernel_backend, text, expected):
+    assert kernel_backend.tokenize(text, STOP) == expected
 
 
-def test_count_masks(backend, toy_lexicon):
+def test_count_masks(kernel_backend, toy_lexicon):
     tokens = ["good", "good", "bad", "nonword", "love"]
-    vec = backend.count_masks(tokens, toy_lexicon.masks)
+    vec = kernel_backend.count_masks(tokens, toy_lexicon.masks)
     # positive: good x2 + love; negative: bad; joy: good x2 + love;
     # trust: love; sadness: bad
     assert vec == [3, 1, 3, 1, 0, 0, 0, 1, 0, 0]
 
 
-def test_count_masks_empty(backend, toy_lexicon):
-    assert backend.count_masks([], toy_lexicon.masks) == [0] * 10
+def test_count_masks_empty(kernel_backend, toy_lexicon):
+    assert kernel_backend.count_masks([], toy_lexicon.masks) == [0] * 10
 
 
-def test_tokenize_rejects_nothing_valid(backend):
+def test_tokenize_rejects_nothing_valid(kernel_backend):
     # tokens keep digits and non-Latin letters
-    assert backend.tokenize("abc123 987", STOP) == ["abc123", "987"]
+    assert kernel_backend.tokenize("abc123 987", STOP) == ["abc123", "987"]
 
 
 @given(st.text(max_size=300))
@@ -113,9 +113,6 @@ def test_count_masks_is_permutation_invariant(toy_lexicon, tokens):
     assert fwd == rev
 
 
-needs_both = pytest.mark.skipif(len(BACKENDS) < 2,
-                                reason="compiled backend not built")
-
 # Text mixing full-range unicode with the fragments that exercise the
 # tokenizer's edge paths (URL-ish prefixes, separators, repeats).
 _tricky_text = st.lists(
@@ -128,30 +125,22 @@ _tricky_text = st.lists(
 ).map("".join)
 
 
-@needs_both
 @given(_tricky_text)
 @settings(max_examples=500, deadline=None)
-def test_backends_tokenize_identically(text):
-    pure = get_backend("pure")
-    fast = get_backend("c")
-    assert pure.tokenize(text, STOP) == fast.tokenize(text, STOP)
+def test_backends_tokenize_identically(compiled_kernel, text):
+    assert pure.tokenize(text, STOP) == compiled_kernel.tokenize(text, STOP)
 
 
-@needs_both
 @given(st.text(max_size=60))
 @settings(max_examples=300, deadline=None)
-def test_backends_collapse_identically(token):
-    pure = get_backend("pure")
-    fast = get_backend("c")
-    assert pure.collapse_repeats(token) == fast.collapse_repeats(token)
+def test_backends_collapse_identically(compiled_kernel, token):
+    assert (pure.collapse_repeats(token)
+            == compiled_kernel.collapse_repeats(token))
 
 
-@needs_both
 @given(st.lists(st.sampled_from(["good", "bad", "love", "hope", "terror",
                                  "fear", "zzz"]), max_size=40))
 @settings(max_examples=200, deadline=None)
-def test_backends_count_identically(toy_lexicon, tokens):
-    pure = get_backend("pure")
-    fast = get_backend("c")
+def test_backends_count_identically(compiled_kernel, toy_lexicon, tokens):
     assert (pure.count_masks(tokens, toy_lexicon.masks)
-            == fast.count_masks(tokens, toy_lexicon.masks))
+            == compiled_kernel.count_masks(tokens, toy_lexicon.masks))

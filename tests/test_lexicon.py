@@ -38,8 +38,9 @@ def test_load_toy_lexicon(toy_lexicon):
 
 def test_lookup_is_case_insensitive(toy_lexicon):
     assert toy_lexicon.categories_of("LOVE") == toy_lexicon.categories_of("love")
-    assert "Faith" in toy_lexicon
-    assert "notaword" not in toy_lexicon
+    assert toy_lexicon.categories_of("Faith") == \
+        toy_lexicon.categories_of("faith") != frozenset()
+    assert toy_lexicon.categories_of("notaword") == frozenset()
 
 
 def test_masks_use_category_bit_positions(toy_lexicon):
@@ -68,7 +69,7 @@ def test_all_zero_word_is_queryable_but_absent(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t0\n"))
     assert lex.entry_count == 0
     assert lex.categories_of("calm") == frozenset()
-    assert "calm" not in lex
+    assert "calm" not in lex.masks
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):
@@ -78,7 +79,8 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
 
 def test_words_are_stored_lowercase(tmp_path):
     lex = load_lexicon(_write(tmp_path, "Calm\tjoy\t1\n"))
-    assert "calm" in lex and "CALM" in lex
+    assert lex.masks == {"calm": 1 << Category.JOY}
+    assert {c.label for c in lex.categories_of("CALM")} == {"joy"}
 
 
 @pytest.mark.parametrize("content,needle", [
@@ -266,7 +268,7 @@ def test_alphabetical_category_order_loads_by_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lexicon, "_block_matcher", counting)
     lex = load_lexicon(path)
-    assert {w: {c.label for c in lex.categories_of(w)} for w in lex.words()} \
+    assert {w: {c.label for c in lex.categories_of(w)} for w in lex.masks} \
         == truth
     # The first word sets the order and each piece boundary cuts at most
     # one block, whose rows are checked one by one; every other word is one

@@ -2,28 +2,25 @@
 
 Every fixture in golden_fixtures.FIXTURES was traced by hand before the
 pipeline ran on it.  The suite runs each one through both kernel backends
-(when the compiled one is built) by swapping the tokenize entry point the
-preprocess module dispatches through.
+(the compiled one when it can be built) by swapping the tokenize entry
+point the preprocess module dispatches through.
 """
 
 import datetime as dt
+import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tweetlex import _kernels
-from tweetlex._kernels import available_backends, get_backend
 from tweetlex.ingest import IST, TweetRecord
 from tweetlex.preprocess import (
     CleanTweet,
-    collapse_repeats,
     count_non_ascii_tokens,
-    extract_hashtags,
-    extract_mentions,
     load_stopwords,
     preprocess,
-    strip_urls,
 )
+from tweetlex.report import AnalyzeConfig, run_analyze
 
 from golden_fixtures import FIXTURES, STOPWORDS
 
@@ -34,11 +31,10 @@ def _record(text: str) -> TweetRecord:
     return TweetRecord(id="t1", timestamp=_WHEN, text=text)
 
 
-@pytest.fixture(params=available_backends())
-def backend(request, monkeypatch):
-    impl = get_backend(request.param)
-    monkeypatch.setattr(_kernels, "tokenize", impl.tokenize)
-    return request.param
+@pytest.fixture
+def backend(kernel_backend, monkeypatch):
+    monkeypatch.setattr(_kernels, "tokenize", kernel_backend.tokenize)
+    return kernel_backend
 
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: repr(fx.text)[:48])
@@ -48,8 +44,6 @@ def test_golden_fixture(fx, backend):
     assert tuple(clean.mentions) == (fx.mentions or ())
     assert tuple(clean.hashtags) == (fx.hashtags or ())
     assert tuple(clean.urls) == (fx.urls or ())
-    assert clean.is_blank == (not fx.tokens)
-    assert clean.record_id == "t1"
 
 
 def test_fixture_corpus_is_large_enough():
@@ -86,20 +80,26 @@ class TestExtractionOrder:
         assert clean.hashtags == ["Tag", "tag"]
 
 
-class TestHelpers:
-    def test_extract_mentions_lowercases(self):
-        assert extract_mentions("@GST_Council and @Modi") == ["gst_council", "modi"]
+class TestEntityRules:
+    def test_mentions_lowercased(self):
+        clean = preprocess(_record("@GST_Council and @Modi"), STOPWORDS)
+        assert clean.mentions == ["gst_council", "modi"]
 
-    def test_extract_hashtags_keeps_case(self):
-        assert extract_hashtags("#GST #gst #GSTRollout") == ["GST", "gst", "GSTRollout"]
+    def test_hashtags_keep_case(self):
+        clean = preprocess(_record("#GST #gst #GSTRollout"), STOPWORDS)
+        assert clean.hashtags == ["GST", "gst", "GSTRollout"]
 
-    def test_strip_urls_replaces_with_space(self):
-        assert strip_urls("a http://x.y b") == "a   b"
-        assert strip_urls("a WWW.x.y b") == "a   b"
-
-    def test_collapse_repeats_delegates_to_kernel(self):
-        assert collapse_repeats("soooo") == "soo"
-        assert collapse_repeats("ok") == "ok"
+    def test_entities_replaced_with_space(self):
+        # A removed entity leaves a token break, so the text on either
+        # side of it never fuses into one token.
+        clean = preprocess(_record("left@bobédgeécho#tagénd"), STOPWORDS)
+        assert clean.mentions == ["bob"]
+        assert clean.hashtags == ["tag"]
+        assert clean.tokens == ["left", "édgeécho", "énd"]
+        for text in ("a http://x.y b", "a WWW.x.y b"):
+            clean = preprocess(_record(text), STOPWORDS)
+            assert clean.urls == [text[2:-2]]
+            assert clean.tokens == []
 
 
 # Random text mixed with the fragments most likely to stress the chain.
@@ -112,10 +112,26 @@ _tweety_text = st.lists(
 ).map(" ".join)
 
 
-@given(text=_tweety_text)
-def test_blank_flag_matches_token_emptiness(text):
-    clean = preprocess(_record(text), STOPWORDS)
-    assert clean.is_blank == (len(clean.tokens) == 0)
+@given(texts=st.lists(_tweety_text, max_size=8))
+@settings(max_examples=50, deadline=None)
+def test_blank_flag_matches_token_emptiness(texts, toy_lexicon_path,
+                                            bundled_stopwords,
+                                            tmp_path_factory):
+    # A run drops exactly the tweets that preprocess leaves without tokens
+    # and tags all the others.
+    tmp = tmp_path_factory.mktemp("blank")
+    corpus = tmp / "corpus.jsonl"
+    corpus.write_text("".join(
+        json.dumps({"id": f"t{i}", "created_at": "2017-07-01T10:00:00Z",
+                    "text": text}) + "\n"
+        for i, text in enumerate(texts)), encoding="utf-8")
+    summary = run_analyze(AnalyzeConfig(
+        input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+        out_dir=str(tmp / "out"))).summary
+    blanks = sum(not preprocess(_record(text), bundled_stopwords).tokens
+                 for text in texts)
+    assert summary["blanks_dropped"] == blanks
+    assert summary["tweets_tagged"] == len(texts) - blanks
 
 
 @given(text=_tweety_text)
@@ -135,9 +151,9 @@ def test_count_non_ascii_tokens():
 
 
 def test_clean_tweet_is_frozen():
-    clean = CleanTweet("x", [], [], [], [], True)
+    clean = CleanTweet([], [], [], [])
     with pytest.raises(AttributeError):
-        clean.record_id = "y"
+        clean.tokens = ["y"]
 
 
 class TestLoadStopwords:

@@ -75,7 +75,7 @@ _tokens = st.lists(
 def test_naive_count_and_label_match_tagger(tokens, toy_lexicon,
                                             toy_lexicon_path):
     table = scan_lexicon_file(str(toy_lexicon_path))
-    clean = CleanTweet("t", list(tokens), [], [], [], not tokens)
+    clean = CleanTweet(list(tokens), [], [], [])
     tag = tag_tweet(clean, toy_lexicon)
 
     counts = naive_count(tokens, table)

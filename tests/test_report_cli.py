@@ -224,12 +224,17 @@ class TestOracleFailurePath:
         assert "reference run disagrees" in capsys.readouterr().err
 
     def test_oracle_rejects_stdin(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
-            io.BytesIO((GOLDEN / "corpus.jsonl").read_bytes())))
+        # Refused before a byte of input is read or any output is made.
+        stdin = io.BytesIO((GOLDEN / "corpus.jsonl").read_bytes())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+        out = tmp_path / "out"
         rc = main(["analyze", "--input", "-",
                    "--lexicon", str(GOLDEN / "lexicon.tsv"),
-                   "--out", str(tmp_path / "out"), "--oracle"])
+                   "--out", str(out), "--oracle"])
         assert rc == 1
+        assert "--oracle needs a file input" in capsys.readouterr().err
+        assert stdin.tell() == 0
+        assert not out.exists()
 
 
 class TestCsvFormat:
@@ -315,6 +320,26 @@ class TestInvalidUtf8:
         assert summary["rejected_reasons"] == {"encoding": 1}
         assert summary["tweets_tagged"] == 1
         assert summary["oracle_check"] == "ok"
+
+    @pytest.mark.parametrize("option,content", [
+        ("--lexicon", b"good\tjoy\t1\ncaf\xff\tjoy\t1\n"),
+        ("--stopwords", b"the\ncaf\xff\n"),
+        ("--gazetteer", b"mumbai,Maharashtra,1\ncaf\xff,Goa,1\n"),
+    ], ids=["lexicon", "stopwords", "gazetteer"])
+    def test_bad_byte_in_data_file_exits_1(self, tmp_path, option, content):
+        bad = tmp_path / "data.txt"
+        bad.write_bytes(content)
+        files = {"--lexicon": str(GOLDEN / "lexicon.tsv"), option: str(bad)}
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "tweetlex.cli", "analyze",
+             "--input", str(GOLDEN / "corpus.jsonl"), "--out", str(out),
+             *(arg for item in files.items() for arg in item)],
+            capture_output=True, text=True, timeout=120, env=_child_env())
+        assert proc.returncode == 1, proc.stderr
+        assert str(bad) in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
 
 class TestExitCodes:

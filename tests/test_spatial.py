@@ -122,7 +122,7 @@ class TestLoadGazetteer:
             load_gazetteer(p)
 
     def test_bundled_gazetteer_loads(self, bundled_gazetteer):
-        assert len(bundled_gazetteer) > 100
+        assert len(bundled_gazetteer.rules) > 100
         priorities = [r.priority for r in bundled_gazetteer.rules]
         assert priorities == sorted(priorities)
         assert all(r.region in REGIONS for r in bundled_gazetteer.rules)

@@ -29,7 +29,7 @@ def _vector(**counts) -> list[int]:
 
 
 def _clean(tokens) -> CleanTweet:
-    return CleanTweet("t1", list(tokens), [], [], [], not tokens)
+    return CleanTweet(list(tokens), [], [], [])
 
 
 def test_label_order_constants():
