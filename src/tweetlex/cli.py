@@ -18,7 +18,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .entities import FrequencyTable, top_n
+from .entities import FrequencyTable, count_entities, top_n
 from .errors import TweetlexError
 from .ingest import FORMATS, IST, RecordReader, parse_tz_offset
 from .preprocess import preprocess
@@ -183,14 +183,11 @@ def _cmd_top(args) -> int:
     reader = RecordReader(args.input, args.format,
                           default_tz=args.default_tz,
                           date_from=args.date_from, date_to=args.date_to)
-    table = FrequencyTable()
+    mentions, hashtags = FrequencyTable(), FrequencyTable()
     no_stopwords = frozenset()
     for record in reader:
-        clean = preprocess(record, no_stopwords)
-        if args.what == "mentions":
-            table.update(clean.mentions)
-        else:
-            table.update(tag.upper() for tag in clean.hashtags)
+        count_entities(preprocess(record, no_stopwords), mentions, hashtags)
+    table = mentions if args.what == "mentions" else hashtags
     for key, count in top_n(table, args.n):
         print(f"{key},{count}")
     return 0

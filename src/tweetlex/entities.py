@@ -8,7 +8,10 @@ one tag merge.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Iterable
+
+from .preprocess import CleanTweet
 
 
 class FrequencyTable:
@@ -43,10 +46,22 @@ class FrequencyTable:
 
     def items_sorted(self) -> list[tuple[str, int]]:
         """All entries, count descending, ties lexicographic ascending."""
-        return sorted(self._counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        # Keys are distinct, so sorting the pairs orders by key; the count
+        # sort is stable under reverse=True and keeps that order in ties.
+        items = sorted(self._counts.items())
+        items.sort(key=itemgetter(1), reverse=True)
+        return items
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FrequencyTable) and self._counts == other._counts
+
+
+def count_entities(clean: CleanTweet, mentions: FrequencyTable,
+                   hashtags: FrequencyTable) -> None:
+    """Count one tweet's entities: mentions keyed as preprocess gives them
+    (lowercase), hashtags folded to uppercase."""
+    mentions.update(clean.mentions)
+    hashtags.update(tag.upper() for tag in clean.hashtags)
 
 
 def top_n(table: FrequencyTable, n: int) -> list[tuple[str, int]]:

@@ -3,10 +3,13 @@
 A run streams admitted records in chunks of 1024 through a worker function
 (in-process when workers == 1, a multiprocessing pool otherwise), merges the
 per-chunk partial aggregates in chunk order, and only then writes output
-files.  Given the same inputs and configuration, every output file is
-byte-identical run to run, whatever the worker count: chunk order is fixed
-by the corpus, pool results are consumed in submission order, and all
-emission is sorted with "\n" line endings and a fixed JSON key layout.
+files.  Per-tweet tag rows are not held: the main process appends each
+chunk's rows to an anonymous temporary file as it takes the chunk, and
+copies that file out with the others.  Given the same inputs and
+configuration, every output file is byte-identical run to run, whatever
+the worker count: chunk order is fixed by the corpus, pool results are
+consumed in submission order, and all emission is sorted with "\n" line
+endings and a fixed JSON key layout.
 
 Wall-clock timing never goes into summary.json (that would break the
 byte-identical contract); the CLI reports it on stderr.
@@ -16,13 +19,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import shutil
+import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date, timezone
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 from . import reference
-from .entities import FrequencyTable, top_n
+from .entities import FrequencyTable, count_entities
 from .errors import OracleMismatchError, TweetlexError
 from .ingest import IST, RecordReader, TweetRecord
 from .lexicon import Category, Lexicon, load_lexicon
@@ -41,7 +47,21 @@ CHUNK_SIZE = 1024
 
 WORDCLOUD_TOP_N = 40
 
-_COUNT_KEYS = tuple(c.label for c in Category)
+# tags.jsonl line fragments.  A line is, byte for byte, json.dumps(row,
+# ensure_ascii=False) of the dict {"id", "counts", "sentiment", "emotion",
+# "overall", "tied"}; only the id is encoded per row, by the encoder that
+# json.dumps(id, ensure_ascii=False) builds.
+_dump_id = json.JSONEncoder(ensure_ascii=False).encode
+_TAG_COUNTS = (', "counts": {'
+               + ", ".join(f"{json.dumps(c.label)}: %d" for c in Category)
+               + "}")
+_TAG_SENTIMENT = tuple(f', "sentiment": {json.dumps(label)}'
+                       for label in SENTIMENT_LABELS)
+_TAG_EMOTION = tuple(f', "emotion": {json.dumps(label)}'
+                     for label in EMOTION_LABELS)
+_TAG_OVERALL = tuple(f', "overall": {json.dumps(label)}'
+                     for label in OVERALL_LABELS)
+_TAG_TIED = (', "tied": false}\n', ', "tied": true}\n')
 
 # regions.csv label columns: the sentiment labels, then the emotion labels
 # without neutral.
@@ -84,7 +104,8 @@ class _Partial:
     ties: int = 0
     non_latin: int = 0
     # (id, vector, sentiment, emotion, overall, tied) per tagged tweet,
-    # kept only for --emit-tags.
+    # kept only for --emit-tags and only in a chunk's own partial: the
+    # main process spills them as it takes the chunk, and merge drops them.
     tag_rows: list = field(default_factory=list)
 
     def merge(self, other: "_Partial") -> "_Partial":
@@ -101,7 +122,6 @@ class _Partial:
             self.neutral[channel] += other.neutral[channel]
         self.ties += other.ties
         self.non_latin += other.non_latin
-        self.tag_rows.extend(other.tag_rows)
         return self
 
 
@@ -139,8 +159,7 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
         if mention is not None and mention not in clean.mentions:
             continue
         part.matched += 1
-        part.mentions.update(clean.mentions)
-        part.hashtags.update(tag.upper() for tag in clean.hashtags)
+        count_entities(clean, part.mentions, part.hashtags)
         if not clean.tokens:
             part.blanks += 1
             continue
@@ -185,21 +204,29 @@ def _iter_chunks(records: Iterable[TweetRecord],
         yield chunk
 
 
-def _run_chunks(reader: RecordReader, initargs: tuple,
-                workers: int) -> _Partial:
+def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
+                spill: BinaryIO | None) -> _Partial:
+    """Process and merge every chunk in corpus order; with a ``spill``
+    file, append each chunk's tag rows to it before the merge."""
     total = _Partial()
+
+    def take(part: _Partial) -> None:
+        if spill is not None:
+            write_tags_jsonl(spill, part.tag_rows)
+        total.merge(part)
+
     if workers <= 1:
         _init_worker(*initargs)
         try:
             for chunk in _iter_chunks(reader):
-                total.merge(_process_chunk(chunk))
+                take(_process_chunk(chunk))
         finally:
             _G.clear()
         return total
     with multiprocessing.Pool(workers, initializer=_init_worker,
                               initargs=initargs) as pool:
         for part in pool.imap(_process_chunk, _iter_chunks(reader)):
-            total.merge(part)
+            take(part)
     return total
 
 
@@ -222,7 +249,10 @@ def _load_inputs(config: AnalyzeConfig):
 
 
 def _build_summary(config: AnalyzeConfig, reader: RecordReader,
-                   part: _Partial, lex: Lexicon) -> dict:
+                   part: _Partial, lex: Lexicon, mentions: list | None,
+                   hashtags: list | None) -> dict:
+    """The summary.json dict; ``mentions`` and ``hashtags`` are the sorted
+    tables, None on a subcorpus run."""
     stats = reader.stats
     peak = peak_slot(part.hours)
     if config.mention is not None:
@@ -253,13 +283,13 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
             "distinct": part.mentions.distinct_keys,
             "total_occurrences": part.mentions.total_occurrences,
             "top40_subtotal": sum(c for _k, c in
-                                  top_n(part.mentions, WORDCLOUD_TOP_N)),
+                                  mentions[:WORDCLOUD_TOP_N]),
         },
         "hashtags": {
             "distinct": part.hashtags.distinct_keys,
             "total_occurrences": part.hashtags.total_occurrences,
             "top40_subtotal": sum(c for _k, c in
-                                  top_n(part.hashtags, WORDCLOUD_TOP_N)),
+                                  hashtags[:WORDCLOUD_TOP_N]),
         },
         "locations": {
             "located": part.regions.grand_total(),
@@ -336,10 +366,11 @@ def write_hourly_csv(path: Path, hours: HourBuckets) -> None:
             fh.write(f"{slot},{hours.slots[slot]}\n")
 
 
-def write_freq_csv(path: Path, table: FrequencyTable) -> None:
+def write_freq_csv(path: Path, ranked: list[tuple[str, int]]) -> None:
+    """key,count over a table's items_sorted() list."""
     with _open_out(path) as fh:
         fh.write("key,count\n")
-        for key, count in table.items_sorted():
+        for key, count in ranked:
             fh.write(f"{key},{count}\n")
 
 
@@ -388,27 +419,28 @@ def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
         fh.write(_region_csv_row("TOTAL", total, f"{grand / grand:.6f}"))
 
 
-def write_tags_jsonl(path: Path, rows: list[tuple]) -> None:
-    """One JSON object per tagged tweet, labels named, in corpus order."""
-    with _open_out(path) as fh:
-        for rec_id, vector, s, e, o, tied in rows:
-            row = {
-                "id": rec_id,
-                "counts": dict(zip(_COUNT_KEYS, vector)),
-                "sentiment": SENTIMENT_LABELS[s],
-                "emotion": EMOTION_LABELS[e],
-                "overall": OVERALL_LABELS[o],
-                "tied": tied,
-            }
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
+def write_tags_jsonl(fh: BinaryIO, rows: list[tuple]) -> None:
+    """Append one JSON object per tagged tweet, labels named, to the binary
+    file ``fh``: a line per row, as UTF-8, in row order."""
+    fh.write("".join([
+        '{"id": ' + _dump_id(rec_id)
+        + _TAG_COUNTS % tuple(vector) + _TAG_SENTIMENT[s] + _TAG_EMOTION[e]
+        + _TAG_OVERALL[o] + _TAG_TIED[tied]
+        for rec_id, vector, s, e, o, tied in rows]).encode("utf-8"))
 
 
-def write_wordcloud_json(path: Path, table: FrequencyTable) -> None:
-    """key -> count mapping for the top 40 keys, in rank order, ready to
-    feed a wordcloud renderer."""
-    entries = top_n(table, WORDCLOUD_TOP_N)
+def write_spilled_tags(path: Path, spill: BinaryIO) -> None:
+    """Copy the tag rows spilled during the run into ``path``."""
+    spill.seek(0)
+    with open(path, "wb") as fh:
+        shutil.copyfileobj(spill, fh)
+
+
+def write_wordcloud_json(path: Path, ranked: list[tuple[str, int]]) -> None:
+    """key -> count mapping for the top 40 keys of a table's items_sorted()
+    list, in rank order, ready to feed a wordcloud renderer."""
     with _open_out(path) as fh:
-        json.dump({key: count for key, count in entries}, fh,
+        json.dump(dict(ranked[:WORDCLOUD_TOP_N]), fh,
                   ensure_ascii=False, indent=2)
         fh.write("\n")
 
@@ -420,7 +452,11 @@ def write_summary_json(path: Path, summary: dict) -> None:
 
 
 def run_analyze(config: AnalyzeConfig) -> RunResult:
-    """Full corpus run; writes files only after all checks pass."""
+    """Full corpus run; writes files only after all checks pass.
+
+    With emit_tags, tag rows stream through an anonymous temporary file
+    (in tempfile's directory, TMPDIR) and are copied out at the end.
+    """
     if config.oracle and config.input_path == "-":
         raise TweetlexError("--oracle needs a file input, not stdin")
     lex, stopwords, gz = _load_inputs(config)
@@ -430,34 +466,41 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
                           date_to=config.date_to)
     initargs = (lex, stopwords, gz, config.default_tz,
                 config.emit_tags is not None, config.mention)
-    part = _run_chunks(reader, initargs, config.workers)
-    summary = _build_summary(config, reader, part, lex)
-    if config.oracle:
-        _check_oracle(config, summary, part, stopwords, gz)
-        summary["oracle_check"] = "ok"
+    with (tempfile.TemporaryFile() if config.emit_tags is not None
+          else nullcontext()) as spill:
+        part = _run_chunks(reader, initargs, config.workers, spill)
+        mentions = hashtags = None
+        if config.mention is None:
+            mentions = part.mentions.items_sorted()
+            hashtags = part.hashtags.items_sorted()
+        summary = _build_summary(config, reader, part, lex, mentions,
+                                 hashtags)
+        if config.oracle:
+            _check_oracle(config, summary, part, stopwords, gz)
+            summary["oracle_check"] = "ok"
 
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+        out_dir = Path(config.out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        written: list[Path] = []
 
-    def emit(name: str, writer, *args) -> None:
-        path = out_dir / name
-        writer(path, *args)
-        written.append(path)
+        def emit(name: str, writer, *args) -> None:
+            path = out_dir / name
+            writer(path, *args)
+            written.append(path)
 
-    emit("daily.csv", write_daily_csv, part.day)
-    if config.mention is None:
-        emit("hourly.csv", write_hourly_csv, part.hours)
-        emit("mentions.csv", write_freq_csv, part.mentions)
-        emit("hashtags.csv", write_freq_csv, part.hashtags)
-        emit("regions.csv", write_regions_csv, part.regions)
-        emit("wordcloud_mentions.json", write_wordcloud_json, part.mentions)
-        emit("wordcloud_hashtags.json", write_wordcloud_json, part.hashtags)
-    if config.emit_tags is not None:
-        tags_path = Path(config.emit_tags)
-        write_tags_jsonl(tags_path, part.tag_rows)
-        written.append(tags_path)
-    emit("summary.json", write_summary_json, summary)
+        emit("daily.csv", write_daily_csv, part.day)
+        if config.mention is None:
+            emit("hourly.csv", write_hourly_csv, part.hours)
+            emit("mentions.csv", write_freq_csv, mentions)
+            emit("hashtags.csv", write_freq_csv, hashtags)
+            emit("regions.csv", write_regions_csv, part.regions)
+            emit("wordcloud_mentions.json", write_wordcloud_json, mentions)
+            emit("wordcloud_hashtags.json", write_wordcloud_json, hashtags)
+        if spill is not None:
+            tags_path = Path(config.emit_tags)
+            write_spilled_tags(tags_path, spill)
+            written.append(tags_path)
+        emit("summary.json", write_summary_json, summary)
     return RunResult(summary, part, out_dir, written)
 
 

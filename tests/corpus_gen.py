@@ -293,3 +293,34 @@ def write_throughput_corpus(path, n: int, lexicon_words: list[str],
                 "user_location": rng.choice(LOCATION_POOL)[0],
             }
             fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+def write_longtail_corpus(path, n: int, seed: int) -> None:
+    """n JSONL records with long-tail mentions and hashtags: a Pareto head
+    of hot keys over a tail of keys mostly seen once or twice, so the
+    frequency tables are large and full of count ties.  Handles and tags
+    come in mixed case, so mention lowercasing and hashtag uppercasing
+    both change keys."""
+    rng = random.Random(seed)
+
+    def rank() -> int:
+        if rng.random() < 0.3:
+            return int(rng.paretovariate(1.0))
+        return rng.randrange(1, 4 * n)
+
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i in range(n):
+            words = [random_tweet_text(rng)]
+            words += ["@" + rng.choice(("u", "U")) + f"{rank()}_"
+                      + rng.choice("abcABC")
+                      for _ in range(rng.randint(0, 3))]
+            words += ["#" + rng.choice(("Tag", "tag", "TAG")) + str(rank())
+                      for _ in range(rng.randint(0, 2))]
+            day = date(2017, 7, 1) + timedelta(days=rng.randrange(7))
+            record = {
+                "id": f"l{seed}_{i:06d}",
+                "created_at": _timestamp(rng, day),
+                "text": " ".join(words),
+                "user_location": rng.choice(LOCATION_POOL)[0],
+            }
+            fh.write(json.dumps(record, ensure_ascii=False) + "\n")

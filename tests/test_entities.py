@@ -11,8 +11,8 @@ from tweetlex.report import AnalyzeConfig, run_analyze, run_subcorpus
 
 
 def _run(tmp_path, lexicon_path, texts, mention=None):
-    """A run, with tag rows, over one tweet per text (ids "1", "2", ...);
-    with a mention, the sub-corpus run on that handle."""
+    """A run, with tag rows to out/tags.jsonl, over one tweet per text (ids
+    "1", "2", ...); with a mention, the sub-corpus run on that handle."""
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(
         json.dumps({"id": str(i), "created_at": "2017-07-01T10:00:00Z",
@@ -42,6 +42,18 @@ class TestFrequencyTable:
         table.update(["beta", "alpha", "gamma", "beta", "alpha", "delta"])
         assert table.items_sorted() == [
             ("alpha", 2), ("beta", 2), ("delta", 1), ("gamma", 1)]
+
+    @given(counts=st.dictionaries(
+        st.text(st.sampled_from("aAbz_9\u00e4\u00df\u20ac\U0001f600"),
+                min_size=1, max_size=4),
+        st.integers(1, 3)))
+    def test_sort_matches_negated_count_key(self, counts):
+        # Counts of 1-3 over a few short keys: ties everywhere.
+        table = FrequencyTable()
+        for key, n in counts.items():
+            table.update([key] * n)
+        assert table.items_sorted() == sorted(
+            counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
     def test_top_n_truncates(self):
         table = FrequencyTable()
@@ -91,10 +103,12 @@ class TestFilterByMention:
                       ["@modi @modi good", "@pmo good", "@Modi good", "good"],
                       mention="modi")
         assert result.summary["subcorpus_tweets"] == 2
-        assert [row[0] for row in result.part.tag_rows] == ["1", "3"]
+        rows = (tmp_path / "out" / "tags.jsonl").read_text("utf-8")
+        assert [json.loads(row)["id"] for row in rows.splitlines()] == \
+            ["1", "3"]
 
     def test_handle_matching_is_exact(self, tmp_path, toy_lexicon_path):
         result = _run(tmp_path, toy_lexicon_path, ["@modiji good"],
                       mention="modi")
         assert result.summary["subcorpus_tweets"] == 0
-        assert result.part.tag_rows == []
+        assert (tmp_path / "out" / "tags.jsonl").read_bytes() == b""

@@ -11,19 +11,25 @@ write-after-verify contract, and the exit-code contract.
 import csv
 import importlib.metadata
 import io
+import itertools
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import tweetlex
 from tweetlex import reference
 from tweetlex.errors import OracleMismatchError
-from tweetlex.report import AnalyzeConfig, run_analyze, run_subcorpus
+from tweetlex.lexicon import Category
+from tweetlex.report import (AnalyzeConfig, run_analyze, run_subcorpus,
+                             write_tags_jsonl)
+from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
 from tweetlex.cli import main
 
 import corpus_gen
@@ -121,6 +127,85 @@ class TestEmitTags:
         assert main(_golden_args(out)) == 0
         assert not (out / "tags.jsonl").exists()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_follow_admitted_order_across_chunks(
+            self, tmp_path, toy_lexicon_path, bundled_stopwords, workers):
+        # 3,500 lines make four chunks.  Four lines take the id of an
+        # earlier line, two of them from an earlier chunk, so admission
+        # shifts every later chunk's boundary.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, 3500, seed=31)
+        lines = corpus.read_text("utf-8").splitlines(keepends=True)
+        for dup, orig in ((5, 2), (1500, 40), (2600, 1023), (3499, 3000)):
+            record = json.loads(lines[dup])
+            record["id"] = json.loads(lines[orig])["id"]
+            lines[dup] = json.dumps(record, ensure_ascii=False) + "\n"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        # Expected rows from first principles: first occurrence of an id
+        # wins, and a tweet is tagged when the reference cleaner leaves a
+        # token.
+        seen, expected = set(), []
+        for line in lines:
+            record = json.loads(line)
+            if record["id"] in seen:
+                continue
+            seen.add(record["id"])
+            if reference.naive_clean(record["text"], bundled_stopwords)[0]:
+                expected.append(record["id"])
+        out = tmp_path / "out"
+        result = run_analyze(AnalyzeConfig(
+            input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+            out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+            workers=workers))
+        assert result.summary["rejected_reasons"] == {"duplicate": 4}
+        rows = (out / "tags.jsonl").read_text("utf-8").splitlines()
+        assert [json.loads(row)["id"] for row in rows] == expected
+        assert len(expected) == result.summary["tweets_tagged"]
+
+
+_TAG_LABEL_COMBOS = list(itertools.product(
+    range(len(SENTIMENT_LABELS)), range(len(EMOTION_LABELS)),
+    range(len(OVERALL_LABELS)), (False, True)))
+
+# Characters JSON must escape or that need care in UTF-8, mixed with any
+# other encodable character.
+_ID_CHARS = st.one_of(
+    st.sampled_from('"\\\x7f\u2028\u2029'),
+    st.characters(max_codepoint=0x1F),
+    st.characters(min_codepoint=0x10000),
+    st.characters(),
+)
+
+
+def _dumped_rows(rows) -> bytes:
+    """tags.jsonl bytes as json.dumps lays out each row as a dict."""
+    return "".join(json.dumps({
+        "id": rec_id,
+        "counts": dict(zip((c.label for c in Category), vector)),
+        "sentiment": SENTIMENT_LABELS[s],
+        "emotion": EMOTION_LABELS[e],
+        "overall": OVERALL_LABELS[o],
+        "tied": tied,
+    }, ensure_ascii=False) + "\n"
+        for rec_id, vector, s, e, o, tied in rows).encode("utf-8")
+
+
+class TestTagRowFormat:
+    @given(ids=st.lists(st.text(_ID_CHARS, min_size=1), min_size=1,
+                        max_size=8),
+           vectors=st.lists(st.lists(st.integers(0, 2**40), min_size=10,
+                                     max_size=10), min_size=1, max_size=8),
+           cut=st.integers(0, len(_TAG_LABEL_COMBOS)))
+    def test_equals_json_dumps_of_row_dict(self, ids, vectors, cut):
+        # Every label and tie combination once per example, written in
+        # two appends.
+        rows = [(ids[i % len(ids)], vectors[i % len(vectors)], s, e, o, tied)
+                for i, (s, e, o, tied) in enumerate(_TAG_LABEL_COMBOS)]
+        fh = io.BytesIO()
+        write_tags_jsonl(fh, rows[:cut])
+        write_tags_jsonl(fh, rows[cut:])
+        assert fh.getvalue() == _dumped_rows(rows)
+
 
 class TestEmptyCorpus:
     def test_header_only_files_and_null_peak(self, tmp_path, capsys):
@@ -186,6 +271,13 @@ class TestSubcorpus:
             run_subcorpus(config)
 
 
+@pytest.fixture(scope="module")
+def longtail_corpus(tmp_path_factory):
+    path = tmp_path_factory.mktemp("longtail") / "corpus.jsonl"
+    corpus_gen.write_longtail_corpus(path, 2000, seed=11)
+    return path
+
+
 class TestTopCommand:
     def test_mentions_ranking(self, capsys):
         rc = main(["top", "--what", "mentions",
@@ -198,6 +290,30 @@ class TestTopCommand:
                    "--input", str(GOLDEN / "corpus.jsonl")])
         assert rc == 0
         assert capsys.readouterr().out == "GST,3\n"
+
+    @pytest.mark.parametrize("what", ["mentions", "hashtags"])
+    @pytest.mark.parametrize("corpus_name", ["golden", "longtail"])
+    def test_equals_head_of_analyze_table(self, tmp_path, capsys,
+                                          longtail_corpus, corpus_name,
+                                          what):
+        corpus = (GOLDEN / "corpus.jsonl" if corpus_name == "golden"
+                  else longtail_corpus)
+        out = tmp_path / "out"
+        assert main(["analyze", "--input", str(corpus),
+                     "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                     "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["top", "--what", what, "-n", "40",
+                     "--input", str(corpus)]) == 0
+        table = (out / f"{what}.csv").read_text("utf-8").splitlines()[1:]
+        assert capsys.readouterr().out.splitlines() == table[:40]
+        # Both sides agreeing is not enough: the keys must be folded, and
+        # the long tail must run past the cut.
+        fold = str.lower if what == "mentions" else str.upper
+        keys = [line.rsplit(",", 1)[0] for line in table]
+        assert keys == [fold(key) for key in keys]
+        if corpus_name == "longtail":
+            assert len(table) > 40
 
 
 class TestOracleFailurePath:
@@ -214,6 +330,27 @@ class TestOracleFailurePath:
         with pytest.raises(OracleMismatchError, match="pipeline="):
             run_analyze(config)
         assert not out.exists()
+
+    def test_mismatch_leaves_tags_path_and_tempdir_untouched(
+            self, tmp_path, monkeypatch):
+        monkeypatch.setattr(reference, "_pick",
+                            lambda counts, order: ("positive", False))
+        spill_dir = tmp_path / "tmp"
+        spill_dir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(spill_dir))
+        tags = tmp_path / "elsewhere" / "tags.jsonl"
+        tags.parent.mkdir()
+        tags.write_bytes(b"an earlier run's rows\n")
+        out = tmp_path / "out"
+        config = AnalyzeConfig(input_path=str(GOLDEN / "corpus.jsonl"),
+                               lexicon_path=str(GOLDEN / "lexicon.tsv"),
+                               out_dir=str(out), emit_tags=str(tags),
+                               oracle=True)
+        with pytest.raises(OracleMismatchError, match="pipeline="):
+            run_analyze(config)
+        assert tags.read_bytes() == b"an earlier run's rows\n"
+        assert not out.exists()
+        assert list(spill_dir.iterdir()) == []
 
     def test_cli_reports_mismatch_as_config_failure(self, tmp_path,
                                                     monkeypatch, capsys):
