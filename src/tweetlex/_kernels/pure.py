@@ -16,21 +16,17 @@ _TOKEN_RE = re.compile(r"[^\W_]+")
 BACKEND = "pure"
 
 
-def collapse_repeats(token: str) -> str:
-    """Shorten every run of 3+ identical characters to exactly 2."""
-    return _REPEAT_RE.sub(r"\1\1", token)
-
-
 def tokenize(text: str, stopwords) -> list[str]:
-    """Lowercase, strip punctuation, split, collapse repeats, then drop
-    tokens that are shorter than 3 characters, contain "http" (URL debris),
-    or are stopwords.
+    """Lowercase, strip punctuation, split, shorten every run of 3+
+    identical characters to exactly 2, then drop tokens that are shorter
+    than 3 characters, contain "http" (URL debris), or are stopwords.
 
     Collapsing the whole text before splitting gives the same tokens as
     collapsing each token: a run of one repeated character lies either
     wholly inside a token or wholly between tokens.
     """
-    return [tok for tok in _TOKEN_RE.findall(collapse_repeats(text.lower()))
+    collapsed = _REPEAT_RE.sub(r"\1\1", text.lower())
+    return [tok for tok in _TOKEN_RE.findall(collapsed)
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 

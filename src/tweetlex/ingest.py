@@ -36,7 +36,8 @@ _BAD_BYTES = "invalid UTF-8 byte"
 
 @dataclass(frozen=True)
 class TweetRecord:
-    """One ingested tweet."""
+    """One ingested tweet; ``timestamp`` is local time in the reader's
+    ``default_tz``."""
 
     id: str
     timestamp: datetime
@@ -64,18 +65,13 @@ class ReadStats:
         logger.debug("line %d skipped (%s) %s", lineno, reason, detail)
 
 
-#: One tzinfo per UTC offset.  ``fromisoformat`` makes a new timezone on
-#: every call; with one shared per offset, a pickled chunk of records holds
-#: each offset once.  Timezones compare by offset, so sharing changes no
-#: value; the cap bounds what odd offsets in a corpus can add.
-_SHARED_TZ: dict[timezone, timezone] = {}
-_MAX_SHARED_TZ = 1024
-
-
 def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
-    """Parse an RFC-3339 timestamp; naive values get ``default_tz``.
+    """Parse an RFC-3339 timestamp into ``default_tz`` local time; naive
+    values are taken to be local already.
 
-    Returns None when the value does not parse.
+    Every result shares the one ``default_tz`` object, so a pickled chunk of
+    records stores it once.  Returns None when the value does not parse or
+    its conversion leaves years 1-9999 (in UTC or in ``default_tz``).
     """
     if not isinstance(value, str) or not value:
         return None
@@ -84,19 +80,11 @@ def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
         text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
-    except ValueError:
+        if ts.tzinfo is None:
+            return ts.replace(tzinfo=default_tz)
+        return ts.astimezone(default_tz)
+    except (ValueError, OverflowError):
         return None
-    tz = ts.tzinfo
-    if tz is None:
-        return ts.replace(tzinfo=default_tz)
-    shared = _SHARED_TZ.get(tz)
-    if shared is None:
-        if len(_SHARED_TZ) < _MAX_SHARED_TZ:
-            _SHARED_TZ[tz] = tz
-    elif shared is not tz:
-        # combine costs about a third of replace(tzinfo=...).
-        ts = datetime.combine(ts, ts.time(), shared)
-    return ts
 
 
 def _encodes(text: str) -> bool:
@@ -132,9 +120,10 @@ def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | s
 class RecordReader:
     """Iterable over the valid records of one source, with stats.
 
-    ``default_tz`` localizes naive timestamps and is also the timezone in
-    which the optional [date_from, date_to] window is evaluated (both ends
-    inclusive).  Duplicate ids (among yielded records) are rejected.
+    Every timestamp is converted to ``default_tz`` (naive ones are taken to
+    be in it), and the optional [date_from, date_to] window is evaluated on
+    that local date (both ends inclusive).  Duplicate ids (among yielded
+    records) are rejected.
     """
 
     def __init__(self, source, fmt: str, *, default_tz: timezone = IST,
@@ -183,7 +172,7 @@ class RecordReader:
             self.stats._skip(lineno, "duplicate", result.id)
             return None
         if self.date_from or self.date_to:
-            local = result.timestamp.astimezone(self.default_tz).date()
+            local = result.timestamp.date()
             if (self.date_from and local < self.date_from) or \
                     (self.date_to and local > self.date_to):
                 self.stats._skip(lineno, "out_of_range", local.isoformat())
@@ -206,6 +195,9 @@ class RecordReader:
                 raw = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 self.stats._skip(lineno, "malformed", str(exc))
+                continue
+            except RecursionError:
+                self.stats._skip(lineno, "malformed", "nested too deeply")
                 continue
             if not isinstance(raw, dict):
                 self.stats._skip(lineno, "malformed", "not a JSON object")

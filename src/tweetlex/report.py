@@ -38,9 +38,8 @@ from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
                       Gazetteer, RegionAggregate, RegionStats,
                       default_gazetteer_path, load_gazetteer,
                       resolve_location)
-from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, OVERALL_LABELS,
-                     OVERALL_NEUTRAL, SENTIMENT_LABELS, SENTIMENT_NEUTRAL,
-                     tag_tweet)
+from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, NEUTRAL, OVERALL_LABELS,
+                     SENTIMENT_LABELS, tag_tweet)
 from .temporal import CHANNELS, DAY_ROW, DayBuckets, HourBuckets, peak_slot
 
 CHUNK_SIZE = 1024
@@ -96,11 +95,8 @@ class _Partial:
     mentions: FrequencyTable = field(default_factory=FrequencyTable)
     hashtags: FrequencyTable = field(default_factory=FrequencyTable)
     regions: RegionAggregate = field(default_factory=RegionAggregate)
-    unknown_locations: int = 0
     matched: int = 0
     blanks: int = 0
-    tagged: int = 0
-    neutral: dict = field(default_factory=lambda: {c: 0 for c in CHANNELS})
     ties: int = 0
     non_latin: int = 0
     # (id, vector, sentiment, emotion, overall, tied) per tagged tweet,
@@ -114,12 +110,8 @@ class _Partial:
         self.mentions.merge(other.mentions)
         self.hashtags.merge(other.hashtags)
         self.regions.merge(other.regions)
-        self.unknown_locations += other.unknown_locations
         self.matched += other.matched
         self.blanks += other.blanks
-        self.tagged += other.tagged
-        for channel in CHANNELS:
-            self.neutral[channel] += other.neutral[channel]
         self.ties += other.ties
         self.non_latin += other.non_latin
         return self
@@ -131,15 +123,10 @@ _G: dict = {}
 
 
 def _init_worker(lex: Lexicon, stopwords: frozenset[str], gz: Gazetteer,
-                 default_tz: timezone, emit_tags: bool,
-                 mention: str | None) -> None:
+                 emit_tags: bool, mention: str | None) -> None:
     _G["lex"] = lex
     _G["stopwords"] = stopwords
     _G["gz"] = gz
-    # raw location -> region under gz.  Made afresh with gz, so it never
-    # outlives the run (or the gazetteer) it was filled by.
-    _G["regions"] = {}
-    _G["tz"] = default_tz
     _G["emit_tags"] = emit_tags
     _G["mention"] = mention
 
@@ -148,12 +135,11 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
     lex: Lexicon = _G["lex"]
     stopwords = _G["stopwords"]
     gz: Gazetteer = _G["gz"]
-    region_of: dict = _G["regions"]
-    tz = _G["tz"]
     emit_tags = _G["emit_tags"]
     mention = _G["mention"]
 
     part = _Partial()
+    region_of: dict = {}  # raw location -> region, for this chunk only
     for record in records:
         clean = preprocess(record, stopwords)
         if mention is not None and mention not in clean.mentions:
@@ -163,29 +149,19 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
         if not clean.tokens:
             part.blanks += 1
             continue
-        part.tagged += 1
         part.non_latin += count_non_ascii_tokens(clean.tokens)
         tag = tag_tweet(clean, lex)
         vector, s, e, o, tied = tag
-        if s == SENTIMENT_NEUTRAL:
-            part.neutral["sentiment"] += 1
-        if e == EMOTION_NEUTRAL:
-            part.neutral["emotion"] += 1
-        if o == OVERALL_NEUTRAL:
-            part.neutral["overall"] += 1
         if tied:
             part.ties += 1
-        local = record.timestamp.astimezone(tz)
-        part.day.add(tag, local)
-        part.hours.add(local)
+        part.day.add(tag, record.timestamp)
+        part.hours.add(record.timestamp)
         raw_location = record.user_location
         region = region_of.get(raw_location)
         if region is None:
             region = region_of[raw_location] = resolve_location(raw_location,
                                                                 gz)
-        if region == UNKNOWN:
-            part.unknown_locations += 1
-        else:
+        if region != UNKNOWN:
             part.regions.add(tag, region)
         if emit_tags:
             part.tag_rows.append((record.id, vector, s, e, o, tied))
@@ -255,6 +231,11 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
     tables, None on a subcorpus run."""
     stats = reader.stats
     peak = peak_slot(part.hours)
+    tagged = part.hours.total
+    located = part.regions.grand_total()
+    totals = part.day.totals()
+    neutral = {channel: totals[DAY_ROW.index((channel, NEUTRAL))]
+               for channel in CHANNELS}
     if config.mention is not None:
         return {
             "mention": config.mention,
@@ -263,8 +244,8 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
             "rejected_reasons": dict(sorted(stats.skipped.items())),
             "subcorpus_tweets": part.matched,
             "blanks_dropped": part.blanks,
-            "tweets_tagged": part.tagged,
-            "neutral_counts": dict(part.neutral),
+            "tweets_tagged": tagged,
+            "neutral_counts": neutral,
             "tie_count": part.ties,
             "peak_hour_slot": peak,
             "lexicon_entries": lex.entry_count,
@@ -274,8 +255,8 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
         "records_rejected": stats.skipped_total,
         "rejected_reasons": dict(sorted(stats.skipped.items())),
         "blanks_dropped": part.blanks,
-        "tweets_tagged": part.tagged,
-        "neutral_counts": dict(part.neutral),
+        "tweets_tagged": tagged,
+        "neutral_counts": neutral,
         "tie_count": part.ties,
         "non_latin_token_tally": part.non_latin,
         "peak_hour_slot": peak,
@@ -292,8 +273,8 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
                                   hashtags[:WORDCLOUD_TOP_N]),
         },
         "locations": {
-            "located": part.regions.grand_total(),
-            "unknown": part.unknown_locations,
+            "located": located,
+            "unknown": tagged - located,
             "india_total": part.regions.india_total(),
             "foreign": part.regions.count(FOREIGN),
         },
@@ -464,8 +445,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
                           default_tz=config.default_tz,
                           date_from=config.date_from,
                           date_to=config.date_to)
-    initargs = (lex, stopwords, gz, config.default_tz,
-                config.emit_tags is not None, config.mention)
+    initargs = (lex, stopwords, gz, config.emit_tags is not None,
+                config.mention)
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
         part = _run_chunks(reader, initargs, config.workers, spill)

@@ -58,8 +58,9 @@ class DayBuckets:
     def dates(self) -> list[date]:
         return sorted(self.rows)
 
-    def total_tweets(self) -> int:
-        return sum(sum(row[:_EMOTION_OFFSET]) for row in self.rows.values())
+    def totals(self) -> list[int]:
+        """Per-slot sums over all days, laid out as ``DAY_ROW``."""
+        return list(map(sum, zip([0] * len(DAY_ROW), *self.rows.values())))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, DayBuckets) and self.rows == other.rows

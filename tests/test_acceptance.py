@@ -26,7 +26,7 @@ from tweetlex.reference import (
 from tweetlex.report import AnalyzeConfig, run_analyze
 from tweetlex.spatial import UNKNOWN, RegionAggregate, resolve_location
 from tweetlex.tagger import tag_tweet
-from tweetlex.temporal import DayBuckets, HourBuckets
+from tweetlex.temporal import CHANNELS, DAY_ROW, DayBuckets, HourBuckets
 
 import corpus_gen
 from golden_fixtures import FIXTURES, STOPWORDS
@@ -143,7 +143,10 @@ def test_criterion_3_partition_invariants(work_dir, toy_lexicon,
                 agg.merge(other)
 
         tagged = len(rows)
-        assert whole[0].total_tweets() == whole[1].total == tagged
+        per_channel = dict.fromkeys(CHANNELS, 0)
+        for (channel, _label), n in zip(DAY_ROW, whole[0].totals()):
+            per_channel[channel] += n
+        assert set(per_channel.values()) == {whole[1].total} == {tagged}
         assert all(m == w for m, w in zip(merged, whole))
         checked += 1
 
@@ -216,12 +219,12 @@ def test_criterion_5_table_shape(work_dir, toy_lexicon_path):
         "peak_hour_slot": (peak, meta["modal_slot"]),
         "subcorpus tweets": (sub_tweets, meta["mention_occurrences"]),
     }
-    ok = (result.part.tagged == meta["size"]
+    ok = (result.summary["tweets_tagged"] == meta["size"]
           and all(got == want for got, want in figures.values()))
     detail = ", ".join(f"{name} {got}/{want}"
                        for name, (got, want) in figures.items())
     _line(ok, 5, f"{detail} (tolerance 0)")
-    assert result.part.tagged == meta["size"]
+    assert result.summary["tweets_tagged"] == meta["size"]
     for name, (got, want) in figures.items():
         assert got == want, name
 
@@ -288,7 +291,7 @@ def test_criterion_7_throughput(work_dir, scaled_lexicon):
             input_path=str(corpus), lexicon_path=str(lexicon_path),
             out_dir=str(out), workers=workers))
         elapsed = time.perf_counter() - start
-        assert result.part.tagged == 50_000
+        assert result.summary["tweets_tagged"] == 50_000
         rates[workers] = 50_000 / elapsed
 
     met = rates[8] >= 50_000

@@ -38,13 +38,24 @@ class TestParseTimestamp:
         assert ts == dt.datetime(2017, 7, 1, 10, 0, tzinfo=IST)
 
     def test_one_tzinfo_per_offset(self):
-        # One shared tzinfo lets a pickled chunk of records store it once.
+        # Every result is local time in the one default zone object, so a
+        # pickled chunk of records stores its tzinfo once.
         texts = ["2017-07-01T10:00:00+02:00", "2017-07-02T23:59:59.5+02:00"]
         a, b = (parse_timestamp(text) for text in texts)
-        assert a.tzinfo is b.tzinfo
+        assert a.tzinfo is b.tzinfo is IST
         assert [a, b] == [dt.datetime.fromisoformat(text) for text in texts]
         assert [a.isoformat(), b.isoformat()] == [
-            "2017-07-01T10:00:00+02:00", "2017-07-02T23:59:59.500000+02:00"]
+            "2017-07-01T13:30:00+05:30", "2017-07-03T03:29:59.500000+05:30"]
+        for same_zone in ("2017-07-01T10:00:00", "2017-07-01T10:00:00Z"):
+            assert parse_timestamp(same_zone).tzinfo is IST
+
+    @pytest.mark.parametrize("text,local", [
+        ("9999-12-31T18:29:59+00:00", "9999-12-31T23:59:59+05:30"),
+        ("0001-01-01T05:30:00+05:30", "0001-01-01T05:30:00+05:30"),
+        ("9999-12-31T23:59:59", "9999-12-31T23:59:59+05:30"),
+    ])
+    def test_local_time_at_the_year_range_edges(self, text, local):
+        assert parse_timestamp(text).isoformat() == local
 
     @pytest.mark.parametrize("suffix", ["Z", "z"])
     def test_zulu(self, suffix):
@@ -57,6 +68,8 @@ class TestParseTimestamp:
 
     @pytest.mark.parametrize("bad", [
         "not-a-date", "2017-13-01T00:00:00", "", None, 42, "2017-07-01TZZ",
+        # Past year 9999 or before year 1 in UTC or in IST.
+        "9999-12-31T23:00:00-10:00", "0001-01-01T00:00:00+10:00",
     ])
     def test_unparseable(self, bad):
         assert parse_timestamp(bad) is None
@@ -159,6 +172,36 @@ class TestJsonlReader:
         assert ids == ["a", "b"]
         assert reader.stats.skipped["duplicate"] == 2
         assert reader.stats.skipped["timestamp"] == 1
+
+    def test_deeply_nested_line_is_malformed(self, tmp_path):
+        p = _jsonl(tmp_path, [_row("a"), "[" * 200_000, _row("b")])
+        reader = RecordReader(p, "jsonl")
+        assert [r.id for r in reader] == ["a", "b"]
+        assert reader.stats.lines == 3
+        assert reader.stats.skipped == {"malformed": 1}
+        assert reader.stats.diagnostics == [
+            (2, "malformed", "nested too deeply")]
+
+    @pytest.mark.parametrize("window", [False, True],
+                             ids=["no-window", "window"])
+    def test_local_time_past_year_range_is_a_timestamp_rejection(
+            self, tmp_path, window):
+        p = _jsonl(tmp_path, [
+            _row("late", ts="9999-12-31T23:00:00-10:00"),
+            _row("ok"),
+            _row("early", ts="0001-01-01T00:00:00+10:00"),
+        ])
+        bounds = {}
+        if window:
+            bounds = {"date_from": dt.date(2017, 7, 1),
+                      "date_to": dt.date(2017, 7, 1)}
+        reader = RecordReader(p, "jsonl", **bounds)
+        records = list(reader)
+        assert [r.id for r in records] == ["ok"]
+        assert records[0].timestamp.tzinfo is IST
+        assert reader.stats.skipped == {"timestamp": 2}
+        assert [d[:2] for d in reader.stats.diagnostics] == [
+            (1, "timestamp"), (3, "timestamp")]
 
     def test_diagnostics_carry_line_numbers(self, tmp_path):
         p = _jsonl(tmp_path, [_row("a"), "{oops"])

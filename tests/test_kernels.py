@@ -1,5 +1,7 @@
 """Kernel unit tests plus pure/compiled differential properties."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -33,9 +35,14 @@ def test_both_backends_present_when_extension_built():
     ("xaaay", "xaay"),
     ("ееееда", "ееда"),  # Cyrillic е
     ("😀😀😀", "😀😀"),
+    ("\U0001d41a" * 4, "\U0001d41a" * 2),  # non-BMP letter
 ])
 def test_collapse_repeats(kernel_backend, raw, expected):
-    assert kernel_backend.collapse_repeats(raw) == expected
+    # Framed by "pre" and "fix" so that no token is too short to keep,
+    # the collapsed text comes back split at its non-alphanumerics.  (A run
+    # of emoji only splits: no emoji reaches a token.)
+    want = re.findall(r"[^\W_]+", f"pre{expected}fix")
+    assert kernel_backend.tokenize(f"pre{raw}fix", STOP) == want
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -131,11 +138,16 @@ def test_backends_tokenize_identically(compiled_kernel, text):
     assert pure.tokenize(text, STOP) == compiled_kernel.tokenize(text, STOP)
 
 
-@given(st.text(max_size=60))
+# The repeat collapse runs inside tokenize; feed both backends free text
+# and long runs of one character, framed so no collapsed run is too short
+# to survive as (part of) a token.
+@given(st.one_of(st.text(max_size=60),
+                 st.builds(str.__mul__, st.characters(), st.integers(2, 8))))
 @settings(max_examples=300, deadline=None)
 def test_backends_collapse_identically(compiled_kernel, token):
-    assert (pure.collapse_repeats(token)
-            == compiled_kernel.collapse_repeats(token))
+    framed = f"pre{token}fix"
+    assert (pure.tokenize(framed, STOP)
+            == compiled_kernel.tokenize(framed, STOP))
 
 
 @given(st.lists(st.sampled_from(["good", "bad", "love", "hope", "terror",

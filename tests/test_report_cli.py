@@ -479,6 +479,55 @@ class TestInvalidUtf8:
         assert not out.exists()
 
 
+class TestUnparseableLines:
+    """Lines that a run tallies as rejections instead of ending on them."""
+
+    @staticmethod
+    def _corpus(tmp_path, odd_line: str) -> Path:
+        corpus = tmp_path / "corpus.jsonl"
+        good = [json.dumps({"id": f"ok{i}", "created_at": "2017-07-01T10:00:00Z",
+                            "text": "good day @gst_council"})
+                for i in range(2)]
+        corpus.write_text("\n".join([good[0], odd_line, good[1]]) + "\n",
+                          encoding="utf-8")
+        return corpus
+
+    def _analyze(self, tmp_path, corpus, *extra) -> dict:
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", str(corpus),
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out), "--oracle", *extra])
+        assert rc == 0
+        return json.loads((out / "summary.json").read_text("utf-8"))
+
+    @pytest.mark.parametrize("created_at", ["9999-12-31T23:00:00-10:00",
+                                            "0001-01-01T00:00:00+10:00"],
+                             ids=["late", "early"])
+    def test_local_time_past_year_range_is_a_timestamp_rejection(
+            self, tmp_path, capsys, created_at):
+        corpus = self._corpus(tmp_path, json.dumps(
+            {"id": "odd", "created_at": created_at, "text": "good day"}))
+        summary = self._analyze(tmp_path, corpus)
+        assert summary["rejected_reasons"] == {"timestamp": 1}
+        assert summary["tweets_tagged"] == 2
+        assert summary["oracle_check"] == "ok"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_deeply_nested_line_is_malformed(self, tmp_path, capsys,
+                                             threads):
+        corpus = self._corpus(tmp_path, "[" * 200_000)
+        summary = self._analyze(tmp_path, corpus, "--threads", threads)
+        assert summary["rejected_reasons"] == {"malformed": 1}
+        assert summary["tweets_tagged"] == 2
+        assert summary["oracle_check"] == "ok"
+
+    def test_top_skips_deeply_nested_line(self, tmp_path, capsys):
+        corpus = self._corpus(tmp_path, "[" * 200_000)
+        rc = main(["top", "--what", "mentions", "--input", str(corpus)])
+        assert rc == 0
+        assert capsys.readouterr().out == "gst_council,2\n"
+
+
 class TestExitCodes:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
         rc = main(["analyze", "--input", str(tmp_path / "nope.jsonl"),

@@ -35,6 +35,14 @@ def _channel(buckets, day, channel) -> dict[str, int]:
             if ch == channel and n}
 
 
+def _channel_totals(buckets) -> dict[str, int]:
+    """Per-channel tweet counts read from the per-slot sums."""
+    sums = dict.fromkeys(CHANNELS, 0)
+    for (channel, _label), n in zip(DAY_ROW, buckets.totals()):
+        sums[channel] += n
+    return sums
+
+
 def _when(day=1, hour=12) -> dt.datetime:
     return dt.datetime(2017, 7, day, hour, 30, 0, tzinfo=IST)
 
@@ -53,7 +61,7 @@ class TestDayBuckets:
             {"positive": 1, "negative": 1}
         assert _channel(buckets, july2, "overall") == {"positive": 1}
         assert buckets.dates() == [july1, july2]
-        assert buckets.total_tweets() == 3
+        assert _channel_totals(buckets) == dict.fromkeys(CHANNELS, 3)
 
     def test_accepts_plain_date(self):
         buckets = DayBuckets()
@@ -119,11 +127,12 @@ def test_split_merge_equals_whole(n, seed, cut):
     merged_hours.merge(right_hours)
     assert merged_days == whole_days
     assert merged_hours == whole_hours
-    assert whole_days.total_tweets() == n
+    assert _channel_totals(whole_days) == dict.fromkeys(CHANNELS, n)
     assert whole_hours.total == n
 
 
 @given(n=st.integers(0, 120), seed=st.integers(0, 999))
 def test_day_and_hour_totals_agree(n, seed):
     days, hours = _bucket(_population(n, seed))
-    assert days.total_tweets() == hours.total == n
+    assert _channel_totals(days) == dict.fromkeys(CHANNELS, hours.total)
+    assert hours.total == n
