@@ -33,6 +33,9 @@ _MAX_DIAGNOSTICS = 1000
 
 _BAD_BYTES = "invalid UTF-8 byte"
 
+#: The C scanner behind ``json.loads``, called directly by ``_decode``.
+_scan_once = json.JSONDecoder().scan_once
+
 
 @dataclass(frozen=True)
 class TweetRecord:
@@ -87,6 +90,24 @@ def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
         return None
 
 
+def _decode(stripped: str):
+    """Decode one stripped JSONL line exactly as ``json.loads`` would.
+
+    ``str.strip`` removes every JSON whitespace character, so a scan from
+    index 0 that ends at the end of the line is what ``json.loads`` does,
+    minus its Python wrappers.  A scan that finds no value or stops short
+    (extra data, a mid-file BOM) is left to ``json.loads`` for its error;
+    any other error of the scanner is the one ``json.loads`` would raise.
+    """
+    try:
+        value, end = _scan_once(stripped, 0)
+    except StopIteration:
+        return json.loads(stripped)
+    if end != len(stripped):
+        return json.loads(stripped)
+    return value
+
+
 def _encodes(text: str) -> bool:
     """False when ``text`` holds a lone surrogate, which JSON input can
     carry but no UTF-8 output file can.  In a raw line decoded with
@@ -98,32 +119,56 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | str:
-    """Turn a parsed line into a record, or return the rejection reason:
-    the name of the first failing field (checked in order: id, timestamp,
-    text)."""
+def _check_fields(raw: Mapping, default_tz: timezone) -> datetime | str:
+    """The field rules of a parsed line: return its local timestamp, or the
+    name of the first failing field, checked in order: id, timestamp, text.
+    """
     rec_id = raw.get("id")
-    if not isinstance(rec_id, str) or not rec_id or not _encodes(rec_id):
+    if not isinstance(rec_id, str) or not rec_id or \
+            not (rec_id.isascii() or _encodes(rec_id)):
         return "id"
     ts = parse_timestamp(raw.get("created_at"), default_tz)
     if ts is None:
         return "timestamp"
-    text = raw.get("text")
-    if not isinstance(text, str):
+    if not isinstance(raw.get("text"), str):
         return "text"
+    return ts
+
+
+def _record(raw: Mapping, ts: datetime) -> TweetRecord:
+    """Build the record of a line that passed ``_check_fields``."""
     loc = raw.get("user_location")
     if not isinstance(loc, str) or not loc.strip():
         loc = None
-    return TweetRecord(id=rec_id, timestamp=ts, text=text, user_location=loc)
+    return TweetRecord(raw["id"], ts, raw["text"], loc)
+
+
+def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | str:
+    """Turn a parsed line into a record, or return the rejection reason:
+    the name of the first failing field, checked in order: id (a non-empty
+    string encodable as UTF-8), timestamp (see ``parse_timestamp``), text (a
+    string).  A blank or non-string ``user_location`` becomes None.
+    ``RecordReader`` runs the same checks, then its duplicate and window
+    checks."""
+    ts = _check_fields(raw, default_tz)
+    return ts if isinstance(ts, str) else _record(raw, ts)
 
 
 class RecordReader:
     """Iterable over the valid records of one source, with stats.
 
+    Each line is checked in this order, and its first failing check names
+    its rejection: ``blank_line``, ``encoding``, ``malformed`` (JSON that
+    does not parse into an object, or a CSV row without four fields), then
+    the fields ``id``, ``timestamp`` and ``text`` (see ``validate_record``),
+    then ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
+    out-of-window record whose id was yielded earlier is a ``duplicate``,
+    and only yielded ids enter the seen-set.  A ``TweetRecord`` is built only
+    for a line that passes every check.
+
     Every timestamp is converted to ``default_tz`` (naive ones are taken to
     be in it), and the optional [date_from, date_to] window is evaluated on
-    that local date (both ends inclusive).  Duplicate ids (among yielded
-    records) are rejected.
+    that local date (both ends inclusive).
     """
 
     def __init__(self, source, fmt: str, *, default_tz: timezone = IST,
@@ -164,22 +209,23 @@ class RecordReader:
             yield from self._read_csv(fh)
 
     def _admit(self, raw: Mapping, lineno: int) -> TweetRecord | None:
-        result = validate_record(raw, self.default_tz)
-        if isinstance(result, str):
-            self.stats._skip(lineno, result)
+        ts = _check_fields(raw, self.default_tz)
+        if isinstance(ts, str):
+            self.stats._skip(lineno, ts)
             return None
-        if result.id in self._seen_ids:
-            self.stats._skip(lineno, "duplicate", result.id)
+        rec_id = raw["id"]
+        if rec_id in self._seen_ids:
+            self.stats._skip(lineno, "duplicate", rec_id)
             return None
         if self.date_from or self.date_to:
-            local = result.timestamp.date()
+            local = ts.date()
             if (self.date_from and local < self.date_from) or \
                     (self.date_to and local > self.date_to):
                 self.stats._skip(lineno, "out_of_range", local.isoformat())
                 return None
-        self._seen_ids.add(result.id)
+        self._seen_ids.add(rec_id)
         self.stats.yielded += 1
-        return result
+        return _record(raw, ts)
 
     def _read_jsonl(self, fh) -> Iterator[TweetRecord]:
         for lineno, line in enumerate(fh, 1):
@@ -192,8 +238,10 @@ class RecordReader:
                 self.stats._skip(lineno, "encoding", _BAD_BYTES)
                 continue
             try:
-                raw = json.loads(stripped)
-            except json.JSONDecodeError as exc:
+                raw = _decode(stripped)
+            except ValueError as exc:
+                # A JSONDecodeError, or an integer literal longer than
+                # Python's int-string conversion limit.
                 self.stats._skip(lineno, "malformed", str(exc))
                 continue
             except RecursionError:

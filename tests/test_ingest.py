@@ -1,14 +1,18 @@
 """Ingestion tests: validation order, skip accounting, windows, formats."""
 
+import csv
 import datetime as dt
 import io
 import json
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tweetlex.errors import CorpusFormatError, TweetlexError
 from tweetlex.ingest import (
     CSV_HEADER,
+    FORMATS,
     IST,
     RecordReader,
     TweetRecord,
@@ -26,10 +30,27 @@ def _jsonl(tmp_path, lines):
     return p
 
 
-def _row(i="t1", ts="2017-07-01T10:00:00+05:30", text="hello", **extra):
+def _fields(i="t1", ts="2017-07-01T10:00:00+05:30", text="hello", **extra):
     raw = {"id": i, "created_at": ts, "text": text}
     raw.update(extra)
-    return json.dumps(raw)
+    return raw
+
+
+def _row(*args, **kwargs):
+    return json.dumps(_fields(*args, **kwargs))
+
+
+def _corpus(tmp_path, fmt, records):
+    """Write ``records`` (dicts of CSV_HEADER fields) as a corpus in ``fmt``;
+    return its path and the line number of its first record."""
+    if fmt == "jsonl":
+        return _jsonl(tmp_path, [json.dumps(r) for r in records]), 1
+    p = tmp_path / "corpus.csv"
+    with open(p, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(CSV_HEADER)
+        writer.writerows([r.get(k, "") for k in CSV_HEADER] for r in records)
+    return p, 2
 
 
 class TestParseTimestamp:
@@ -157,21 +178,39 @@ class TestJsonlReader:
         }
         assert reader.stats.lines == reader.stats.yielded + reader.stats.skipped_total
 
-    def test_duplicate_counts_only_yielded_ids(self, tmp_path):
-        # The first "a" is rejected for its timestamp, so the second "a" is
-        # the first admitted record with that id and must be kept.
-        p = _jsonl(tmp_path, [
-            _row("a", ts="garbage"),
-            _row("a"),
-            _row("a"),
-            _row("b"),
-            _row("b"),
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_duplicate_counts_only_yielded_ids(self, tmp_path, fmt):
+        # The first "a" is rejected for its timestamp, so it never enters
+        # the seen-set: the second "a" is the first admitted record with
+        # that id and must be kept.
+        p, first = _corpus(tmp_path, fmt, [
+            _fields("a", ts="garbage"),
+            _fields("a"),
+            _fields("a"),
+            _fields("b"),
+            _fields("b"),
         ])
-        reader = RecordReader(p, "jsonl")
+        reader = RecordReader(p, fmt)
         ids = [r.id for r in reader]
         assert ids == ["a", "b"]
-        assert reader.stats.skipped["duplicate"] == 2
-        assert reader.stats.skipped["timestamp"] == 1
+        assert reader.stats.skipped == {"duplicate": 2, "timestamp": 1}
+        assert reader.stats.diagnostics == [
+            (first, "timestamp", ""),
+            (first + 2, "duplicate", "a"),
+            (first + 4, "duplicate", "b"),
+        ]
+
+    def test_oversized_integer_is_malformed(self, tmp_path):
+        # Past Python's int-string conversion limit, json.loads raises a
+        # plain ValueError, not a JSONDecodeError.
+        huge = '{"id": "b", "text": "x", "n": %s}' % ("1" * 5000)
+        p = _jsonl(tmp_path, [_row("a"), huge, _row("c")])
+        reader = RecordReader(p, "jsonl")
+        assert [r.id for r in reader] == ["a", "c"]
+        assert reader.stats.skipped == {"malformed": 1}
+        [(lineno, reason, detail)] = reader.stats.diagnostics
+        assert (lineno, reason) == (2, "malformed")
+        assert "integer string conversion" in detail
 
     def test_deeply_nested_line_is_malformed(self, tmp_path):
         p = _jsonl(tmp_path, [_row("a"), "[" * 200_000, _row("b")])
@@ -211,21 +250,33 @@ class TestJsonlReader:
         lineno, reason, _detail = reader.stats.diagnostics[0]
         assert (lineno, reason) == (2, "malformed")
 
-    def test_window_inclusive_and_tz_aware(self, tmp_path):
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_window_inclusive_and_tz_aware(self, tmp_path, fmt):
         # 2017-07-01T20:00:00Z is 01:30 on July 2 in IST: the window is
-        # evaluated in the reader's default tz, not in UTC.
-        p = _jsonl(tmp_path, [
-            _row("utc_evening", ts="2017-07-01T20:00:00Z"),
-            _row("july1", ts="2017-07-01T12:00:00+05:30"),
-            _row("july2", ts="2017-07-02T23:59:59+05:30"),
-            _row("july3", ts="2017-07-03T00:00:00+05:30"),
+        # evaluated in the reader's default tz, not in UTC.  The duplicate
+        # check runs before the window check, and only admitted ids enter
+        # the seen-set.
+        p, first = _corpus(tmp_path, fmt, [
+            _fields("utc_evening", ts="2017-07-01T20:00:00Z"),
+            _fields("july1", ts="2017-07-01T12:00:00+05:30"),
+            _fields("july2", ts="2017-07-02T23:59:59+05:30"),
+            _fields("july3", ts="2017-07-03T00:00:00+05:30"),
+            # An out-of-window twin of an admitted id is a duplicate.
+            _fields("july2", ts="2017-07-03T10:00:00+05:30"),
+            # "july1" was out of window, so its in-window twin is admitted.
+            _fields("july1", ts="2017-07-02T08:00:00+05:30"),
         ])
-        reader = RecordReader(p, "jsonl",
+        reader = RecordReader(p, fmt,
                               date_from=dt.date(2017, 7, 2),
                               date_to=dt.date(2017, 7, 2))
         ids = [r.id for r in reader]
-        assert ids == ["utc_evening", "july2"]
-        assert reader.stats.skipped["out_of_range"] == 2
+        assert ids == ["utc_evening", "july2", "july1"]
+        assert reader.stats.skipped == {"out_of_range": 2, "duplicate": 1}
+        assert reader.stats.diagnostics == [
+            (first + 1, "out_of_range", "2017-07-01"),
+            (first + 3, "out_of_range", "2017-07-03"),
+            (first + 4, "duplicate", "july2"),
+        ]
 
     def test_open_ended_windows(self, tmp_path):
         lines = [_row(f"d{d}", ts=f"2017-07-0{d}T12:00:00+05:30") for d in (1, 2, 3)]
@@ -364,3 +415,169 @@ class TestCsvReader:
         assert recs[0].text == "line one\nline two"
         assert reader.stats.lines == 2
         assert reader.stats.lines == reader.stats.yielded + reader.stats.skipped_total
+
+
+def _plain_read(path, fmt, date_from=None, date_to=None):
+    """The reference reader: every check in its plain order on a fully
+    parsed line (json.loads, validate_record, the duplicate check, then the
+    window check).  Returns what RecordReader yields and tallies."""
+    records, seen, skipped, diagnostics = [], set(), Counter(), []
+
+    def skip(lineno, reason, detail=""):
+        skipped[reason] += 1
+        diagnostics.append((lineno, reason, detail))
+
+    def admit(raw, lineno):
+        rec = validate_record(raw)
+        if isinstance(rec, str):
+            return skip(lineno, rec)
+        if rec.id in seen:
+            return skip(lineno, "duplicate", rec.id)
+        local = rec.timestamp.date()
+        if (date_from and local < date_from) or (date_to and local > date_to):
+            return skip(lineno, "out_of_range", local.isoformat())
+        seen.add(rec.id)
+        records.append(rec)
+
+    def encodes(texts):
+        try:
+            for text in texts:
+                text.encode("utf-8")
+        except UnicodeEncodeError:
+            return False
+        return True
+
+    lines = 0
+    with open(path, encoding="utf-8-sig", errors="surrogateescape",
+              newline="") as fh:
+        if fmt == "jsonl":
+            for lineno, line in enumerate(fh, 1):
+                lines += 1
+                stripped = line.strip()
+                if not stripped:
+                    skip(lineno, "blank_line")
+                elif not encodes([stripped]):
+                    skip(lineno, "encoding", "invalid UTF-8 byte")
+                else:
+                    try:
+                        raw = json.loads(stripped)
+                    except RecursionError:
+                        skip(lineno, "malformed", "nested too deeply")
+                    except ValueError as exc:
+                        skip(lineno, "malformed", str(exc))
+                    else:
+                        if isinstance(raw, dict):
+                            admit(raw, lineno)
+                        else:
+                            skip(lineno, "malformed", "not a JSON object")
+        else:
+            reader = csv.reader(fh)
+            assert next(reader) == CSV_HEADER
+            for row in reader:
+                lines += 1
+                if not encodes(row):
+                    skip(reader.line_num, "encoding", "invalid UTF-8 byte")
+                elif len(row) != len(CSV_HEADER):
+                    skip(reader.line_num, "malformed",
+                         f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+                else:
+                    admit(dict(zip(CSV_HEADER, row)), reader.line_num)
+    return records, lines, skipped, diagnostics
+
+
+_WINDOWS = [(None, None),
+            (dt.date(2017, 7, 2), dt.date(2017, 7, 2)),
+            (dt.date(2017, 7, 2), None),
+            (None, dt.date(2017, 7, 2))]
+# Few ids and few days, so duplicates land before and after out-of-window
+# twins; 2017-07-01T20:00:00Z is July 2 in IST.
+_IDS = st.sampled_from(["a", "b", "c", "\ufeffa", "\ud800", ""])
+_STAMPS = st.sampled_from([
+    "2017-07-01T12:00:00+05:30", "2017-07-01T20:00:00Z", "2017-07-02T10:00:00",
+    "2017-07-02T23:59:59+05:30", "2017-07-03T00:00:00+05:30", "garbage", "",
+    "9999-12-31T23:00:00-10:00"])
+_TEXTS = st.text(max_size=6)
+_LOCATIONS = st.sampled_from(["Delhi", "", "  ", "Mumbai, India"])
+_SPACES = st.sampled_from(["", " \t", "\x0b", "\x0c", "\u00a0", "\u2028"])
+
+
+@st.composite
+def _json_object(draw):
+    raw = {"id": draw(_IDS), "created_at": draw(_STAMPS),
+           "text": draw(_TEXTS), "user_location": draw(_LOCATIONS)}
+    # A field of the wrong type, or missing.
+    field = draw(st.sampled_from([None] * 5 + ["id", "created_at", "text",
+                                              "user_location"]))
+    if field is not None:
+        bad = draw(st.sampled_from([None, 7, ["x"], "missing"]))
+        if bad == "missing":
+            del raw[field]
+        else:
+            raw[field] = bad
+    return raw
+
+
+@st.composite
+def _jsonl_line(draw):
+    raw = draw(_json_object())
+    body = json.dumps(raw, ensure_ascii=draw(st.booleans()))
+    kind = draw(st.sampled_from(["plain", "extra", "bom", "nan", "huge",
+                                 "other"]))
+    if kind == "extra":
+        body += draw(st.sampled_from([" {}", " 1", "x", "]", ",",
+                                      " \x0bnull"]))
+    elif kind == "bom":
+        body = "\ufeff" + body
+    elif kind == "nan":
+        body = body[:-1] + ', "score": NaN}'
+    elif kind == "huge":
+        digits = draw(st.sampled_from([4300, 4301]))  # the limit, and past it
+        body = body[:-1] + ', "n": %s}' % ("9" * digits)
+    elif kind == "other":
+        body = draw(st.sampled_from([
+            "NaN", "[1, 2]", '"just a string"', "3", "null", "", "   ",
+            "{oops", "[" * 100_000, '{"a": [' * 50 + "]}" * 50, '"\\ud800"']))
+    return draw(_SPACES) + body + draw(_SPACES)
+
+
+@st.composite
+def _csv_row(draw):
+    row = [draw(_IDS), draw(_STAMPS), draw(_TEXTS), draw(_LOCATIONS)]
+    # Now and then a row of the wrong field count.
+    return (row + ["extra"])[:draw(st.sampled_from([4] * 8 + [0, 3, 5]))]
+
+
+def _write(path, text):
+    # surrogatepass writes a lone surrogate as invalid UTF-8 bytes.
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+
+
+@pytest.fixture(scope="module")
+def corpus_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("differential")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), window=st.sampled_from(_WINDOWS))
+def test_reader_equals_plain_reference(corpus_dir, fmt, data, window):
+    path = corpus_dir / f"corpus.{fmt}"
+    if fmt == "jsonl":
+        lines = data.draw(st.lists(_jsonl_line(), max_size=12))
+        _write(path, "".join(line + "\n" for line in lines))
+    else:
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(CSV_HEADER)
+        writer.writerows(data.draw(st.lists(_csv_row(), max_size=12)))
+        _write(path, buf.getvalue())
+    date_from, date_to = window
+    reader = RecordReader(path, fmt, date_from=date_from, date_to=date_to)
+    got = [(r.id, r.timestamp.isoformat(), r.text, r.user_location)
+           for r in reader]
+    records, lines, skipped, diagnostics = _plain_read(path, fmt, *window)
+    assert got == [(r.id, r.timestamp.isoformat(), r.text, r.user_location)
+                   for r in records]
+    assert reader.stats.lines == lines
+    assert reader.stats.skipped == skipped
+    assert reader.stats.diagnostics == diagnostics

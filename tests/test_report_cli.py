@@ -527,6 +527,24 @@ class TestUnparseableLines:
         assert rc == 0
         assert capsys.readouterr().out == "gst_council,2\n"
 
+    # Past Python's int-string conversion limit, json.loads raises a plain
+    # ValueError, not a JSONDecodeError.
+    OVERSIZED_INT = '{"id": "odd", "text": "good day", "n": %s}' % ("1" * 5000)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_oversized_integer_is_malformed(self, tmp_path, capsys, threads):
+        corpus = self._corpus(tmp_path, self.OVERSIZED_INT)
+        summary = self._analyze(tmp_path, corpus, "--threads", threads)
+        assert summary["rejected_reasons"] == {"malformed": 1}
+        assert summary["tweets_tagged"] == 2
+        assert summary["oracle_check"] == "ok"
+
+    def test_top_skips_oversized_integer(self, tmp_path, capsys):
+        corpus = self._corpus(tmp_path, self.OVERSIZED_INT)
+        rc = main(["top", "--what", "mentions", "--input", str(corpus)])
+        assert rc == 0
+        assert capsys.readouterr().out == "gst_council,2\n"
+
 
 class TestExitCodes:
     def test_missing_input_is_io_failure(self, tmp_path, capsys):
