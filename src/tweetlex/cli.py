@@ -18,7 +18,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .entities import FrequencyTable, count_entities, top_n
+from .entities import FrequencyTable, count_entities
 from .errors import TweetlexError
 from .ingest import FORMATS, IST, RecordReader, parse_tz_offset
 from .preprocess import preprocess
@@ -171,8 +171,6 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_subcorpus(args) -> int:
     mention = args.mention.lstrip("@").lower()
-    if not mention:
-        raise TweetlexError(f"bad mention handle {args.mention!r}")
     start = time.perf_counter()
     result = run_subcorpus(_make_config(args, mention=mention))
     _report_run(result, time.perf_counter() - start)
@@ -188,7 +186,7 @@ def _cmd_top(args) -> int:
     for record in reader:
         count_entities(preprocess(record, no_stopwords), mentions, hashtags)
     table = mentions if args.what == "mentions" else hashtags
-    for key, count in top_n(table, args.n):
+    for key, count in table.items_sorted()[:args.n]:
         print(f"{key},{count}")
     return 0
 

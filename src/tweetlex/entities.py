@@ -33,9 +33,6 @@ class FrequencyTable:
             counts[key] = counts.get(key, 0) + n
         return self
 
-    def count(self, key: str) -> int:
-        return self._counts.get(key, 0)
-
     @property
     def total_occurrences(self) -> int:
         return sum(self._counts.values())
@@ -52,9 +49,6 @@ class FrequencyTable:
         items.sort(key=itemgetter(1), reverse=True)
         return items
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FrequencyTable) and self._counts == other._counts
-
 
 def count_entities(clean: CleanTweet, mentions: FrequencyTable,
                    hashtags: FrequencyTable) -> None:
@@ -62,12 +56,4 @@ def count_entities(clean: CleanTweet, mentions: FrequencyTable,
     (lowercase), hashtags folded to uppercase."""
     mentions.update(clean.mentions)
     hashtags.update(tag.upper() for tag in clean.hashtags)
-
-
-def top_n(table: FrequencyTable, n: int) -> list[tuple[str, int]]:
-    """Top ``n`` entries (count desc, key asc); shorter when the table has
-    fewer distinct keys."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return table.items_sorted()[:n]
 

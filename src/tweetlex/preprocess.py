@@ -30,8 +30,10 @@ from .ingest import TweetRecord
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Platform handle/tag grammar: ASCII letters, digits, underscore.
-_MENTION_RE = re.compile(r"@([A-Za-z0-9_]+)")
-_HASHTAG_RE = re.compile(r"#([A-Za-z0-9_]+)")
+_HANDLE = "[A-Za-z0-9_]+"
+_HANDLE_RE = re.compile(_HANDLE)
+_MENTION_RE = re.compile(f"@({_HANDLE})")
+_HASHTAG_RE = re.compile(f"#({_HANDLE})")
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,13 @@ def preprocess(record: TweetRecord, stopwords: frozenset[str]) -> CleanTweet:
         text = _HASHTAG_RE.sub(" ", text)
     return CleanTweet(_kernels.tokenize(text, stopwords), hashtags, mentions,
                       urls)
+
+
+def is_mention_key(handle: str) -> bool:
+    """Whether ``handle`` can be a mention as preprocess gives it: a whole
+    handle of the platform grammar, lowercased."""
+    return (_HANDLE_RE.fullmatch(handle) is not None
+            and handle == handle.lower())
 
 
 def count_non_ascii_tokens(tokens: list[str]) -> int:

@@ -33,14 +33,14 @@ from .errors import OracleMismatchError, TweetlexError
 from .ingest import IST, RecordReader, TweetRecord
 from .lexicon import Category, Lexicon, load_lexicon
 from .preprocess import (count_non_ascii_tokens, default_stopwords_path,
-                         load_stopwords, preprocess)
+                         is_mention_key, load_stopwords, preprocess)
 from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
-                      Gazetteer, RegionAggregate, RegionStats,
-                      default_gazetteer_path, load_gazetteer,
-                      resolve_location)
+                      Gazetteer, RegionAggregate, default_gazetteer_path,
+                      load_gazetteer, resolve_location)
 from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, NEUTRAL, OVERALL_LABELS,
                      SENTIMENT_LABELS, tag_tweet)
-from .temporal import CHANNELS, DAY_ROW, DayBuckets, HourBuckets, peak_slot
+from .temporal import (CHANNELS, DAY_ROW, DayBuckets, HourBuckets, peak_slot,
+                       row_tweets, sum_rows)
 
 CHUNK_SIZE = 1024
 
@@ -62,8 +62,13 @@ _TAG_OVERALL = tuple(f', "overall": {json.dumps(label)}'
                      for label in OVERALL_LABELS)
 _TAG_TIED = (', "tied": false}\n', ', "tied": true}\n')
 
+# The files a run may write into its output directory.
+_OUTPUT_NAMES = ("daily.csv", "hourly.csv", "mentions.csv", "hashtags.csv",
+                 "regions.csv", "wordcloud_mentions.json",
+                 "wordcloud_hashtags.json", "summary.json")
+
 # regions.csv label columns: the sentiment labels, then the emotion labels
-# without neutral.
+# without neutral, which are the first len(_REGION_COLS) slots of a label row.
 _REGION_COLS = SENTIMENT_LABELS + EMOTION_LABELS[:EMOTION_NEUTRAL]
 
 
@@ -233,7 +238,7 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
     peak = peak_slot(part.hours)
     tagged = part.hours.total
     located = part.regions.grand_total()
-    totals = part.day.totals()
+    totals = sum_rows(part.day.rows.values())
     neutral = {channel: totals[DAY_ROW.index((channel, NEUTRAL))]
                for channel in CHANNELS}
     if config.mention is not None:
@@ -355,9 +360,9 @@ def write_freq_csv(path: Path, ranked: list[tuple[str, int]]) -> None:
             fh.write(f"{key},{count}\n")
 
 
-def _region_csv_row(name: str, stats: RegionStats, share: str) -> str:
-    counts = stats.sentiment + stats.emotion[:EMOTION_NEUTRAL]
-    return ",".join([name, str(stats.tweets), *map(str, counts), share]) + "\n"
+def _region_csv_row(name: str, row: list[int], share: str) -> str:
+    counts = map(str, row[:len(_REGION_COLS)])
+    return ",".join([name, str(row_tweets(row)), *counts, share]) + "\n"
 
 
 def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
@@ -374,30 +379,23 @@ def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
         grand = regions.grand_total()
         if grand == 0:
             return
-        empty = RegionStats()
-        states = sorted(INDIAN_REGIONS,
-                        key=lambda name: (-regions.count(name), name))
+        empty = [0] * len(DAY_ROW)
+        names = sorted(INDIAN_REGIONS,
+                       key=lambda name: (-regions.count(name), name))
+        names.append(INDIA_UNSPECIFIED)
+        india = [regions.rows.get(name, empty) for name in names]
         running = 0
-        india = RegionStats()
-        total = RegionStats()
-        for name in states:
-            stats = regions.regions.get(name, empty)
-            running += stats.tweets
-            india.merge(stats)
-            fh.write(_region_csv_row(name, stats, f"{running / grand:.6f}"))
-        unspec = regions.regions.get(INDIA_UNSPECIFIED, empty)
-        running += unspec.tweets
-        india.merge(unspec)
-        fh.write(_region_csv_row(INDIA_UNSPECIFIED, unspec,
-                                 f"{running / grand:.6f}"))
-        total.merge(india)
-        fh.write(_region_csv_row("INDIA_TOTAL", india,
-                                 f"{india.tweets / grand:.6f}"))
-        foreign = regions.regions.get(FOREIGN, empty)
-        running += foreign.tweets
-        total.merge(foreign)
+        for name, row in zip(names, india):
+            running += row_tweets(row)
+            fh.write(_region_csv_row(name, row, f"{running / grand:.6f}"))
+        india_total = sum_rows(india)
+        fh.write(_region_csv_row("INDIA_TOTAL", india_total,
+                                 f"{row_tweets(india_total) / grand:.6f}"))
+        foreign = regions.rows.get(FOREIGN, empty)
+        running += row_tweets(foreign)
         fh.write(_region_csv_row(FOREIGN, foreign, f"{running / grand:.6f}"))
-        fh.write(_region_csv_row("TOTAL", total, f"{grand / grand:.6f}"))
+        fh.write(_region_csv_row("TOTAL", sum_rows([india_total, foreign]),
+                                 f"{grand / grand:.6f}"))
 
 
 def write_tags_jsonl(fh: BinaryIO, rows: list[tuple]) -> None:
@@ -432,6 +430,20 @@ def write_summary_json(path: Path, summary: dict) -> None:
         fh.write("\n")
 
 
+def _check_tags_path(config: AnalyzeConfig) -> None:
+    """Refuse a tags path that names an output or an input of the run."""
+    tags = Path(config.emit_tags).resolve()
+    out_dir = Path(config.out_dir).resolve()
+    taken = [out_dir / name for name in _OUTPUT_NAMES]
+    taken += [Path(p).resolve()
+              for p in (config.input_path, config.lexicon_path,
+                        config.stopwords_path, config.gazetteer_path)
+              if p is not None and p != "-"]
+    if tags in taken:
+        raise TweetlexError(f"--emit-tags {config.emit_tags} would "
+                            f"overwrite another file of the run")
+
+
 def run_analyze(config: AnalyzeConfig) -> RunResult:
     """Full corpus run; writes files only after all checks pass.
 
@@ -440,6 +452,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     """
     if config.oracle and config.input_path == "-":
         raise TweetlexError("--oracle needs a file input, not stdin")
+    if config.emit_tags is not None:
+        _check_tags_path(config)
     lex, stopwords, gz = _load_inputs(config)
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,
@@ -488,6 +502,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
 def run_subcorpus(config: AnalyzeConfig) -> RunResult:
     """Analyze only the tweets mentioning config.mention; writes the
     daily table and a subcorpus-shaped summary."""
-    if not config.mention:
-        raise TweetlexError("subcorpus runs need a mention handle")
+    if config.mention is None or not is_mention_key(config.mention):
+        raise TweetlexError(
+            f"subcorpus runs need a mention handle of lowercase ASCII "
+            f"letters, digits and underscores, got {config.mention!r}")
     return run_analyze(config)

@@ -1,5 +1,5 @@
 """Gazetteer-based resolution of free-text locations and per-region
-aggregation.
+aggregation in the label rows of ``temporal``.
 
 The gazetteer is data, not code: an ordered list of case-insensitive
 substring rules mapping location strings to a fixed region registry (Indian
@@ -19,7 +19,8 @@ from importlib import resources
 from typing import Iterable
 
 from .errors import GazetteerError
-from .tagger import EMOTION_LABELS, SENTIMENT_LABELS, Tag
+from .tagger import Tag
+from .temporal import count_tag, merge_rows, row_tweets
 
 UNKNOWN = "UNKNOWN"
 INDIA_UNSPECIFIED = "INDIA_UNSPECIFIED"
@@ -139,70 +140,31 @@ def resolve_location(raw: str | None, gz: Gazetteer) -> str:
     return UNKNOWN
 
 
-class RegionStats:
-    """Tweet count plus the sentiment and emotion label counts of one
-    region, indexed like ``SENTIMENT_LABELS`` and ``EMOTION_LABELS``."""
-
-    __slots__ = ("tweets", "sentiment", "emotion")
-
-    def __init__(self):
-        self.tweets = 0
-        self.sentiment: list[int] = [0] * len(SENTIMENT_LABELS)
-        self.emotion: list[int] = [0] * len(EMOTION_LABELS)
-
-    def add(self, tag: Tag) -> None:
-        _vector, s, e, _o, _tied = tag
-        self.tweets += 1
-        self.sentiment[s] += 1
-        self.emotion[e] += 1
-
-    def merge(self, other: "RegionStats") -> None:
-        self.tweets += other.tweets
-        self.sentiment = [a + b for a, b in zip(self.sentiment, other.sentiment)]
-        self.emotion = [a + b for a, b in zip(self.emotion, other.emotion)]
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, RegionStats)
-                and self.tweets == other.tweets
-                and self.sentiment == other.sentiment
-                and self.emotion == other.emotion)
-
-
 class RegionAggregate:
-    """region -> RegionStats over the location-resolved tweets; UNKNOWN
-    records are excluded upstream and tallied separately."""
+    """region -> label row (laid out as ``temporal.DAY_ROW``) over the
+    location-resolved tweets; UNKNOWN records are excluded upstream and
+    tallied separately."""
 
-    __slots__ = ("regions",)
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.regions: dict[str, RegionStats] = {}
+        self.rows: dict[str, list[int]] = {}
 
     def add(self, tag: Tag, region: str) -> None:
-        stats = self.regions.get(region)
-        if stats is None:
-            stats = self.regions[region] = RegionStats()
-        stats.add(tag)
+        count_tag(self.rows, region, tag)
 
     def merge(self, other: "RegionAggregate") -> "RegionAggregate":
-        for region, stats in other.regions.items():
-            mine = self.regions.get(region)
-            if mine is None:
-                mine = self.regions[region] = RegionStats()
-            mine.merge(stats)
+        merge_rows(self.rows, other.rows)
         return self
 
     def count(self, region: str) -> int:
-        stats = self.regions.get(region)
-        return stats.tweets if stats else 0
+        row = self.rows.get(region)
+        return row_tweets(row) if row else 0
 
     def india_total(self) -> int:
         """State counts plus INDIA_UNSPECIFIED (the "India (Total)" row)."""
-        return (sum(s.tweets for r, s in self.regions.items()
-                    if r in INDIAN_REGIONS)
-                + self.count(INDIA_UNSPECIFIED))
+        return sum(self.count(region)
+                   for region in (*INDIAN_REGIONS, INDIA_UNSPECIFIED))
 
     def grand_total(self) -> int:
-        return sum(s.tweets for s in self.regions.values())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RegionAggregate) and self.regions == other.regions
+        return sum(map(row_tweets, self.rows.values()))

@@ -1,21 +1,26 @@
-"""Daily and hourly aggregation of tags.
+"""Daily and hourly aggregation of tags, and the label row they share with
+the region aggregate.
 
-Both bucket types are mergeable partial aggregates: parallel workers own
-private buckets and the merged result is independent of how the corpus was
-partitioned.  Timestamps must already be converted to the analysis
-timezone before bucketing.
+A label row counts the sentiment, emotion and overall labels of a group of
+tweets in the slots of ``DAY_ROW``; days (here) and regions (``spatial``)
+both keep one per key.  Every aggregate is a mergeable partial: parallel
+workers own private ones and the merged result is independent of how the
+corpus was partitioned.  Timestamps must already be converted to the
+analysis timezone before bucketing.
 """
 
 from __future__ import annotations
 
 from datetime import date, datetime
+from operator import add
+from typing import Iterable
 
 from .tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS, Tag
 
 CHANNELS = ("sentiment", "emotion", "overall")
 
-#: (channel, label) of each slot of a DayBuckets row: the sentiment, then
-#: the emotion, then the overall labels, each in its canonical order.
+#: (channel, label) of each slot of a label row: the sentiment, then the
+#: emotion, then the overall labels, each in its canonical order.
 DAY_ROW = tuple((channel, label)
                 for channel, labels in zip(CHANNELS, (SENTIMENT_LABELS,
                                                       EMOTION_LABELS,
@@ -28,42 +33,51 @@ _OVERALL_OFFSET = _EMOTION_OFFSET + len(EMOTION_LABELS)
 SLOTS_PER_DAY = 24
 
 
+def count_tag(rows: dict, key, tag: Tag) -> None:
+    """Count one tag into ``rows[key]``, making the row on first use."""
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = [0] * len(DAY_ROW)
+    _vector, s, e, o, _tied = tag
+    row[s] += 1
+    row[_EMOTION_OFFSET + e] += 1
+    row[_OVERALL_OFFSET + o] += 1
+
+
+def merge_rows(rows: dict, other: dict) -> None:
+    """Add every row of ``other`` into the row of the same key in ``rows``."""
+    for key, row in other.items():
+        mine = rows.get(key)
+        rows[key] = row[:] if mine is None else list(map(add, mine, row))
+
+
+def sum_rows(rows: Iterable[list[int]]) -> list[int]:
+    """Slot-by-slot sum of label rows (all zeros for none)."""
+    return list(map(sum, zip([0] * len(DAY_ROW), *rows)))
+
+
+def row_tweets(row: list[int]) -> int:
+    """Tweets counted into a row: each carries exactly one sentiment."""
+    return sum(row[:_EMOTION_OFFSET])
+
+
 class DayBuckets:
-    """local date -> row of label counts laid out as ``DAY_ROW``."""
+    """local date -> label row."""
 
     __slots__ = ("rows",)
 
     def __init__(self):
         self.rows: dict[date, list[int]] = {}
 
-    def add(self, tag: Tag, when: datetime | date) -> None:
-        day = when.date() if isinstance(when, datetime) else when
-        row = self.rows.get(day)
-        if row is None:
-            row = self.rows[day] = [0] * len(DAY_ROW)
-        _vector, s, e, o, _tied = tag
-        row[s] += 1
-        row[_EMOTION_OFFSET + e] += 1
-        row[_OVERALL_OFFSET + o] += 1
+    def add(self, tag: Tag, when: datetime) -> None:
+        count_tag(self.rows, when.date(), tag)
 
     def merge(self, other: "DayBuckets") -> "DayBuckets":
-        for day, row in other.rows.items():
-            mine = self.rows.get(day)
-            if mine is None:
-                self.rows[day] = row[:]
-            else:
-                self.rows[day] = [a + b for a, b in zip(mine, row)]
+        merge_rows(self.rows, other.rows)
         return self
 
     def dates(self) -> list[date]:
         return sorted(self.rows)
-
-    def totals(self) -> list[int]:
-        """Per-slot sums over all days, laid out as ``DAY_ROW``."""
-        return list(map(sum, zip([0] * len(DAY_ROW), *self.rows.values())))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DayBuckets) and self.rows == other.rows
 
 
 class HourBuckets:
@@ -86,9 +100,6 @@ class HourBuckets:
     @property
     def total(self) -> int:
         return sum(self.slots)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HourBuckets) and self.slots == other.slots
 
 
 def peak_slot(buckets: HourBuckets) -> int | None:

@@ -24,8 +24,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tweetlex
-from tweetlex import reference
-from tweetlex.errors import OracleMismatchError
+from tweetlex import reference, spatial
+from tweetlex.errors import OracleMismatchError, TweetlexError
+from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category
 from tweetlex.report import (AnalyzeConfig, run_analyze, run_subcorpus,
                              write_tags_jsonl)
@@ -121,6 +122,35 @@ class TestEmitTags:
         assert rc == 0
         assert target.read_bytes() == \
             (GOLDEN / "expected" / "tags.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("target", [
+        *(name for name in GOLDEN_FILES if name != "tags.jsonl"), "input"])
+    def test_refuses_another_file_of_the_run(self, tmp_path, capsys, target):
+        # The corpus is copied so that naming it as the tags path cannot
+        # harm the checked-in one.
+        corpus = tmp_path / "corpus.jsonl"
+        shutil.copyfile(GOLDEN / "corpus.jsonl", corpus)
+        out = tmp_path / "out"
+        tags = str(corpus) if target == "input" else target
+        rc = main(["analyze", "--input", str(corpus),
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out), "--emit-tags", tags])
+        assert rc == 1
+        assert "--emit-tags" in capsys.readouterr().err
+        assert not out.exists()
+        assert corpus.read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
+
+    def test_refuses_the_lexicon_through_a_relative_path(
+            self, tmp_path, monkeypatch, capsys):
+        lexicon = tmp_path / "lexicon.tsv"
+        shutil.copyfile(GOLDEN / "lexicon.tsv", lexicon)
+        monkeypatch.chdir(tmp_path)
+        rc = main(["analyze", "--input", str(GOLDEN / "corpus.jsonl"),
+                   "--lexicon", "lexicon.tsv", "--out", "out",
+                   "--emit-tags", str(tmp_path / "out" / ".." / "lexicon.tsv")])
+        assert rc == 1
+        assert not (tmp_path / "out").exists()
+        assert lexicon.read_bytes() == (GOLDEN / "lexicon.tsv").read_bytes()
 
     def test_off_by_default(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -263,12 +293,44 @@ class TestSubcorpus:
         assert rc == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("handle", [
+        "fin-min", "@fin.min", "fin min", "f\u00efnmin", "finmin\n"],
+        ids=["hyphen", "dot", "space", "non-ascii", "newline"])
+    def test_handle_outside_grammar_rejected(self, tmp_path, capsys,
+                                             handle):
+        # preprocess only ever yields [a-z0-9_]+ mentions, so such a
+        # handle could match nothing.
+        rc = main(["subcorpus", "--mention", handle,
+                   *_golden_args(tmp_path / "out")[1:]])
+        assert rc == 1
+        assert "mention handle" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_mixed_case_handle_accepted(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["subcorpus", "--mention", "@FinMin",
+                   *_golden_args(out)[1:]])
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["mention"] == "finmin"
+        assert summary["subcorpus_tweets"] == 0
+
     def test_api_requires_mention(self, toy_lexicon_path, tmp_path):
         config = AnalyzeConfig(input_path=str(GOLDEN / "corpus.jsonl"),
                                lexicon_path=str(toy_lexicon_path),
                                out_dir=str(tmp_path / "out"))
         with pytest.raises(Exception, match="mention"):
             run_subcorpus(config)
+
+    def test_api_rejects_uppercase_handle(self, toy_lexicon_path, tmp_path):
+        # Only the CLI lowercases; the library takes the handle as given.
+        config = AnalyzeConfig(input_path=str(GOLDEN / "corpus.jsonl"),
+                               lexicon_path=str(toy_lexicon_path),
+                               out_dir=str(tmp_path / "out"),
+                               mention="FinMin")
+        with pytest.raises(TweetlexError, match="mention handle"):
+            run_subcorpus(config)
+        assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture(scope="module")
@@ -290,6 +352,25 @@ class TestTopCommand:
                    "--input", str(GOLDEN / "corpus.jsonl")])
         assert rc == 0
         assert capsys.readouterr().out == "GST,3\n"
+
+    def test_n_truncates_ranking(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(json.dumps(
+            {"id": "1", "created_at": "2017-07-01T10:00:00Z",
+             "text": "@a @a @b @c"}) + "\n", encoding="utf-8")
+        argv = ["top", "--what", "mentions", "--input", str(corpus)]
+        assert main([*argv, "-n", "2"]) == 0
+        assert capsys.readouterr().out == "a,2\nb,1\n"
+        assert main([*argv, "-n", "10"]) == 0
+        assert capsys.readouterr().out == "a,2\nb,1\nc,1\n"
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_n_exits_1(self, capsys, n):
+        with pytest.raises(SystemExit) as exc:
+            main(["top", "--what", "mentions", "-n", n,
+                  "--input", str(GOLDEN / "corpus.jsonl")])
+        assert exc.value.code == 1
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("what", ["mentions", "hashtags"])
     @pytest.mark.parametrize("corpus_name", ["golden", "longtail"])
@@ -391,6 +472,82 @@ class TestCsvFormat:
         assert summary["tweets_tagged"] == 2
         assert summary["locations"] == {"located": 1, "unknown": 1,
                                         "india_total": 1, "foreign": 0}
+
+
+class TestRegionsCsv:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_row_recounted_by_reference(self, tmp_path,
+                                              toy_lexicon_path,
+                                              bundled_stopwords,
+                                              bundled_gazetteer, workers):
+        # --oracle checks only the located/unknown/india/foreign totals;
+        # this recounts every row and label column of regions.csv with the
+        # reference cleaner, tagger and resolver.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, 2500, seed=29)
+        out = tmp_path / "out"
+        run_analyze(AnalyzeConfig(input_path=str(corpus),
+                                  lexicon_path=str(toy_lexicon_path),
+                                  out_dir=str(out), workers=workers))
+
+        sentiments = (*reference.SENTIMENT_ORDER, "neutral")
+        emotions = reference.EMOTION_ORDER
+        table = reference.scan_lexicon_file(str(toy_lexicon_path))
+        counts: dict[str, dict] = {}
+        for record in RecordReader(str(corpus), "jsonl"):
+            tokens = reference.naive_clean(record.text, bundled_stopwords)[0]
+            if not tokens:
+                continue
+            region = reference.naive_resolve(record.user_location,
+                                             bundled_gazetteer)
+            if region == spatial.UNKNOWN:
+                continue
+            s, e, _o, _tied = reference.naive_label(
+                reference.naive_count(tokens, table))
+            tally = counts.setdefault(region, {"tweets": 0, "sentiment": {},
+                                               "emotion": {}})
+            tally["tweets"] += 1
+            tally["sentiment"][s] = tally["sentiment"].get(s, 0) + 1
+            tally["emotion"][e] = tally["emotion"].get(e, 0) + 1
+
+        empty = {"tweets": 0, "sentiment": {}, "emotion": {}}
+
+        def row(name, regions):
+            """name, tweets and label columns summed over ``regions``."""
+            tallies = [counts.get(region, empty) for region in regions]
+            cols = [sum(t[channel].get(label, 0) for t in tallies)
+                    for channel, labels in (("sentiment", sentiments),
+                                            ("emotion", emotions))
+                    for label in labels]
+            return [name, sum(t["tweets"] for t in tallies), *cols]
+
+        grand = sum(t["tweets"] for t in counts.values())
+        states = sorted(spatial.INDIAN_REGIONS, key=lambda n: (
+            -counts.get(n, empty)["tweets"], n))
+        expected, running = [], 0
+        for name in (*states, spatial.INDIA_UNSPECIFIED):
+            expected.append(row(name, [name]))
+            running += expected[-1][1]
+            expected[-1].append(f"{running / grand:.6f}")
+        india = [*states, spatial.INDIA_UNSPECIFIED]
+        india_row = row("INDIA_TOTAL", india)
+        expected.append(india_row + [f"{india_row[1] / grand:.6f}"])
+        foreign = row(spatial.FOREIGN, [spatial.FOREIGN])
+        running += foreign[1]
+        expected.append(foreign + [f"{running / grand:.6f}"])
+        expected.append(row("TOTAL", [*india, spatial.FOREIGN])
+                        + ["1.000000"])
+        expected = [[str(cell) for cell in line] for line in expected]
+
+        with open(out / "regions.csv", encoding="utf-8", newline="") as fh:
+            got = list(csv.reader(fh))
+        assert got[0] == ["region", "tweets", *sentiments, *emotions,
+                          "cum_share"]
+        assert got[1:] == expected
+        # The corpus exercises the label columns, not only the totals.
+        total = expected[-1]
+        assert int(total[1]) == grand > 1000
+        assert all(int(cell) > 0 for cell in total[2:-1])
 
 
 class TestLocationMemo:

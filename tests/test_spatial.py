@@ -13,11 +13,11 @@ from tweetlex.spatial import (
     Gazetteer,
     GazetteerRule,
     RegionAggregate,
-    RegionStats,
     load_gazetteer,
     resolve_location,
 )
 from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
+from tweetlex.temporal import DAY_ROW
 
 from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL
 
@@ -27,9 +27,10 @@ def _result(sent="positive", emo="joy", overall="positive"):
             OVERALL_LABELS.index(overall), False)
 
 
-def _sentiments(stats: RegionStats) -> dict[str, int]:
-    return {label: n for label, n in zip(SENTIMENT_LABELS, stats.sentiment)
-            if n}
+def _labels(row, channel) -> dict[str, int]:
+    """The nonzero label counts of one channel in a region's label row."""
+    return {label: n for (ch, label), n in zip(DAY_ROW, row)
+            if ch == channel and n}
 
 
 def _aggregate(pairs) -> RegionAggregate:
@@ -146,19 +147,25 @@ class TestRegionAggregate:
         assert agg.count("Nagaland") == 0
         assert agg.india_total() == 4
         assert agg.grand_total() == 5
-        assert _sentiments(agg.regions["Delhi-NCR"]) == \
+        assert _labels(agg.rows["Delhi-NCR"], "sentiment") == \
             {"positive": 1, "negative": 1}
 
     def test_region_stats_merge(self):
-        a, b = RegionStats(), RegionStats()
-        a.add(_result())
-        b.add(_result(sent="negative", emo="sadness", overall="negative"))
-        b.add(_result())
+        a, b = RegionAggregate(), RegionAggregate()
+        a.add(_result(), "Goa")
+        b.add(_result(sent="negative", emo="sadness", overall="negative"),
+              "Goa")
+        b.add(_result(), "Goa")
+        b.add(_result(), FOREIGN)
         a.merge(b)
-        assert a.tweets == 3
-        assert _sentiments(a) == {"positive": 2, "negative": 1}
-        assert a.emotion[EMOTION_LABELS.index("joy")] == 2
-        assert a.emotion[EMOTION_LABELS.index("sadness")] == 1
+        assert a.count("Goa") == 3
+        assert _labels(a.rows["Goa"], "sentiment") == \
+            {"positive": 2, "negative": 1}
+        assert _labels(a.rows["Goa"], "emotion") == {"joy": 2, "sadness": 1}
+        assert a.count(FOREIGN) == 1
+        # The merged-in row is copied, not shared.
+        a.add(_result(), FOREIGN)
+        assert b.count(FOREIGN) == 1
 
     @given(picks=st.lists(
         st.tuples(st.sampled_from(["Delhi-NCR", "Goa", INDIA_UNSPECIFIED, FOREIGN]),
@@ -169,5 +176,5 @@ class TestRegionAggregate:
         pairs = [(_result(sent=s, overall=s), region) for region, s in picks]
         whole = _aggregate(pairs)
         merged = _aggregate(pairs[:cut]).merge(_aggregate(pairs[cut:]))
-        assert merged == whole
+        assert merged.rows == whole.rows
         assert whole.grand_total() == len(picks)
