@@ -12,6 +12,7 @@ lexicon/stopword/gazetteer file, oracle mismatch), 2 I/O failure
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 import time
 from datetime import date
@@ -41,7 +42,11 @@ def _tz_arg(text: str):
 
 
 def _date_arg(text: str) -> date:
+    # date.fromisoformat reads more forms (20170704, 2017-W27-2) on some
+    # Pythons than on others, so the grammar is checked first.
     try:
+        if not re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text):
+            raise ValueError(text)
         return date.fromisoformat(text)
     except ValueError:
         raise argparse.ArgumentTypeError(

@@ -135,36 +135,19 @@ def _check_fields(raw: Mapping, default_tz: timezone) -> datetime | str:
     return ts
 
 
-def _record(raw: Mapping, ts: datetime) -> TweetRecord:
-    """Build the record of a line that passed ``_check_fields``."""
-    loc = raw.get("user_location")
-    if not isinstance(loc, str) or not loc.strip():
-        loc = None
-    return TweetRecord(raw["id"], ts, raw["text"], loc)
-
-
-def validate_record(raw: Mapping, default_tz: timezone = IST) -> TweetRecord | str:
-    """Turn a parsed line into a record, or return the rejection reason:
-    the name of the first failing field, checked in order: id (a non-empty
-    string encodable as UTF-8), timestamp (see ``parse_timestamp``), text (a
-    string).  A blank or non-string ``user_location`` becomes None.
-    ``RecordReader`` runs the same checks, then its duplicate and window
-    checks."""
-    ts = _check_fields(raw, default_tz)
-    return ts if isinstance(ts, str) else _record(raw, ts)
-
-
 class RecordReader:
     """Iterable over the valid records of one source, with stats.
 
     Each line is checked in this order, and its first failing check names
     its rejection: ``blank_line``, ``encoding``, ``malformed`` (JSON that
     does not parse into an object, or a CSV row without four fields), then
-    the fields ``id``, ``timestamp`` and ``text`` (see ``validate_record``),
-    then ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
+    the fields ``id`` (a non-empty string encodable as UTF-8),
+    ``timestamp`` (see ``parse_timestamp``) and ``text`` (a string), then
+    ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
     out-of-window record whose id was yielded earlier is a ``duplicate``,
     and only yielded ids enter the seen-set.  A ``TweetRecord`` is built only
-    for a line that passes every check.
+    for a line that passes every check; a blank or non-string
+    ``user_location`` becomes None.
 
     Every timestamp is converted to ``default_tz`` (naive ones are taken to
     be in it), and the optional [date_from, date_to] window is evaluated on
@@ -225,7 +208,10 @@ class RecordReader:
                 return None
         self._seen_ids.add(rec_id)
         self.stats.yielded += 1
-        return _record(raw, ts)
+        loc = raw.get("user_location")
+        if not isinstance(loc, str) or not loc.strip():
+            loc = None
+        return TweetRecord(rec_id, ts, raw["text"], loc)
 
     def _read_jsonl(self, fh) -> Iterator[TweetRecord]:
         for lineno, line in enumerate(fh, 1):

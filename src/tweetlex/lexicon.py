@@ -3,8 +3,7 @@
 The file format is the public word-level association format: one record per
 line, three tab-separated fields ``word<TAB>category<TAB>flag`` with flag 0
 or 1, ``#`` comment lines ignored.  A word carries a category iff its flag
-for that category is 1; words whose flags are all 0 are queryable (empty
-result) but never stored.
+for that category is 1; words whose flags are all 0 are never stored.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ EMOTIONS: tuple[Category, ...] = tuple(c for c in Category if c not in SENTIMENT
 
 
 class Lexicon:
-    """Immutable word -> category-set table with case-insensitive lookup.
+    """Immutable word -> category-set table.
 
     Words are stored lowercase; the category set of each stored word is
     packed into an int bitmask indexed by ``Category`` values.
@@ -64,14 +63,6 @@ class Lexicon:
     def masks(self) -> dict[str, int]:
         """word -> category bitmask mapping. Treat as read-only."""
         return self._masks
-
-    def categories_of(self, word: str) -> frozenset[Category]:
-        """Categories associated with ``word`` (case-insensitive); empty set
-        for unknown words."""
-        mask = self._masks.get(word.lower(), 0)
-        if not mask:
-            return frozenset()
-        return frozenset(c for c in Category if mask >> c & 1)
 
 
 _BIT_BY_LABEL = {c.label: 1 << c for c in Category}

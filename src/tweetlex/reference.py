@@ -1,25 +1,31 @@
 """Slow, obviously-correct reference pipeline used for verification.
 
-Everything analytical here is written from scratch as plain sequential
-Python: a character-walk tokenizer instead of the regex/compiled kernels, a
-word -> label-set lexicon table instead of packed bitmasks, and flat dict
-tallies instead of the mergeable aggregate classes.  ``--oracle`` runs a
-corpus through this module and compares the resulting summary, daily, and
-hourly figures against the optimized pipeline before any file is written.
+Everything here is written from scratch as plain sequential Python: a
+reader that runs every admission check in its plain order on a fully
+parsed line, a character-walk tokenizer instead of the regex/compiled
+kernels, a word -> label-set lexicon table instead of packed bitmasks, and
+flat dict tallies instead of the mergeable aggregate classes.  ``--oracle``
+runs a corpus through this module and compares the resulting summary,
+daily, and hourly figures against the optimized pipeline before any file
+is written.
 
-Two pieces are shared with the main pipeline on purpose.  Record admission
-(tweetlex.ingest) decides which records enter the analysis at all; both
-sides must agree on that boundary, and the behavior under test lives
-downstream of it.  Gazetteer *parsing* is shared too, but rule matching is
-redone here.
+Only gazetteer *parsing* is shared with the main pipeline, on purpose;
+rule matching is redone here.  From tweetlex.ingest this module reads two
+constants of the input format, and no code.
 """
 
 from __future__ import annotations
 
+import csv
 import functools
-from datetime import date, timezone
+import json
+import re
+from collections import Counter
+from dataclasses import dataclass, field
+from datetime import date, datetime, timezone
 
-from .ingest import IST, RecordReader
+from .errors import CorpusFormatError
+from .ingest import CSV_HEADER, IST
 from .spatial import FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN, Gazetteer
 
 SENTIMENT_ORDER = ("positive", "negative")
@@ -28,6 +34,131 @@ EMOTION_ORDER = ("joy", "trust", "anticipation", "surprise",
 OVERALL_ORDER = SENTIMENT_ORDER + EMOTION_ORDER
 
 _URL_PREFIXES = ("http://", "https://", "www.")
+
+#: Diagnostics a tally keeps, as many as the pipeline's reader keeps.
+MAX_DIAGNOSTICS = 1000
+
+#: A lone surrogate: an invalid UTF-8 byte of a file read with
+#: surrogateescape, or a JSON escape that no UTF-8 output can carry.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+@dataclass
+class ReadTally:
+    """What ``naive_read`` saw: lines read, rejections by reason, and the
+    first MAX_DIAGNOSTICS (line number, reason, detail) triples."""
+
+    lines: int = 0
+    skipped: Counter = field(default_factory=Counter)
+    diagnostics: list = field(default_factory=list)
+
+    def skip(self, lineno: int, reason: str, detail: str = "") -> None:
+        self.skipped[reason] += 1
+        if len(self.diagnostics) < MAX_DIAGNOSTICS:
+            self.diagnostics.append((lineno, reason, detail))
+
+
+def naive_timestamp(value, default_tz: timezone) -> datetime | None:
+    """Local time in ``default_tz`` of an ISO 8601 string (a trailing Z or
+    z is UTC, a naive time is local already), or None, also when the
+    conversion leaves years 1-9999."""
+    if not isinstance(value, str):
+        return None
+    text = value.strip()
+    if text[-1:] in ("Z", "z"):
+        text = text[:-1] + "+00:00"
+    try:
+        ts = datetime.fromisoformat(text)
+        if ts.tzinfo is None:
+            return ts.replace(tzinfo=default_tz)
+        return ts.astimezone(default_tz)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parsed_lines(fh, fmt: str, tally: ReadTally):
+    """(line number, field dict) of each line that parses into fields;
+    every other line is tallied here."""
+    if fmt == "jsonl":
+        for lineno, line in enumerate(fh, 1):
+            tally.lines += 1
+            stripped = line.strip()
+            if not stripped:
+                tally.skip(lineno, "blank_line")
+            elif _SURROGATE.search(stripped):
+                tally.skip(lineno, "encoding", "invalid UTF-8 byte")
+            else:
+                try:
+                    raw = json.loads(stripped)
+                except RecursionError:
+                    tally.skip(lineno, "malformed", "nested too deeply")
+                except ValueError as exc:
+                    tally.skip(lineno, "malformed", str(exc))
+                else:
+                    if isinstance(raw, dict):
+                        yield lineno, raw
+                    else:
+                        tally.skip(lineno, "malformed", "not a JSON object")
+        return
+    rows = csv.reader(fh)
+    if next(rows, CSV_HEADER) != CSV_HEADER:
+        raise CorpusFormatError(f"{fh.name}: no {','.join(CSV_HEADER)} header")
+    while True:
+        try:
+            row = next(rows)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            tally.lines += 1
+            tally.skip(rows.line_num, "malformed", str(exc))
+            continue
+        tally.lines += 1
+        if any(map(_SURROGATE.search, row)):
+            tally.skip(rows.line_num, "encoding", "invalid UTF-8 byte")
+        elif len(row) != len(CSV_HEADER):
+            tally.skip(rows.line_num, "malformed",
+                       f"expected {len(CSV_HEADER)} fields, got {len(row)}")
+        else:
+            yield rows.line_num, dict(zip(CSV_HEADER, row))
+
+
+def naive_read(path, fmt: str, tally: ReadTally, *,
+               default_tz: timezone = IST, date_from: date | None = None,
+               date_to: date | None = None):
+    """Yield (id, local time, text, location) for each admitted line of the
+    corpus file at ``path``, and fill ``tally``.
+
+    The first check a line fails names its rejection: blank_line, encoding
+    (a byte that is not UTF-8), malformed (a JSONL line that json.loads
+    does not turn into an object, or a CSV row without four fields), id (not
+    a non-empty string), timestamp (see naive_timestamp), text (not a
+    string), duplicate (an id already yielded), out_of_range (a local date
+    outside [date_from, date_to]).  A blank or non-string location is None.
+    """
+    seen: set[str] = set()
+    with open(path, encoding="utf-8-sig", errors="surrogateescape",
+              newline="") as fh:
+        for lineno, raw in _parsed_lines(fh, fmt, tally):
+            rec_id, text = raw.get("id"), raw.get("text")
+            ts = naive_timestamp(raw.get("created_at"), default_tz)
+            if not isinstance(rec_id, str) or not rec_id or \
+                    _SURROGATE.search(rec_id):
+                tally.skip(lineno, "id")
+            elif ts is None:
+                tally.skip(lineno, "timestamp")
+            elif not isinstance(text, str):
+                tally.skip(lineno, "text")
+            elif rec_id in seen:
+                tally.skip(lineno, "duplicate", rec_id)
+            elif (date_from and ts.date() < date_from) or \
+                    (date_to and ts.date() > date_to):
+                tally.skip(lineno, "out_of_range", ts.date().isoformat())
+            else:
+                seen.add(rec_id)
+                location = raw.get("user_location")
+                if not isinstance(location, str) or not location.strip():
+                    location = None
+                yield rec_id, ts, text, location
 
 
 def _url_end(text: str, i: int) -> int | None:
@@ -222,8 +353,9 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
     handle are analyzed and the summary takes the subcorpus shape.
     """
     table = scan_lexicon_file(str(lexicon_path))
-    reader = RecordReader(input_path, fmt, default_tz=default_tz,
-                          date_from=date_from, date_to=date_to)
+    tally = ReadTally()
+    records = naive_read(input_path, fmt, tally, default_tz=default_tz,
+                         date_from=date_from, date_to=date_to)
 
     daily: dict[str, dict] = {"sentiment": {}, "emotion": {}, "overall": {}}
     hourly = [0] * 24
@@ -237,8 +369,8 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
     ties = 0
     non_latin = 0
 
-    for rec in reader:
-        tokens, mentions, hashtags, _urls = naive_clean(rec.text, stopwords)
+    for _id, local, text, location in records:
+        tokens, mentions, hashtags, _urls = naive_clean(text, stopwords)
         if mention_filter is not None and mention_filter not in mentions:
             continue
         for m in mentions:
@@ -260,19 +392,17 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
                 neutral[channel] += 1
         if tied:
             ties += 1
-        local = rec.timestamp.astimezone(default_tz)
         day = local.date().isoformat()
         for channel, lab in (("sentiment", s), ("emotion", e), ("overall", o)):
             per_day = daily[channel].setdefault(day, {})
             per_day[lab] = per_day.get(lab, 0) + 1
         hourly[local.hour] += 1
-        region = naive_resolve(rec.user_location, gazetteer)
+        region = naive_resolve(location, gazetteer)
         if region == UNKNOWN:
             unknown_locs += 1
         else:
             region_tweets[region] = region_tweets.get(region, 0) + 1
 
-    stats = reader.stats
     peak = hourly.index(max(hourly)) if tagged else None
     india_total = sum(region_tweets.get(r, 0) for r in INDIAN_REGIONS)
     india_total += region_tweets.get(INDIA_UNSPECIFIED, 0)
@@ -281,9 +411,9 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
     if mention_filter is not None:
         summary = {
             "mention": mention_filter,
-            "records_read": stats.lines,
-            "records_rejected": stats.skipped_total,
-            "rejected_reasons": dict(sorted(stats.skipped.items())),
+            "records_read": tally.lines,
+            "records_rejected": sum(tally.skipped.values()),
+            "rejected_reasons": dict(sorted(tally.skipped.items())),
             "subcorpus_tweets": blanks + tagged,
             "blanks_dropped": blanks,
             "tweets_tagged": tagged,
@@ -294,9 +424,9 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
         }
     else:
         summary = {
-            "records_read": stats.lines,
-            "records_rejected": stats.skipped_total,
-            "rejected_reasons": dict(sorted(stats.skipped.items())),
+            "records_read": tally.lines,
+            "records_rejected": sum(tally.skipped.values()),
+            "rejected_reasons": dict(sorted(tally.skipped.items())),
             "blanks_dropped": blanks,
             "tweets_tagged": tagged,
             "neutral_counts": neutral,

@@ -17,6 +17,7 @@ byte-identical contract); the CLI reports it on stderr.
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 import shutil
@@ -173,15 +174,10 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
     return part
 
 
-def _iter_chunks(records: Iterable[TweetRecord],
-                 size: int = CHUNK_SIZE) -> Iterator[list[TweetRecord]]:
-    chunk: list[TweetRecord] = []
-    for record in records:
-        chunk.append(record)
-        if len(chunk) >= size:
-            yield chunk
-            chunk = []
-    if chunk:
+def _iter_chunks(
+        records: Iterable[TweetRecord]) -> Iterator[list[TweetRecord]]:
+    records = iter(records)
+    while chunk := list(itertools.islice(records, CHUNK_SIZE)):
         yield chunk
 
 
@@ -431,7 +427,8 @@ def write_summary_json(path: Path, summary: dict) -> None:
 
 
 def _check_tags_path(config: AnalyzeConfig) -> None:
-    """Refuse a tags path that names an output or an input of the run."""
+    """Refuse a tags path that names an output or an input of the run, a
+    directory, or a file in a missing directory other than ``out_dir``."""
     tags = Path(config.emit_tags).resolve()
     out_dir = Path(config.out_dir).resolve()
     taken = [out_dir / name for name in _OUTPUT_NAMES]
@@ -442,6 +439,10 @@ def _check_tags_path(config: AnalyzeConfig) -> None:
     if tags in taken:
         raise TweetlexError(f"--emit-tags {config.emit_tags} would "
                             f"overwrite another file of the run")
+    if tags == out_dir or tags.is_dir() or \
+            not (tags.parent == out_dir or tags.parent.is_dir()):
+        raise TweetlexError(f"--emit-tags {config.emit_tags} is not a file "
+                            f"in an existing directory or in --out")
 
 
 def run_analyze(config: AnalyzeConfig) -> RunResult:

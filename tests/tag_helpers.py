@@ -1,4 +1,4 @@
-"""Helpers for tests that read tag_tweet's int labels.
+"""Helpers for tests that read tag_tweet's int labels or a lexicon's masks.
 
 ``tag_vector`` drives the production tagger with a chosen count vector:
 each category's own label is a word carrying just that category.
@@ -16,6 +16,12 @@ def label_names(tag) -> tuple[str, str, str, bool]:
     """(sentiment, emotion, overall, tied) with the labels as strings."""
     _vector, s, e, o, tied = tag
     return SENTIMENT_LABELS[s], EMOTION_LABELS[e], OVERALL_LABELS[o], tied
+
+
+def label_masks(labels_by_word) -> dict[str, int]:
+    """The ``Lexicon.masks`` of a word -> category-labels mapping."""
+    return {word: sum(1 << Category[label.upper()] for label in labels)
+            for word, labels in labels_by_word.items()}
 
 
 def tag_vector(vector: list[int]):

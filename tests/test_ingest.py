@@ -4,7 +4,7 @@ import csv
 import datetime as dt
 import io
 import json
-from collections import Counter
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +18,8 @@ from tweetlex.ingest import (
     TweetRecord,
     parse_timestamp,
     parse_tz_offset,
-    validate_record,
 )
+from tweetlex.reference import ReadTally, naive_read
 
 UTC = dt.timezone.utc
 
@@ -38,6 +38,17 @@ def _fields(i="t1", ts="2017-07-01T10:00:00+05:30", text="hello", **extra):
 
 def _row(*args, **kwargs):
     return json.dumps(_fields(*args, **kwargs))
+
+
+def _admit_one(tmp_path, raw):
+    """What RecordReader makes of a one-line corpus of ``raw``: its record,
+    or the reason it rejects it.  naive_read must make the same of it."""
+    path = _jsonl(tmp_path, [json.dumps(raw)])
+    reader, tally = RecordReader(path, "jsonl"), ReadTally()
+    records = list(reader)
+    assert list(map(astuple, records)) == list(naive_read(path, "jsonl", tally))
+    assert reader.stats.skipped == tally.skipped
+    return records[0] if records else next(iter(tally.skipped))
 
 
 def _corpus(tmp_path, fmt, records):
@@ -115,9 +126,10 @@ class TestParseTzOffset:
 
 
 class TestValidateRecord:
-    def test_happy_path(self):
-        rec = validate_record({"id": "a", "created_at": "2017-07-01T00:00:00Z",
-                               "text": "hi", "user_location": "Delhi"})
+    """The field rules, each on a one-line corpus (see ``_admit_one``)."""
+
+    def test_happy_path(self, tmp_path):
+        rec = _admit_one(tmp_path, _fields(text="hi", user_location="Delhi"))
         assert isinstance(rec, TweetRecord)
         assert rec.user_location == "Delhi"
 
@@ -133,24 +145,21 @@ class TestValidateRecord:
         ({"id": "\ud800", "created_at": "2017-07-01T00:00:00Z", "text": "x"},
          "id"),
     ])
-    def test_first_failing_field_named(self, raw, reason):
-        assert validate_record(raw) == reason
+    def test_first_failing_field_named(self, tmp_path, raw, reason):
+        assert _admit_one(tmp_path, raw) == reason
 
-    def test_empty_text_is_a_valid_string(self):
-        rec = validate_record({"id": "a", "created_at": "2017-07-01T00:00:00Z",
-                               "text": ""})
+    def test_empty_text_is_a_valid_string(self, tmp_path):
+        rec = _admit_one(tmp_path, _fields(text=""))
         assert isinstance(rec, TweetRecord)
         assert rec.text == ""
 
     @pytest.mark.parametrize("loc", [None, "", "   ", 42, ["x"]])
-    def test_unusable_location_becomes_none(self, loc):
-        rec = validate_record({"id": "a", "created_at": "2017-07-01T00:00:00Z",
-                               "text": "x", "user_location": loc})
+    def test_unusable_location_becomes_none(self, tmp_path, loc):
+        rec = _admit_one(tmp_path, _fields(user_location=loc))
         assert rec.user_location is None
 
-    def test_location_absent(self):
-        rec = validate_record({"id": "a", "created_at": "2017-07-01T00:00:00Z",
-                               "text": "x"})
+    def test_location_absent(self, tmp_path):
+        rec = _admit_one(tmp_path, _fields())
         assert rec.user_location is None
 
 
@@ -417,74 +426,6 @@ class TestCsvReader:
         assert reader.stats.lines == reader.stats.yielded + reader.stats.skipped_total
 
 
-def _plain_read(path, fmt, date_from=None, date_to=None):
-    """The reference reader: every check in its plain order on a fully
-    parsed line (json.loads, validate_record, the duplicate check, then the
-    window check).  Returns what RecordReader yields and tallies."""
-    records, seen, skipped, diagnostics = [], set(), Counter(), []
-
-    def skip(lineno, reason, detail=""):
-        skipped[reason] += 1
-        diagnostics.append((lineno, reason, detail))
-
-    def admit(raw, lineno):
-        rec = validate_record(raw)
-        if isinstance(rec, str):
-            return skip(lineno, rec)
-        if rec.id in seen:
-            return skip(lineno, "duplicate", rec.id)
-        local = rec.timestamp.date()
-        if (date_from and local < date_from) or (date_to and local > date_to):
-            return skip(lineno, "out_of_range", local.isoformat())
-        seen.add(rec.id)
-        records.append(rec)
-
-    def encodes(texts):
-        try:
-            for text in texts:
-                text.encode("utf-8")
-        except UnicodeEncodeError:
-            return False
-        return True
-
-    lines = 0
-    with open(path, encoding="utf-8-sig", errors="surrogateescape",
-              newline="") as fh:
-        if fmt == "jsonl":
-            for lineno, line in enumerate(fh, 1):
-                lines += 1
-                stripped = line.strip()
-                if not stripped:
-                    skip(lineno, "blank_line")
-                elif not encodes([stripped]):
-                    skip(lineno, "encoding", "invalid UTF-8 byte")
-                else:
-                    try:
-                        raw = json.loads(stripped)
-                    except RecursionError:
-                        skip(lineno, "malformed", "nested too deeply")
-                    except ValueError as exc:
-                        skip(lineno, "malformed", str(exc))
-                    else:
-                        if isinstance(raw, dict):
-                            admit(raw, lineno)
-                        else:
-                            skip(lineno, "malformed", "not a JSON object")
-        else:
-            reader = csv.reader(fh)
-            assert next(reader) == CSV_HEADER
-            for row in reader:
-                lines += 1
-                if not encodes(row):
-                    skip(reader.line_num, "encoding", "invalid UTF-8 byte")
-                elif len(row) != len(CSV_HEADER):
-                    skip(reader.line_num, "malformed",
-                         f"expected {len(CSV_HEADER)} fields, got {len(row)}")
-                else:
-                    admit(dict(zip(CSV_HEADER, row)), reader.line_num)
-    return records, lines, skipped, diagnostics
-
-
 _WINDOWS = [(None, None),
             (dt.date(2017, 7, 2), dt.date(2017, 7, 2)),
             (dt.date(2017, 7, 2), None),
@@ -575,9 +516,10 @@ def test_reader_equals_plain_reference(corpus_dir, fmt, data, window):
     reader = RecordReader(path, fmt, date_from=date_from, date_to=date_to)
     got = [(r.id, r.timestamp.isoformat(), r.text, r.user_location)
            for r in reader]
-    records, lines, skipped, diagnostics = _plain_read(path, fmt, *window)
-    assert got == [(r.id, r.timestamp.isoformat(), r.text, r.user_location)
-                   for r in records]
-    assert reader.stats.lines == lines
-    assert reader.stats.skipped == skipped
-    assert reader.stats.diagnostics == diagnostics
+    tally = ReadTally()
+    assert got == [(rec_id, ts.isoformat(), text, location)
+                   for rec_id, ts, text, location in naive_read(
+                       path, fmt, tally, date_from=date_from, date_to=date_to)]
+    assert reader.stats.lines == tally.lines
+    assert reader.stats.skipped == tally.skipped
+    assert reader.stats.diagnostics == tally.diagnostics

@@ -10,6 +10,7 @@ from tweetlex.reference import scan_lexicon_file
 
 import corpus_gen
 from corpus_gen import CATEGORIES, TOY_LEXICON
+from tag_helpers import label_masks
 
 
 def test_category_canonical_order():
@@ -31,16 +32,7 @@ def test_category_from_label(tmp_path):
 
 def test_load_toy_lexicon(toy_lexicon):
     assert toy_lexicon.entry_count == len(TOY_LEXICON)
-    for word, cats in TOY_LEXICON.items():
-        got = {c.label for c in toy_lexicon.categories_of(word)}
-        assert got == set(cats), word
-
-
-def test_lookup_is_case_insensitive(toy_lexicon):
-    assert toy_lexicon.categories_of("LOVE") == toy_lexicon.categories_of("love")
-    assert toy_lexicon.categories_of("Faith") == \
-        toy_lexicon.categories_of("faith") != frozenset()
-    assert toy_lexicon.categories_of("notaword") == frozenset()
+    assert toy_lexicon.masks == label_masks(TOY_LEXICON)
 
 
 def test_masks_use_category_bit_positions(toy_lexicon):
@@ -50,7 +42,7 @@ def test_masks_use_category_bit_positions(toy_lexicon):
 
 
 def test_unknown_word_has_empty_categories(toy_lexicon):
-    assert toy_lexicon.categories_of("procedure") == frozenset()
+    assert "procedure" not in toy_lexicon.masks
 
 
 def _write(tmp_path, text):
@@ -61,15 +53,13 @@ def _write(tmp_path, text):
 
 def test_flag_zero_rows_are_not_stored(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t0\ncalm\ttrust\t1\n"))
-    assert lex.entry_count == 1
-    assert {c.label for c in lex.categories_of("calm")} == {"trust"}
+    assert lex.masks == {"calm": 1 << Category.TRUST}
 
 
 def test_all_zero_word_is_queryable_but_absent(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t0\n"))
     assert lex.entry_count == 0
-    assert lex.categories_of("calm") == frozenset()
-    assert "calm" not in lex.masks
+    assert lex.masks == {}
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):
@@ -80,7 +70,6 @@ def test_comments_and_blank_lines_are_ignored(tmp_path):
 def test_words_are_stored_lowercase(tmp_path):
     lex = load_lexicon(_write(tmp_path, "Calm\tjoy\t1\n"))
     assert lex.masks == {"calm": 1 << Category.JOY}
-    assert {c.label for c in lex.categories_of("CALM")} == {"joy"}
 
 
 @pytest.mark.parametrize("content,needle", [
@@ -206,11 +195,6 @@ def _outcome(path, *, block=True, piece=lexicon._PIECE_CHARS):
             return str(exc)
 
 
-def _labels(masks):
-    return {word: frozenset(c.label for c in Category if mask >> c & 1)
-            for word, mask in masks.items()}
-
-
 @settings(max_examples=300, deadline=None)
 @given(text=_lexicon_text(), piece=st.integers(1, 256))
 def test_block_match_agrees_with_line_checks(tmp_path_factory, text, piece):
@@ -220,7 +204,7 @@ def test_block_match_agrees_with_line_checks(tmp_path_factory, text, piece):
     assert _outcome(path) == want
     assert _outcome(path, piece=piece) == want
     if isinstance(want, dict):
-        assert _labels(want) == scan_lexicon_file.__wrapped__(str(path))
+        assert want == label_masks(scan_lexicon_file.__wrapped__(str(path)))
 
 
 def test_every_piece_boundary(tmp_path):
@@ -268,8 +252,7 @@ def test_alphabetical_category_order_loads_by_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lexicon, "_block_matcher", counting)
     lex = load_lexicon(path)
-    assert {w: {c.label for c in lex.categories_of(w)} for w in lex.masks} \
-        == truth
+    assert lex.masks == label_masks(truth)
     # The first word sets the order and each piece boundary cuts at most
     # one block, whose rows are checked one by one; every other word is one
     # match.

@@ -6,12 +6,17 @@ Any disagreement between the two paths is a bug in one of them, so these
 tests assert exact agreement from token level up to full-run reports.
 """
 
+import ast
 import datetime as dt
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetlex.ingest import IST, TweetRecord
+from tweetlex import ingest, reference
+from tweetlex.errors import OracleMismatchError
+from tweetlex.ingest import IST, RecordReader, TweetRecord
 from tweetlex.lexicon import Category, load_lexicon
 from tweetlex.preprocess import CleanTweet, preprocess
 from tweetlex.reference import (
@@ -29,7 +34,7 @@ from tweetlex.tagger import tag_tweet
 import corpus_gen
 from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL, TOY_LEXICON
 from golden_fixtures import FIXTURES, STOPWORDS
-from tag_helpers import label_names
+from tag_helpers import label_masks, label_names
 
 _WHEN = dt.datetime(2017, 7, 1, 12, 0, 0, tzinfo=IST)
 
@@ -120,9 +125,7 @@ def test_scan_lexicon_matches_loader(messy, toy_lexicon_path, tmp_path):
     table = scan_lexicon_file(str(path))
     assert set(table) == words
     assert len(table) == lexicon.entry_count
-    for word, cats in table.items():
-        assert cats == frozenset(
-            c.label for c in lexicon.categories_of(word))
+    assert lexicon.masks == label_masks(table)
 
 
 @pytest.fixture(scope="module")
@@ -195,3 +198,81 @@ class TestFullRunDifferential:
         result = run_analyze(config)
         assert result.summary["oracle_check"] == "ok"
         assert result.summary["records_rejected"] > 0
+
+
+
+# After a generated corpus: an admitted id with an out-of-window twin, and
+# a null text.  The oracle runs below over 2017-07-02 to 2017-07-04.
+_FAULT_LINES = [
+    {"id": "twin", "created_at": "2017-07-03T10:00:00+05:30", "text": "good"},
+    {"id": "twin", "created_at": "2017-07-06T10:00:00+05:30", "text": "bad"},
+    {"id": "void", "created_at": "2017-07-03T10:00:00+05:30", "text": None},
+]
+
+
+def _window_before_dedup(monkeypatch):
+    admit = RecordReader._admit
+
+    def mutant(self, raw, lineno):
+        ts = ingest._check_fields(raw, self.default_tz)
+        if isinstance(ts, str) or self.date_from <= ts.date() <= self.date_to:
+            return admit(self, raw, lineno)
+        self.stats._skip(lineno, "out_of_range", ts.date().isoformat())
+    monkeypatch.setattr(RecordReader, "_admit", mutant)
+
+
+def _date_to_off_by_one(monkeypatch):
+    init = RecordReader.__init__
+
+    def mutant(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.date_to -= dt.timedelta(days=1)  # as if local >= date_to
+    monkeypatch.setattr(RecordReader, "__init__", mutant)
+
+
+def _null_text_as_empty(monkeypatch):
+    admit = RecordReader._admit
+
+    def mutant(self, raw, lineno):
+        if raw.get("text") is None:
+            raw = {**raw, "text": ""}
+        return admit(self, raw, lineno)
+    monkeypatch.setattr(RecordReader, "_admit", mutant)
+
+
+@pytest.mark.parametrize("mutate", [_window_before_dedup, _date_to_off_by_one,
+                                    _null_text_as_empty])
+def test_oracle_catches_an_admission_fault(tmp_path, toy_lexicon_path,
+                                           monkeypatch, mutate):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus_gen.write_random_corpus(corpus, 300, seed=5)
+    with open(corpus, "a", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(raw) + "\n" for raw in _FAULT_LINES)
+    config = AnalyzeConfig(
+        input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+        out_dir=str(tmp_path / "out"), oracle=True,
+        date_from=dt.date(2017, 7, 2), date_to=dt.date(2017, 7, 4))
+    assert run_analyze(config).summary["oracle_check"] == "ok"
+    mutate(monkeypatch)
+    with pytest.raises(OracleMismatchError, match="rejected_reasons"):
+        run_analyze(config)
+
+
+def test_reference_imports_no_pipeline_code():
+    # --oracle checks only what the reference computes itself, so a change
+    # that makes it share a production path again fails here.
+    tree = ast.parse(Path(reference.__file__).read_text(encoding="utf-8"))
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(["tweetlex"] * bool(node.level)
+                              + [node.module or ""]).strip(".")
+            names += [f"{module}.{alias.name}" for alias in node.names]
+    shared = ("report", "preprocess", "tagger", "temporal", "entities",
+              "_kernels")
+    for name in names:
+        assert name.split(".")[:2] not in [["tweetlex", m] for m in shared]
+    assert {name for name in names if name.startswith("tweetlex.ingest")} \
+        <= {"tweetlex.ingest.IST", "tweetlex.ingest.CSV_HEADER"}

@@ -123,8 +123,11 @@ class TestEmitTags:
         assert target.read_bytes() == \
             (GOLDEN / "expected" / "tags.jsonl").read_bytes()
 
+    # The last three cannot be a new file: one in a missing directory, the
+    # --out directory itself, and an existing directory.
     @pytest.mark.parametrize("target", [
-        *(name for name in GOLDEN_FILES if name != "tags.jsonl"), "input"])
+        *(name for name in GOLDEN_FILES if name != "tags.jsonl"), "input",
+        "sub/tags.jsonl", ".", ".."])
     def test_refuses_another_file_of_the_run(self, tmp_path, capsys, target):
         # The corpus is copied so that naming it as the tags path cannot
         # harm the checked-in one.
@@ -741,6 +744,9 @@ class TestExitCodes:
         ["analyze", "--input", "x", "--lexicon", "y", "--out", "z",
          "--default-tz", "UTC+5"],
         ["top", "--what", "everything", "--input", "x"],
+        # Forms some Pythons' date.fromisoformat reads as 2017-07-04.
+        ["top", "--what", "mentions", "--input", "x", "--from", "20170704"],
+        ["top", "--what", "mentions", "--input", "x", "--to", "2017-W27-2"],
     ])
     def test_usage_errors_exit_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
