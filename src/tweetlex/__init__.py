@@ -4,6 +4,9 @@ The package turns a corpus of tweets (JSONL or CSV) into category counts,
 per-tweet sentiment/emotion labels, daily and hourly activity buckets,
 mention/hashtag frequency tables, and region-level aggregates.  Everything is
 deterministic: the same inputs produce byte-identical output files.
+The stages pass plain data: a record is an ``(id, local time, text,
+location)`` tuple, the lexicon a word -> category-bitmask dict, and the
+gazetteer a tuple of ``(pattern, region)`` pairs.
 
 Hot loops (tokenization and category counting) run through a small compiled
 extension when it is available, with a pure-Python fallback that produces
@@ -17,7 +20,7 @@ from .errors import (
     OracleMismatchError,
     TweetlexError,
 )
-from .lexicon import Category, Lexicon, load_lexicon
+from .lexicon import Category, load_lexicon
 from .preprocess import CleanTweet, load_stopwords, preprocess
 from .tagger import Tag, tag_tweet
 from ._kernels import BACKEND
@@ -30,7 +33,6 @@ __all__ = [
     "CleanTweet",
     "CorpusFormatError",
     "GazetteerError",
-    "Lexicon",
     "LexiconError",
     "OracleMismatchError",
     "Tag",

@@ -188,8 +188,8 @@ def _cmd_top(args) -> int:
                           date_from=args.date_from, date_to=args.date_to)
     mentions, hashtags = FrequencyTable(), FrequencyTable()
     no_stopwords = frozenset()
-    for record in reader:
-        count_entities(preprocess(record, no_stopwords), mentions, hashtags)
+    for _id, _timestamp, text, _location in reader:
+        count_entities(preprocess(text, no_stopwords), mentions, hashtags)
     table = mentions if args.what == "mentions" else hashtags
     for key, count in table.items_sorted()[:args.n]:
         print(f"{key},{count}")

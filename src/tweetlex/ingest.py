@@ -37,15 +37,8 @@ _BAD_BYTES = "invalid UTF-8 byte"
 _scan_once = json.JSONDecoder().scan_once
 
 
-@dataclass(frozen=True)
-class TweetRecord:
-    """One ingested tweet; ``timestamp`` is local time in the reader's
-    ``default_tz``."""
-
-    id: str
-    timestamp: datetime
-    text: str
-    user_location: str | None = None
+#: One admitted tweet: (id, local time, text, location or None).
+Record = tuple[str, datetime, str, str | None]
 
 
 @dataclass
@@ -53,7 +46,6 @@ class ReadStats:
     """Accounting for one read pass: lines == yielded + total skipped."""
 
     lines: int = 0
-    yielded: int = 0
     skipped: Counter = field(default_factory=Counter)
     diagnostics: list[tuple[int, str, str]] = field(default_factory=list)
 
@@ -136,7 +128,8 @@ def _check_fields(raw: Mapping, default_tz: timezone) -> datetime | str:
 
 
 class RecordReader:
-    """Iterable over the valid records of one source, with stats.
+    """Iterable over the valid records of one source, with stats.  Each is
+    a ``Record`` tuple, the shape ``reference.naive_read`` yields.
 
     Each line is checked in this order, and its first failing check names
     its rejection: ``blank_line``, ``encoding``, ``malformed`` (JSON that
@@ -145,7 +138,7 @@ class RecordReader:
     ``timestamp`` (see ``parse_timestamp``) and ``text`` (a string), then
     ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
     out-of-window record whose id was yielded earlier is a ``duplicate``,
-    and only yielded ids enter the seen-set.  A ``TweetRecord`` is built only
+    and only yielded ids enter the seen-set.  A record tuple is built only
     for a line that passes every check; a blank or non-string
     ``user_location`` becomes None.
 
@@ -166,7 +159,7 @@ class RecordReader:
         self.stats = ReadStats()
         self._seen_ids: set[str] = set()
 
-    def __iter__(self) -> Iterator[TweetRecord]:
+    def __iter__(self) -> Iterator[Record]:
         # utf-8-sig drops a leading byte-order mark, so line 1 of a BOM'd
         # file parses like any other line.  surrogateescape turns each
         # invalid byte into a lone surrogate, which the readers reject as
@@ -185,13 +178,13 @@ class RecordReader:
                       errors="surrogateescape", newline="") as fh:
                 yield from self._read(fh)
 
-    def _read(self, fh) -> Iterator[TweetRecord]:
+    def _read(self, fh) -> Iterator[Record]:
         if self.format == "jsonl":
             yield from self._read_jsonl(fh)
         else:
             yield from self._read_csv(fh)
 
-    def _admit(self, raw: Mapping, lineno: int) -> TweetRecord | None:
+    def _admit(self, raw: Mapping, lineno: int) -> Record | None:
         ts = _check_fields(raw, self.default_tz)
         if isinstance(ts, str):
             self.stats._skip(lineno, ts)
@@ -207,13 +200,12 @@ class RecordReader:
                 self.stats._skip(lineno, "out_of_range", local.isoformat())
                 return None
         self._seen_ids.add(rec_id)
-        self.stats.yielded += 1
         loc = raw.get("user_location")
         if not isinstance(loc, str) or not loc.strip():
             loc = None
-        return TweetRecord(rec_id, ts, raw["text"], loc)
+        return rec_id, ts, raw["text"], loc
 
-    def _read_jsonl(self, fh) -> Iterator[TweetRecord]:
+    def _read_jsonl(self, fh) -> Iterator[Record]:
         for lineno, line in enumerate(fh, 1):
             self.stats.lines += 1
             stripped = line.strip()
@@ -240,7 +232,7 @@ class RecordReader:
             if record is not None:
                 yield record
 
-    def _read_csv(self, fh) -> Iterator[TweetRecord]:
+    def _read_csv(self, fh) -> Iterator[Record]:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -4,6 +4,9 @@ The file format is the public word-level association format: one record per
 line, three tab-separated fields ``word<TAB>category<TAB>flag`` with flag 0
 or 1, ``#`` comment lines ignored.  A word carries a category iff its flag
 for that category is 1; words whose flags are all 0 are never stored.
+
+``load_lexicon`` returns a plain dict: each stored (lowercase) word maps to
+its category bitmask, bit ``c`` set for ``Category`` value ``c``.
 """
 
 from __future__ import annotations
@@ -42,29 +45,6 @@ SENTIMENTS: tuple[Category, ...] = (Category.POSITIVE, Category.NEGATIVE)
 EMOTIONS: tuple[Category, ...] = tuple(c for c in Category if c not in SENTIMENTS)
 
 
-class Lexicon:
-    """Immutable word -> category-set table.
-
-    Words are stored lowercase; the category set of each stored word is
-    packed into an int bitmask indexed by ``Category`` values.
-    """
-
-    __slots__ = ("_masks",)
-
-    def __init__(self, masks: dict[str, int]):
-        self._masks = masks
-
-    @property
-    def entry_count(self) -> int:
-        """Number of distinct words carrying at least one category."""
-        return len(self._masks)
-
-    @property
-    def masks(self) -> dict[str, int]:
-        """word -> category bitmask mapping. Treat as read-only."""
-        return self._masks
-
-
 _BIT_BY_LABEL = {c.label: 1 << c for c in Category}
 
 _ALL_BITS = (1 << len(Category)) - 1
@@ -89,8 +69,8 @@ def _block_matcher(order: list[int]):
     return pattern, flag_masks
 
 
-def load_lexicon(path) -> Lexicon:
-    """Parse a word-level lexicon file into a :class:`Lexicon`.
+def load_lexicon(path) -> dict[str, int]:
+    """Parse a word-level lexicon file into a word -> category-mask dict.
 
     Fatal conditions (``LexiconError`` naming the offending line), checked
     in this order on each line: a row without exactly three tab-separated
@@ -198,4 +178,4 @@ def load_lexicon(path) -> Lexicon:
                         if len(set(order)) != len(Category):
                             order = [1 << c for c in Category]
                         block, flag_masks = _block_matcher(order)
-    return Lexicon(masks)
+    return masks

@@ -26,7 +26,6 @@ from importlib import resources
 
 from . import _kernels
 from .errors import TweetlexError
-from .ingest import TweetRecord
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
 # Platform handle/tag grammar: ASCII letters, digits, underscore.
@@ -51,9 +50,8 @@ class CleanTweet:
     urls: list[str]
 
 
-def preprocess(record: TweetRecord, stopwords: frozenset[str]) -> CleanTweet:
-    """Run the full cleaning chain on one validated record."""
-    text = record.text
+def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
+    """Run the full cleaning chain on one tweet's text."""
     urls = _URL_RE.findall(text)
     if urls:
         text = _URL_RE.sub(" ", text)

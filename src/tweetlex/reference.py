@@ -26,7 +26,7 @@ from datetime import date, datetime, timezone
 
 from .errors import CorpusFormatError
 from .ingest import CSV_HEADER, IST
-from .spatial import FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN, Gazetteer
+from .spatial import FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN, Rules
 
 SENTIMENT_ORDER = ("positive", "negative")
 EMOTION_ORDER = ("joy", "trust", "anticipation", "surprise",
@@ -318,7 +318,7 @@ def naive_label(counts: dict[str, int]) -> tuple[str, str, str, bool]:
     return s, e, o, s_tie or e_tie or o_tie
 
 
-def naive_resolve(raw: str | None, gz: Gazetteer) -> str:
+def naive_resolve(raw: str | None, rules: Rules) -> str:
     """Reference region resolution: first-match over the sorted rules,
     then the "india" fallback, else UNKNOWN."""
     if raw is None:
@@ -326,9 +326,9 @@ def naive_resolve(raw: str | None, gz: Gazetteer) -> str:
     text = " ".join(raw.lower().split())
     if not text:
         return UNKNOWN
-    for rule in gz.rules:
-        if rule.pattern in text:
-            return rule.region
+    for pattern, region in rules:
+        if pattern in text:
+            return region
     if "india" in text:
         return INDIA_UNSPECIFIED
     return UNKNOWN
@@ -340,7 +340,7 @@ def _top_subtotal(counts: dict[str, int], n: int = 40) -> int:
 
 
 def run_reference(input_path, fmt: str, lexicon_path, *,
-                  stopwords: frozenset[str], gazetteer: Gazetteer,
+                  stopwords: frozenset[str], gazetteer: Rules,
                   default_tz: timezone = IST,
                   date_from: date | None = None,
                   date_to: date | None = None,

@@ -17,9 +17,11 @@ byte-identical contract); the CLI reports it on stderr.
 
 from __future__ import annotations
 
+import errno
 import itertools
 import json
 import multiprocessing
+import os
 import shutil
 import tempfile
 from contextlib import nullcontext
@@ -31,12 +33,12 @@ from typing import BinaryIO, Iterable, Iterator
 from . import reference
 from .entities import FrequencyTable, count_entities
 from .errors import OracleMismatchError, TweetlexError
-from .ingest import IST, RecordReader, TweetRecord
-from .lexicon import Category, Lexicon, load_lexicon
+from .ingest import IST, Record, RecordReader
+from .lexicon import Category, load_lexicon
 from .preprocess import (count_non_ascii_tokens, default_stopwords_path,
                          is_mention_key, load_stopwords, preprocess)
 from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
-                      Gazetteer, RegionAggregate, default_gazetteer_path,
+                      RegionAggregate, Rules, default_gazetteer_path,
                       load_gazetteer, resolve_location)
 from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, NEUTRAL, OVERALL_LABELS,
                      SENTIMENT_LABELS, tag_tweet)
@@ -128,26 +130,26 @@ class _Partial:
 _G: dict = {}
 
 
-def _init_worker(lex: Lexicon, stopwords: frozenset[str], gz: Gazetteer,
-                 emit_tags: bool, mention: str | None) -> None:
-    _G["lex"] = lex
+def _init_worker(masks: dict[str, int], stopwords: frozenset[str],
+                 rules: Rules, emit_tags: bool, mention: str | None) -> None:
+    _G["masks"] = masks
     _G["stopwords"] = stopwords
-    _G["gz"] = gz
+    _G["rules"] = rules
     _G["emit_tags"] = emit_tags
     _G["mention"] = mention
 
 
-def _process_chunk(records: list[TweetRecord]) -> _Partial:
-    lex: Lexicon = _G["lex"]
+def _process_chunk(records: list[Record]) -> _Partial:
+    masks = _G["masks"]
     stopwords = _G["stopwords"]
-    gz: Gazetteer = _G["gz"]
+    rules = _G["rules"]
     emit_tags = _G["emit_tags"]
     mention = _G["mention"]
 
     part = _Partial()
     region_of: dict = {}  # raw location -> region, for this chunk only
-    for record in records:
-        clean = preprocess(record, stopwords)
+    for rec_id, timestamp, text, location in records:
+        clean = preprocess(text, stopwords)
         if mention is not None and mention not in clean.mentions:
             continue
         part.matched += 1
@@ -156,26 +158,23 @@ def _process_chunk(records: list[TweetRecord]) -> _Partial:
             part.blanks += 1
             continue
         part.non_latin += count_non_ascii_tokens(clean.tokens)
-        tag = tag_tweet(clean, lex)
+        tag = tag_tweet(clean, masks)
         vector, s, e, o, tied = tag
         if tied:
             part.ties += 1
-        part.day.add(tag, record.timestamp)
-        part.hours.add(record.timestamp)
-        raw_location = record.user_location
-        region = region_of.get(raw_location)
+        part.day.add(tag, timestamp)
+        part.hours.add(timestamp)
+        region = region_of.get(location)
         if region is None:
-            region = region_of[raw_location] = resolve_location(raw_location,
-                                                                gz)
+            region = region_of[location] = resolve_location(location, rules)
         if region != UNKNOWN:
             part.regions.add(tag, region)
         if emit_tags:
-            part.tag_rows.append((record.id, vector, s, e, o, tied))
+            part.tag_rows.append((rec_id, vector, s, e, o, tied))
     return part
 
 
-def _iter_chunks(
-        records: Iterable[TweetRecord]) -> Iterator[list[TweetRecord]]:
+def _iter_chunks(records: Iterable[Record]) -> Iterator[list[Record]]:
     records = iter(records)
     while chunk := list(itertools.islice(records, CHUNK_SIZE)):
         yield chunk
@@ -218,15 +217,15 @@ class RunResult:
 
 
 def _load_inputs(config: AnalyzeConfig):
-    lex = load_lexicon(config.lexicon_path)
+    masks = load_lexicon(config.lexicon_path)
     stopwords = load_stopwords(config.stopwords_path
                                or default_stopwords_path())
-    gz = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
-    return lex, stopwords, gz
+    rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
+    return masks, stopwords, rules
 
 
 def _build_summary(config: AnalyzeConfig, reader: RecordReader,
-                   part: _Partial, lex: Lexicon, mentions: list | None,
+                   part: _Partial, masks: dict, mentions: list | None,
                    hashtags: list | None) -> dict:
     """The summary.json dict; ``mentions`` and ``hashtags`` are the sorted
     tables, None on a subcorpus run."""
@@ -249,7 +248,7 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
             "neutral_counts": neutral,
             "tie_count": part.ties,
             "peak_hour_slot": peak,
-            "lexicon_entries": lex.entry_count,
+            "lexicon_entries": len(masks),
         }
     return {
         "records_read": stats.lines,
@@ -279,7 +278,7 @@ def _build_summary(config: AnalyzeConfig, reader: RecordReader,
             "india_total": part.regions.india_total(),
             "foreign": part.regions.count(FOREIGN),
         },
-        "lexicon_entries": lex.entry_count,
+        "lexicon_entries": len(masks),
     }
 
 
@@ -293,7 +292,7 @@ def _diff_dicts(prefix: str, mine, ref, out: list[str]) -> None:
 
 def _check_oracle(config: AnalyzeConfig, summary: dict,
                   part: _Partial, stopwords: frozenset[str],
-                  gz: Gazetteer) -> None:
+                  rules: Rules) -> None:
     """Recompute the run through tweetlex.reference and compare.
 
     Raises OracleMismatchError listing every differing figure.  The
@@ -302,7 +301,7 @@ def _check_oracle(config: AnalyzeConfig, summary: dict,
     """
     ref = reference.run_reference(
         config.input_path, config.fmt, config.lexicon_path,
-        stopwords=stopwords, gazetteer=gz, default_tz=config.default_tz,
+        stopwords=stopwords, gazetteer=rules, default_tz=config.default_tz,
         date_from=config.date_from, date_to=config.date_to,
         mention_filter=config.mention)
     mine_daily: dict[str, dict] = {channel: {} for channel in CHANNELS}
@@ -453,14 +452,24 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     """
     if config.oracle and config.input_path == "-":
         raise TweetlexError("--oracle needs a file input, not stdin")
+    if config.mention is not None and not is_mention_key(config.mention):
+        raise TweetlexError(
+            f"a mention handle is lowercase ASCII letters, digits and "
+            f"underscores, got {config.mention!r}")
     if config.emit_tags is not None:
         _check_tags_path(config)
-    lex, stopwords, gz = _load_inputs(config)
+    out_dir = Path(config.out_dir)
+    # A file on the --out path would stop mkdir only after the whole run.
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR), str(path))
+    masks, stopwords, rules = _load_inputs(config)
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,
                           date_from=config.date_from,
                           date_to=config.date_to)
-    initargs = (lex, stopwords, gz, config.emit_tags is not None,
+    initargs = (masks, stopwords, rules, config.emit_tags is not None,
                 config.mention)
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
@@ -469,13 +478,12 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
         if config.mention is None:
             mentions = part.mentions.items_sorted()
             hashtags = part.hashtags.items_sorted()
-        summary = _build_summary(config, reader, part, lex, mentions,
+        summary = _build_summary(config, reader, part, masks, mentions,
                                  hashtags)
         if config.oracle:
-            _check_oracle(config, summary, part, stopwords, gz)
+            _check_oracle(config, summary, part, stopwords, rules)
             summary["oracle_check"] = "ok"
 
-        out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         written: list[Path] = []
 
@@ -503,8 +511,6 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
 def run_subcorpus(config: AnalyzeConfig) -> RunResult:
     """Analyze only the tweets mentioning config.mention; writes the
     daily table and a subcorpus-shaped summary."""
-    if config.mention is None or not is_mention_key(config.mention):
-        raise TweetlexError(
-            f"subcorpus runs need a mention handle of lowercase ASCII "
-            f"letters, digits and underscores, got {config.mention!r}")
+    if config.mention is None:
+        raise TweetlexError("subcorpus runs need a mention handle")
     return run_analyze(config)

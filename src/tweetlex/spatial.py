@@ -1,22 +1,21 @@
-"""Gazetteer-based resolution of free-text locations and per-region
+"""Resolution of free-text locations through a gazetteer, and per-region
 aggregation in the label rows of ``temporal``.
 
-The gazetteer is data, not code: an ordered list of case-insensitive
-substring rules mapping location strings to a fixed region registry (Indian
-states/UT groupings plus the FOREIGN and INDIA_UNSPECIFIED buckets).  Rules
-are applied first-match, sorted by priority ascending then file order, so
-specific patterns ("new delhi") can shadow general ones ("delhi").  A
-string matching no rule falls back to INDIA_UNSPECIFIED when it contains
-"india", else UNKNOWN.
+The gazetteer is data, not code: case-insensitive substring rules mapping
+location strings to a fixed region registry (Indian states/UT groupings
+plus the FOREIGN and INDIA_UNSPECIFIED buckets).  ``load_gazetteer``
+returns them as a tuple of ``(pattern, region)`` pairs, sorted by priority
+ascending then file order, and rules are applied first-match in that
+order, so specific patterns ("new delhi") can shadow general ones
+("delhi").  A string matching no rule falls back to INDIA_UNSPECIFIED when
+it contains "india", else UNKNOWN.
 """
 
 from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable
 
 from .errors import GazetteerError
 from .tagger import Tag
@@ -62,24 +61,13 @@ def _normalize(text: str) -> str:
     return _WS_RE.sub(" ", text.strip().lower())
 
 
-@dataclass(frozen=True)
-class GazetteerRule:
-    pattern: str
-    region: str
-    priority: int
+#: A gazetteer: its rules as ``(pattern, region)`` pairs in match order.
+Rules = tuple[tuple[str, str], ...]
 
 
-class Gazetteer:
-    """Ordered first-match rule table."""
-
-    __slots__ = ("rules",)
-
-    def __init__(self, rules: Iterable[GazetteerRule]):
-        self.rules: list[GazetteerRule] = list(rules)
-
-
-def load_gazetteer(path) -> Gazetteer:
-    """Parse a ``pattern,region,priority`` CSV (UTF-8, ``#`` comments).
+def load_gazetteer(path) -> Rules:
+    """Parse a ``pattern,region,priority`` CSV (UTF-8, ``#`` comments) into
+    ``(pattern, region)`` pairs sorted by priority, then file order.
 
     Patterns are normalized like location strings (lowercase, trimmed,
     whitespace collapsed).  Unknown region names and non-integer priorities
@@ -90,7 +78,7 @@ def load_gazetteer(path) -> Gazetteer:
             lines = list(fh)
     except UnicodeDecodeError:
         raise GazetteerError(f"{path}: invalid UTF-8 byte") from None
-    rows: list[tuple[int, int, GazetteerRule]] = []  # (priority, file order, rule)
+    rows = []  # (priority, file order, pattern, region)
     data_lines = ((lineno, line) for lineno, line in enumerate(lines, 1)
                   if line.strip() and not line.lstrip().startswith("#"))
     for order, (lineno, line) in enumerate(data_lines):
@@ -111,9 +99,9 @@ def load_gazetteer(path) -> Gazetteer:
             raise GazetteerError(
                 f"{path}: line {lineno}: priority must be an integer, "
                 f"got {fields[2].strip()!r}") from None
-        rows.append((priority, order, GazetteerRule(pattern, region, priority)))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return Gazetteer(rule for _p, _o, rule in rows)
+        rows.append((priority, order, pattern, region))
+    rows.sort()
+    return tuple((pattern, region) for _p, _o, pattern, region in rows)
 
 
 def default_gazetteer_path():
@@ -121,7 +109,7 @@ def default_gazetteer_path():
     return resources.files("tweetlex.data") / "gazetteer_in.csv"
 
 
-def resolve_location(raw: str | None, gz: Gazetteer) -> str:
+def resolve_location(raw: str | None, rules: Rules) -> str:
     """Region for a free-text location string, or UNKNOWN.
 
     Absent/empty input is UNKNOWN; otherwise the first matching rule wins;
@@ -132,9 +120,9 @@ def resolve_location(raw: str | None, gz: Gazetteer) -> str:
     text = _normalize(raw)
     if not text:
         return UNKNOWN
-    for rule in gz.rules:
-        if rule.pattern in text:
-            return rule.region
+    for pattern, region in rules:
+        if pattern in text:
+            return region
     if "india" in text:
         return INDIA_UNSPECIFIED
     return UNKNOWN

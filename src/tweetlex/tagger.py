@@ -13,15 +13,16 @@ Each tweet gets three labels:
 ``tied`` is set when any of the applied argmaxes had two or more maximal
 categories.
 
-Labels stay ints inside the pipeline: each is an index into its channel's
-label tuple below, whose last entry is ``neutral``.  Only the writers turn
-them into strings.
+Counts come from the word -> category-bitmask dict ``load_lexicon``
+returns.  Labels stay ints inside the pipeline: each is an index into its
+channel's label tuple below, whose last entry is ``neutral``.  Only the
+writers turn them into strings.
 """
 
 from __future__ import annotations
 
 from . import _kernels
-from .lexicon import EMOTIONS, SENTIMENTS, Category, Lexicon
+from .lexicon import EMOTIONS, SENTIMENTS, Category
 from .preprocess import CleanTweet
 
 NEUTRAL = "neutral"
@@ -43,9 +44,10 @@ _N_SENTIMENTS = len(SENTIMENTS)
 Tag = tuple[list[int], int, int, int, bool]
 
 
-def tag_tweet(clean: CleanTweet, lex: Lexicon) -> Tag:
-    """Tag one preprocessed tweet; blank tweets come out all-neutral."""
-    vector = _kernels.count_masks(clean.tokens, lex.masks)
+def tag_tweet(clean: CleanTweet, masks: dict[str, int]) -> Tag:
+    """Tag one preprocessed tweet against the word -> category-mask dict
+    that ``load_lexicon`` returns; blank tweets come out all-neutral."""
+    vector = _kernels.count_masks(clean.tokens, masks)
     sentiments = vector[:_N_SENTIMENTS]
     emotions = vector[_N_SENTIMENTS:]
     s_max = max(sentiments)

@@ -4,12 +4,12 @@
 each category's own label is a word carrying just that category.
 """
 
-from tweetlex.lexicon import Category, Lexicon
+from tweetlex.lexicon import Category
 from tweetlex.preprocess import CleanTweet
 from tweetlex.tagger import (EMOTION_LABELS, OVERALL_LABELS,
                              SENTIMENT_LABELS, tag_tweet)
 
-VECTOR_LEXICON = Lexicon({c.label: 1 << c for c in Category})
+VECTOR_MASKS = {c.label: 1 << c for c in Category}
 
 
 def label_names(tag) -> tuple[str, str, str, bool]:
@@ -19,7 +19,7 @@ def label_names(tag) -> tuple[str, str, str, bool]:
 
 
 def label_masks(labels_by_word) -> dict[str, int]:
-    """The ``Lexicon.masks`` of a word -> category-labels mapping."""
+    """The ``load_lexicon`` masks of a word -> category-labels mapping."""
     return {word: sum(1 << Category[label.upper()] for label in labels)
             for word, labels in labels_by_word.items()}
 
@@ -27,4 +27,4 @@ def label_masks(labels_by_word) -> dict[str, int]:
 def tag_vector(vector: list[int]):
     """tag_tweet's result for a tweet whose category counts are ``vector``."""
     tokens = [c.label for c in Category for _ in range(vector[c])]
-    return tag_tweet(CleanTweet(tokens, [], [], []), VECTOR_LEXICON)
+    return tag_tweet(CleanTweet(tokens, [], [], []), VECTOR_MASKS)

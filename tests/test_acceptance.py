@@ -61,11 +61,11 @@ def test_criterion_1_per_tweet_oracle_equivalence(work_dir, toy_lexicon,
     start = time.perf_counter()
     compared = 0
     mismatches = 0
-    for record in RecordReader(str(corpus), "jsonl"):
-        clean = preprocess(record, bundled_stopwords)
+    for _id, _ts, text, _location in RecordReader(str(corpus), "jsonl"):
+        clean = preprocess(text, bundled_stopwords)
         tag = tag_tweet(clean, toy_lexicon)
 
-        tokens, _m, _h, _u = naive_clean(record.text, bundled_stopwords)
+        tokens, _m, _h, _u = naive_clean(text, bundled_stopwords)
         counts = naive_count(tokens, table)
 
         expected_vec = [counts.get(c.label, 0) for c in Category]
@@ -85,14 +85,9 @@ def test_criterion_1_per_tweet_oracle_equivalence(work_dir, toy_lexicon,
 
 
 def test_criterion_2_hand_traced_preprocessing(bundled_stopwords):
-    from tweetlex.ingest import TweetRecord
-    import datetime as dt
-    when = dt.datetime(2017, 7, 1, tzinfo=IST)
-
     exact = 0
     for fx in FIXTURES:
-        clean = preprocess(TweetRecord(id="f", timestamp=when, text=fx.text),
-                           STOPWORDS)
+        clean = preprocess(fx.text, STOPWORDS)
         if (tuple(clean.tokens) == fx.tokens
                 and tuple(clean.mentions) == (fx.mentions or ())
                 and tuple(clean.hashtags) == (fx.hashtags or ())
@@ -115,13 +110,14 @@ def test_criterion_3_partition_invariants(work_dir, toy_lexicon,
         corpus_gen.write_random_corpus(corpus, 10_000, seed=seed)
 
         rows = []
-        for record in RecordReader(str(corpus), "jsonl"):
-            clean = preprocess(record, bundled_stopwords)
+        reader = RecordReader(str(corpus), "jsonl")
+        for _id, timestamp, text, location in reader:
+            clean = preprocess(text, bundled_stopwords)
             if not clean.tokens:
                 continue
             result = tag_tweet(clean, toy_lexicon)
-            local = record.timestamp.astimezone(IST)
-            region = resolve_location(record.user_location, bundled_gazetteer)
+            local = timestamp.astimezone(IST)
+            region = resolve_location(location, bundled_gazetteer)
             rows.append((result, local, region, clean.mentions))
 
         def build(chunk):
@@ -313,15 +309,15 @@ def test_criterion_8_lexicon_loader(scaled_lexicon):
     lex = load_lexicon(lexicon_path)
     scan = scan_lexicon_file(str(lexicon_path))
 
-    entry_ok = lex.entry_count == len(truth) == len(scan)
+    entry_ok = len(lex) == len(truth) == len(scan)
     word_mismatches = 0
     want = label_masks(truth)
     for word, cats in truth.items():
-        if lex.masks.get(word) != want[word] or scan[word] != frozenset(cats):
+        if lex.get(word) != want[word] or scan[word] != frozenset(cats):
             word_mismatches += 1
 
     ok = entry_ok and word_mismatches == 0
-    _line(ok, 8, f"loader vs independent line scan: {lex.entry_count} entries "
+    _line(ok, 8, f"loader vs independent line scan: {len(lex)} entries "
                  f"(truth {len(truth)}), {word_mismatches} word-level "
                  f"mismatches across {len(truth)} words")
     assert entry_ok

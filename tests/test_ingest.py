@@ -4,7 +4,6 @@ import csv
 import datetime as dt
 import io
 import json
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +14,6 @@ from tweetlex.ingest import (
     FORMATS,
     IST,
     RecordReader,
-    TweetRecord,
     parse_timestamp,
     parse_tz_offset,
 )
@@ -40,13 +38,18 @@ def _row(*args, **kwargs):
     return json.dumps(_fields(*args, **kwargs))
 
 
+def _ids(records):
+    return [rec_id for rec_id, _ts, _text, _location in records]
+
+
 def _admit_one(tmp_path, raw):
-    """What RecordReader makes of a one-line corpus of ``raw``: its record,
-    or the reason it rejects it.  naive_read must make the same of it."""
+    """What RecordReader makes of a one-line corpus of ``raw``: its record
+    tuple, or the reason it rejects it.  naive_read must make the same of
+    it."""
     path = _jsonl(tmp_path, [json.dumps(raw)])
     reader, tally = RecordReader(path, "jsonl"), ReadTally()
     records = list(reader)
-    assert list(map(astuple, records)) == list(naive_read(path, "jsonl", tally))
+    assert records == list(naive_read(path, "jsonl", tally))
     assert reader.stats.skipped == tally.skipped
     return records[0] if records else next(iter(tally.skipped))
 
@@ -130,8 +133,8 @@ class TestValidateRecord:
 
     def test_happy_path(self, tmp_path):
         rec = _admit_one(tmp_path, _fields(text="hi", user_location="Delhi"))
-        assert isinstance(rec, TweetRecord)
-        assert rec.user_location == "Delhi"
+        assert rec == ("t1", dt.datetime(2017, 7, 1, 10, 0, tzinfo=IST),
+                       "hi", "Delhi")
 
     @pytest.mark.parametrize("raw,reason", [
         ({}, "id"),
@@ -149,18 +152,18 @@ class TestValidateRecord:
         assert _admit_one(tmp_path, raw) == reason
 
     def test_empty_text_is_a_valid_string(self, tmp_path):
-        rec = _admit_one(tmp_path, _fields(text=""))
-        assert isinstance(rec, TweetRecord)
-        assert rec.text == ""
+        _id, _ts, text, _loc = _admit_one(tmp_path, _fields(text=""))
+        assert text == ""
 
     @pytest.mark.parametrize("loc", [None, "", "   ", 42, ["x"]])
     def test_unusable_location_becomes_none(self, tmp_path, loc):
-        rec = _admit_one(tmp_path, _fields(user_location=loc))
-        assert rec.user_location is None
+        _id, _ts, _text, location = _admit_one(tmp_path,
+                                               _fields(user_location=loc))
+        assert location is None
 
     def test_location_absent(self, tmp_path):
-        rec = _admit_one(tmp_path, _fields())
-        assert rec.user_location is None
+        _id, _ts, _text, location = _admit_one(tmp_path, _fields())
+        assert location is None
 
 
 class TestJsonlReader:
@@ -178,14 +181,13 @@ class TestJsonlReader:
             _row("d"),
         ])
         reader = RecordReader(p, "jsonl")
-        ids = [r.id for r in reader]
+        ids = _ids(reader)
         assert ids == ["a", "d"]
         assert reader.stats.lines == 10
-        assert reader.stats.yielded == 2
         assert reader.stats.skipped == {
             "blank_line": 2, "malformed": 3, "id": 1, "timestamp": 1, "text": 1,
         }
-        assert reader.stats.lines == reader.stats.yielded + reader.stats.skipped_total
+        assert reader.stats.lines == len(ids) + reader.stats.skipped_total
 
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_duplicate_counts_only_yielded_ids(self, tmp_path, fmt):
@@ -200,7 +202,7 @@ class TestJsonlReader:
             _fields("b"),
         ])
         reader = RecordReader(p, fmt)
-        ids = [r.id for r in reader]
+        ids = _ids(reader)
         assert ids == ["a", "b"]
         assert reader.stats.skipped == {"duplicate": 2, "timestamp": 1}
         assert reader.stats.diagnostics == [
@@ -215,7 +217,7 @@ class TestJsonlReader:
         huge = '{"id": "b", "text": "x", "n": %s}' % ("1" * 5000)
         p = _jsonl(tmp_path, [_row("a"), huge, _row("c")])
         reader = RecordReader(p, "jsonl")
-        assert [r.id for r in reader] == ["a", "c"]
+        assert _ids(reader) == ["a", "c"]
         assert reader.stats.skipped == {"malformed": 1}
         [(lineno, reason, detail)] = reader.stats.diagnostics
         assert (lineno, reason) == (2, "malformed")
@@ -224,7 +226,7 @@ class TestJsonlReader:
     def test_deeply_nested_line_is_malformed(self, tmp_path):
         p = _jsonl(tmp_path, [_row("a"), "[" * 200_000, _row("b")])
         reader = RecordReader(p, "jsonl")
-        assert [r.id for r in reader] == ["a", "b"]
+        assert _ids(reader) == ["a", "b"]
         assert reader.stats.lines == 3
         assert reader.stats.skipped == {"malformed": 1}
         assert reader.stats.diagnostics == [
@@ -244,9 +246,9 @@ class TestJsonlReader:
             bounds = {"date_from": dt.date(2017, 7, 1),
                       "date_to": dt.date(2017, 7, 1)}
         reader = RecordReader(p, "jsonl", **bounds)
-        records = list(reader)
-        assert [r.id for r in records] == ["ok"]
-        assert records[0].timestamp.tzinfo is IST
+        [(rec_id, ts, _text, _loc)] = reader
+        assert rec_id == "ok"
+        assert ts.tzinfo is IST
         assert reader.stats.skipped == {"timestamp": 2}
         assert [d[:2] for d in reader.stats.diagnostics] == [
             (1, "timestamp"), (3, "timestamp")]
@@ -278,7 +280,7 @@ class TestJsonlReader:
         reader = RecordReader(p, fmt,
                               date_from=dt.date(2017, 7, 2),
                               date_to=dt.date(2017, 7, 2))
-        ids = [r.id for r in reader]
+        ids = _ids(reader)
         assert ids == ["utc_evening", "july2", "july1"]
         assert reader.stats.skipped == {"out_of_range": 2, "duplicate": 1}
         assert reader.stats.diagnostics == [
@@ -291,15 +293,15 @@ class TestJsonlReader:
         lines = [_row(f"d{d}", ts=f"2017-07-0{d}T12:00:00+05:30") for d in (1, 2, 3)]
         p = _jsonl(tmp_path, lines)
         only_from = RecordReader(p, "jsonl", date_from=dt.date(2017, 7, 2))
-        assert [r.id for r in only_from] == ["d2", "d3"]
+        assert _ids(only_from) == ["d2", "d3"]
         only_to = RecordReader(p, "jsonl", date_to=dt.date(2017, 7, 2))
-        assert [r.id for r in only_to] == ["d1", "d2"]
+        assert _ids(only_to) == ["d1", "d2"]
 
     def test_stdin_source(self, monkeypatch):
         stdin = io.TextIOWrapper(io.BytesIO((_row("s1") + "\n").encode()))
         monkeypatch.setattr("sys.stdin", stdin)
         reader = RecordReader("-", "jsonl")
-        assert [r.id for r in reader] == ["s1"]
+        assert _ids(reader) == ["s1"]
 
     @pytest.mark.parametrize("fmt,source", [("jsonl", "file"),
                                             ("csv", "file"),
@@ -323,7 +325,7 @@ class TestJsonlReader:
                 p = tmp_path / f"corpus{len(bom)}.{fmt}"
                 p.write_bytes(data)
                 reader = RecordReader(p, fmt)
-            readers.append((reader, [r.id for r in reader]))
+            readers.append((reader, _ids(reader)))
         (plain, plain_ids), (marked, marked_ids) = readers
         assert marked_ids == plain_ids == ["a", "b"]
         assert marked.stats.lines == plain.stats.lines == 2
@@ -353,10 +355,10 @@ class TestJsonlReader:
             p = tmp_path / f"corpus.{fmt}"
             p.write_bytes(data)
             reader = RecordReader(p, fmt)
-        ids = [r.id for r in reader]
+        ids = _ids(reader)
         assert ids == [str(i) for i in range(3) if i != bad]
         assert reader.stats.skipped == {"encoding": 1}
-        assert reader.stats.lines == 3 == reader.stats.yielded + 1
+        assert reader.stats.lines == 3 == len(ids) + 1
         lineno = bad + 1 + (fmt == "csv")
         assert reader.stats.diagnostics == [
             (lineno, "encoding", "invalid UTF-8 byte")]
@@ -382,9 +384,8 @@ class TestCsvReader:
         ])
         reader = RecordReader(p, "csv")
         recs = list(reader)
-        assert [r.id for r in recs] == ["a", "b"]
-        assert recs[0].user_location == "Delhi"
-        assert recs[1].user_location is None
+        assert [(rec_id, loc) for rec_id, _ts, _text, loc in recs] == [
+            ("a", "Delhi"), ("b", None)]
 
     def test_header_mismatch_raises(self, tmp_path):
         p = self._csv(tmp_path, ['a,b,c,d'], header="id,timestamp,text,loc")
@@ -411,7 +412,7 @@ class TestCsvReader:
             'b,2017-07-01T11:00:00+05:30,ok,',
         ])
         reader = RecordReader(p, "csv")
-        assert [r.id for r in reader] == ["a", "b"]
+        assert _ids(reader) == ["a", "b"]
         assert reader.stats.skipped["malformed"] == 1
 
     def test_quoted_multiline_field_is_one_row(self, tmp_path):
@@ -421,9 +422,9 @@ class TestCsvReader:
         ])
         reader = RecordReader(p, "csv")
         recs = list(reader)
-        assert recs[0].text == "line one\nline two"
+        assert recs[0][2] == "line one\nline two"
         assert reader.stats.lines == 2
-        assert reader.stats.lines == reader.stats.yielded + reader.stats.skipped_total
+        assert reader.stats.lines == len(recs) + reader.stats.skipped_total
 
 
 _WINDOWS = [(None, None),
@@ -514,12 +515,14 @@ def test_reader_equals_plain_reference(corpus_dir, fmt, data, window):
         _write(path, buf.getvalue())
     date_from, date_to = window
     reader = RecordReader(path, fmt, date_from=date_from, date_to=date_to)
-    got = [(r.id, r.timestamp.isoformat(), r.text, r.user_location)
-           for r in reader]
     tally = ReadTally()
-    assert got == [(rec_id, ts.isoformat(), text, location)
-                   for rec_id, ts, text, location in naive_read(
-                       path, fmt, tally, date_from=date_from, date_to=date_to)]
+    want = list(naive_read(path, fmt, tally, date_from=date_from,
+                           date_to=date_to))
+    got = list(reader)
+    assert got == want
+    # Equal aware datetimes may differ in offset; the local times may not.
+    assert [ts.isoformat() for _i, ts, _t, _l in got] == \
+        [ts.isoformat() for _i, ts, _t, _l in want]
     assert reader.stats.lines == tally.lines
     assert reader.stats.skipped == tally.skipped
     assert reader.stats.diagnostics == tally.diagnostics

@@ -65,14 +65,14 @@ def test_tokenize(kernel_backend, text, expected):
 
 def test_count_masks(kernel_backend, toy_lexicon):
     tokens = ["good", "good", "bad", "nonword", "love"]
-    vec = kernel_backend.count_masks(tokens, toy_lexicon.masks)
+    vec = kernel_backend.count_masks(tokens, toy_lexicon)
     # positive: good x2 + love; negative: bad; joy: good x2 + love;
     # trust: love; sadness: bad
     assert vec == [3, 1, 3, 1, 0, 0, 0, 1, 0, 0]
 
 
 def test_count_masks_empty(kernel_backend, toy_lexicon):
-    assert kernel_backend.count_masks([], toy_lexicon.masks) == [0] * 10
+    assert kernel_backend.count_masks([], toy_lexicon) == [0] * 10
 
 
 def test_tokenize_rejects_nothing_valid(kernel_backend):
@@ -101,10 +101,10 @@ def test_tokenize_is_idempotent(text):
                 max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_count_masks_matches_dict_scan(toy_lexicon, tokens):
-    got = _kernels.count_masks(tokens, toy_lexicon.masks)
+    got = _kernels.count_masks(tokens, toy_lexicon)
     want = [0] * 10
     for tok in tokens:
-        mask = toy_lexicon.masks.get(tok, 0)
+        mask = toy_lexicon.get(tok, 0)
         for bit in range(10):
             if mask >> bit & 1:
                 want[bit] += 1
@@ -115,8 +115,8 @@ def test_count_masks_matches_dict_scan(toy_lexicon, tokens):
                 max_size=30))
 @settings(max_examples=100, deadline=None)
 def test_count_masks_is_permutation_invariant(toy_lexicon, tokens):
-    fwd = _kernels.count_masks(tokens, toy_lexicon.masks)
-    rev = _kernels.count_masks(list(reversed(tokens)), toy_lexicon.masks)
+    fwd = _kernels.count_masks(tokens, toy_lexicon)
+    rev = _kernels.count_masks(list(reversed(tokens)), toy_lexicon)
     assert fwd == rev
 
 
@@ -154,5 +154,5 @@ def test_backends_collapse_identically(compiled_kernel, token):
                                  "fear", "zzz"]), max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_backends_count_identically(compiled_kernel, toy_lexicon, tokens):
-    assert (pure.count_masks(tokens, toy_lexicon.masks)
-            == compiled_kernel.count_masks(tokens, toy_lexicon.masks))
+    assert (pure.count_masks(tokens, toy_lexicon)
+            == compiled_kernel.count_masks(tokens, toy_lexicon))

@@ -23,26 +23,26 @@ def test_category_canonical_order():
 
 def test_category_from_label(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t1\nglad\tpositive\t1\n"))
-    assert lex.masks == {"calm": 1 << Category.JOY,
-                         "glad": 1 << Category.POSITIVE}
+    assert lex == {"calm": 1 << Category.JOY,
+                   "glad": 1 << Category.POSITIVE}
     for token in ("bogus", "JOY"):  # category tokens must be lowercase
         with pytest.raises(LexiconError, match="unknown category"):
             load_lexicon(_write(tmp_path, f"calm\t{token}\t1\n"))
 
 
 def test_load_toy_lexicon(toy_lexicon):
-    assert toy_lexicon.entry_count == len(TOY_LEXICON)
-    assert toy_lexicon.masks == label_masks(TOY_LEXICON)
+    assert len(toy_lexicon) == len(TOY_LEXICON)
+    assert toy_lexicon == label_masks(TOY_LEXICON)
 
 
 def test_masks_use_category_bit_positions(toy_lexicon):
     expected = (1 << Category.POSITIVE) | (1 << Category.JOY) | (1 << Category.TRUST)
-    assert toy_lexicon.masks["love"] == expected
-    assert "unknown" not in toy_lexicon.masks
+    assert toy_lexicon["love"] == expected
+    assert "unknown" not in toy_lexicon
 
 
 def test_unknown_word_has_empty_categories(toy_lexicon):
-    assert "procedure" not in toy_lexicon.masks
+    assert "procedure" not in toy_lexicon
 
 
 def _write(tmp_path, text):
@@ -53,23 +53,23 @@ def _write(tmp_path, text):
 
 def test_flag_zero_rows_are_not_stored(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t0\ncalm\ttrust\t1\n"))
-    assert lex.masks == {"calm": 1 << Category.TRUST}
+    assert lex == {"calm": 1 << Category.TRUST}
 
 
 def test_all_zero_word_is_queryable_but_absent(tmp_path):
     lex = load_lexicon(_write(tmp_path, "calm\tjoy\t0\n"))
-    assert lex.entry_count == 0
-    assert lex.masks == {}
+    assert len(lex) == 0
+    assert lex == {}
 
 
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     lex = load_lexicon(_write(tmp_path, "# header\n\ncalm\tjoy\t1\n"))
-    assert lex.entry_count == 1
+    assert len(lex) == 1
 
 
 def test_words_are_stored_lowercase(tmp_path):
     lex = load_lexicon(_write(tmp_path, "Calm\tjoy\t1\n"))
-    assert lex.masks == {"calm": 1 << Category.JOY}
+    assert lex == {"calm": 1 << Category.JOY}
 
 
 @pytest.mark.parametrize("content,needle", [
@@ -190,7 +190,7 @@ def _outcome(path, *, block=True, piece=lexicon._PIECE_CHARS):
             mp.setattr(lexicon, "_block_matcher",
                        lambda order: (re.compile("(?!)"), {}))
         try:
-            return load_lexicon(path).masks
+            return load_lexicon(path)
         except LexiconError as exc:
             return str(exc)
 
@@ -252,7 +252,7 @@ def test_alphabetical_category_order_loads_by_block(tmp_path, monkeypatch):
 
     monkeypatch.setattr(lexicon, "_block_matcher", counting)
     lex = load_lexicon(path)
-    assert lex.masks == label_masks(truth)
+    assert lex == label_masks(truth)
     # The first word sets the order and each piece boundary cuts at most
     # one block, whose rows are checked one by one; every other word is one
     # match.

@@ -6,14 +6,12 @@ pipeline ran on it.  The suite runs each one through both kernel backends
 point the preprocess module dispatches through.
 """
 
-import datetime as dt
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tweetlex import _kernels
-from tweetlex.ingest import IST, TweetRecord
 from tweetlex.preprocess import (
     CleanTweet,
     count_non_ascii_tokens,
@@ -24,13 +22,6 @@ from tweetlex.report import AnalyzeConfig, run_analyze
 
 from golden_fixtures import FIXTURES, STOPWORDS
 
-_WHEN = dt.datetime(2017, 7, 1, 12, 0, 0, tzinfo=IST)
-
-
-def _record(text: str) -> TweetRecord:
-    return TweetRecord(id="t1", timestamp=_WHEN, text=text)
-
-
 @pytest.fixture
 def backend(kernel_backend, monkeypatch):
     monkeypatch.setattr(_kernels, "tokenize", kernel_backend.tokenize)
@@ -39,7 +30,7 @@ def backend(kernel_backend, monkeypatch):
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: repr(fx.text)[:48])
 def test_golden_fixture(fx, backend):
-    clean = preprocess(_record(fx.text), STOPWORDS)
+    clean = preprocess(fx.text, STOPWORDS)
     assert tuple(clean.tokens) == fx.tokens
     assert tuple(clean.mentions) == (fx.mentions or ())
     assert tuple(clean.hashtags) == (fx.hashtags or ())
@@ -56,48 +47,48 @@ class TestExtractionOrder:
     embedded in a link never leak into the entity lists."""
 
     def test_mention_inside_url_not_extracted(self):
-        clean = preprocess(_record("see http://x.com/@user now"), STOPWORDS)
+        clean = preprocess("see http://x.com/@user now", STOPWORDS)
         assert clean.urls == ["http://x.com/@user"]
         assert clean.mentions == []
         assert clean.tokens == ["see", "now"]
 
     def test_hashtag_inside_url_not_extracted(self):
-        clean = preprocess(_record("docs at www.ex.com/#frag here"), STOPWORDS)
+        clean = preprocess("docs at www.ex.com/#frag here", STOPWORDS)
         assert clean.urls == ["www.ex.com/#frag"]
         assert clean.hashtags == []
         assert clean.tokens == ["docs", "here"]
 
     def test_mention_stripped_before_hashtag_scan(self):
         # "@tag#x": the mention regex consumes "tag" first, leaving "#x".
-        clean = preprocess(_record("@tag#x fine"), STOPWORDS)
+        clean = preprocess("@tag#x fine", STOPWORDS)
         assert clean.mentions == ["tag"]
         assert clean.hashtags == ["x"]
         assert clean.tokens == ["fine"]
 
     def test_entities_keep_multiplicity_and_order(self):
-        clean = preprocess(_record("@A @a #Tag #tag @A"), STOPWORDS)
+        clean = preprocess("@A @a #Tag #tag @A", STOPWORDS)
         assert clean.mentions == ["a", "a", "a"]
         assert clean.hashtags == ["Tag", "tag"]
 
 
 class TestEntityRules:
     def test_mentions_lowercased(self):
-        clean = preprocess(_record("@GST_Council and @Modi"), STOPWORDS)
+        clean = preprocess("@GST_Council and @Modi", STOPWORDS)
         assert clean.mentions == ["gst_council", "modi"]
 
     def test_hashtags_keep_case(self):
-        clean = preprocess(_record("#GST #gst #GSTRollout"), STOPWORDS)
+        clean = preprocess("#GST #gst #GSTRollout", STOPWORDS)
         assert clean.hashtags == ["GST", "gst", "GSTRollout"]
 
     def test_entities_replaced_with_space(self):
         # A removed entity leaves a token break, so the text on either
         # side of it never fuses into one token.
-        clean = preprocess(_record("left@bobédgeécho#tagénd"), STOPWORDS)
+        clean = preprocess("left@bobédgeécho#tagénd", STOPWORDS)
         assert clean.mentions == ["bob"]
         assert clean.hashtags == ["tag"]
         assert clean.tokens == ["left", "édgeécho", "énd"]
         for text in ("a http://x.y b", "a WWW.x.y b"):
-            clean = preprocess(_record(text), STOPWORDS)
+            clean = preprocess(text, STOPWORDS)
             assert clean.urls == [text[2:-2]]
             assert clean.tokens == []
 
@@ -128,7 +119,7 @@ def test_blank_flag_matches_token_emptiness(texts, toy_lexicon_path,
     summary = run_analyze(AnalyzeConfig(
         input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
         out_dir=str(tmp / "out"))).summary
-    blanks = sum(not preprocess(_record(text), bundled_stopwords).tokens
+    blanks = sum(not preprocess(text, bundled_stopwords).tokens
                  for text in texts)
     assert summary["blanks_dropped"] == blanks
     assert summary["tweets_tagged"] == len(texts) - blanks
@@ -136,7 +127,7 @@ def test_blank_flag_matches_token_emptiness(texts, toy_lexicon_path,
 
 @given(text=_tweety_text)
 def test_tokens_obey_filter_rules(text):
-    clean = preprocess(_record(text), STOPWORDS)
+    clean = preprocess(text, STOPWORDS)
     for tok in clean.tokens:
         assert len(tok) >= 3
         assert "http" not in tok

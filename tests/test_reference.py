@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from tweetlex import ingest, reference
 from tweetlex.errors import OracleMismatchError
-from tweetlex.ingest import IST, RecordReader, TweetRecord
+from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category, load_lexicon
 from tweetlex.preprocess import CleanTweet, preprocess
 from tweetlex.reference import (
@@ -36,8 +36,6 @@ from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL, TOY_LEXICON
 from golden_fixtures import FIXTURES, STOPWORDS
 from tag_helpers import label_masks, label_names
 
-_WHEN = dt.datetime(2017, 7, 1, 12, 0, 0, tzinfo=IST)
-
 _fragments = st.sampled_from([
     "http://t.co/x", "https://", "www.gst.gov.in", "@user", "@GST_Council",
     "#GST", "#1", "http", "sooo", "goooood", "___", "a_b", "!!!", "नमस्ते",
@@ -51,8 +49,7 @@ _tweety_text = st.lists(
 @settings(max_examples=400)
 @given(text=_tweety_text)
 def test_naive_clean_matches_preprocess(text):
-    record = TweetRecord(id="t", timestamp=_WHEN, text=text)
-    clean = preprocess(record, STOPWORDS)
+    clean = preprocess(text, STOPWORDS)
     tokens, mentions, hashtags, urls = naive_clean(text, STOPWORDS)
     assert tokens == clean.tokens
     assert mentions == clean.mentions
@@ -124,8 +121,8 @@ def test_scan_lexicon_matches_loader(messy, toy_lexicon_path, tmp_path):
     lexicon = load_lexicon(path)
     table = scan_lexicon_file(str(path))
     assert set(table) == words
-    assert len(table) == lexicon.entry_count
-    assert lexicon.masks == label_masks(table)
+    assert len(table) == len(lexicon)
+    assert lexicon == label_masks(table)
 
 
 @pytest.fixture(scope="module")

@@ -206,7 +206,9 @@ _ID_CHARS = st.one_of(
     st.sampled_from('"\\\x7f\u2028\u2029'),
     st.characters(max_codepoint=0x1F),
     st.characters(min_codepoint=0x10000),
-    st.characters(),
+    # Lone surrogates (category Cs) are not encodable; admission rejects
+    # such an id, so no tag row carries one.
+    st.characters(exclude_categories=("Cs",)),
 )
 
 
@@ -324,6 +326,19 @@ class TestSubcorpus:
                                out_dir=str(tmp_path / "out"))
         with pytest.raises(Exception, match="mention"):
             run_subcorpus(config)
+
+    @pytest.mark.parametrize("handle", ["PMOIndia", "fin-min", ""])
+    def test_analyze_api_refuses_what_subcorpus_refuses(
+            self, toy_lexicon_path, tmp_path, handle):
+        # run_analyze takes the mention filter too.  It refuses a handle no
+        # mention can equal before any input is read: the input is missing.
+        config = AnalyzeConfig(input_path=str(tmp_path / "missing.jsonl"),
+                               lexicon_path=str(toy_lexicon_path),
+                               out_dir=str(tmp_path / "out"),
+                               mention=handle)
+        with pytest.raises(TweetlexError, match="mention handle"):
+            run_analyze(config)
+        assert not (tmp_path / "out").exists()
 
     def test_api_rejects_uppercase_handle(self, toy_lexicon_path, tmp_path):
         # Only the CLI lowercases; the library takes the handle as given.
@@ -497,12 +512,11 @@ class TestRegionsCsv:
         emotions = reference.EMOTION_ORDER
         table = reference.scan_lexicon_file(str(toy_lexicon_path))
         counts: dict[str, dict] = {}
-        for record in RecordReader(str(corpus), "jsonl"):
-            tokens = reference.naive_clean(record.text, bundled_stopwords)[0]
+        for _id, _ts, text, location in RecordReader(str(corpus), "jsonl"):
+            tokens = reference.naive_clean(text, bundled_stopwords)[0]
             if not tokens:
                 continue
-            region = reference.naive_resolve(record.user_location,
-                                             bundled_gazetteer)
+            region = reference.naive_resolve(location, bundled_gazetteer)
             if region == spatial.UNKNOWN:
                 continue
             s, e, _o, _tied = reference.naive_label(
@@ -719,6 +733,24 @@ class TestExitCodes:
         blocker.write_text("a file, not a directory", encoding="utf-8")
         rc = main(_golden_args(blocker))
         assert rc == 2
+
+    @pytest.mark.parametrize("under", [False, True],
+                             ids=["out-is-file", "ancestor-is-file"])
+    def test_file_out_refused_before_input_is_read(self, tmp_path,
+                                                   monkeypatch, capsys,
+                                                   under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory", encoding="utf-8")
+        stdin = io.BytesIO((GOLDEN / "corpus.jsonl").read_bytes())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+        out = blocker / "sub" / "out" if under else blocker
+        rc = main(["analyze", "--input", "-",
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert stdin.tell() == 0
+        assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
 
     def test_bad_lexicon_is_config_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

@@ -1,5 +1,7 @@
 """Location resolution tests: rule precedence, fallbacks, aggregation."""
 
+import csv
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,9 +12,8 @@ from tweetlex.spatial import (
     INDIAN_REGIONS,
     REGIONS,
     UNKNOWN,
-    Gazetteer,
-    GazetteerRule,
     RegionAggregate,
+    default_gazetteer_path,
     load_gazetteer,
     resolve_location,
 )
@@ -78,8 +79,8 @@ class TestResolveLocation:
         assert resolve_location(raw, bundled_gazetteer) == UNKNOWN
 
     def test_every_bundled_pattern_resolves_somewhere(self, bundled_gazetteer):
-        for rule in bundled_gazetteer.rules:
-            assert resolve_location(rule.pattern, bundled_gazetteer) != UNKNOWN
+        for pattern, _region in bundled_gazetteer:
+            assert resolve_location(pattern, bundled_gazetteer) != UNKNOWN
 
 
 class TestLoadGazetteer:
@@ -96,17 +97,19 @@ class TestLoadGazetteer:
             "aaa ville,Bihar,1",
             "mmm pur,Kerala,1",
             "qqq,FOREIGN,3",
+            "abc gaon,Assam,1",
         ]) + "\n")
-        assert [(r.pattern, r.region, r.priority) for r in gz.rules] == [
-            ("aaa ville", "Bihar", 1),
-            ("mmm pur", "Kerala", 1),
-            ("zzz town", "Goa", 2),
-            ("qqq", "FOREIGN", 3),
-        ]
+        assert gz == (
+            ("aaa ville", "Bihar"),
+            ("mmm pur", "Kerala"),
+            ("abc gaon", "Assam"),
+            ("zzz town", "Goa"),
+            ("qqq", "FOREIGN"),
+        )
 
     def test_patterns_normalized_at_load(self, tmp_path):
         gz = self._load(tmp_path, "  NEW   Town ,Goa,1\n")
-        assert gz.rules[0].pattern == "new town"
+        assert gz == (("new town", "Goa"),)
         assert resolve_location("new town, beach", gz) == "Goa"
 
     @pytest.mark.parametrize("line", [
@@ -123,10 +126,18 @@ class TestLoadGazetteer:
             load_gazetteer(p)
 
     def test_bundled_gazetteer_loads(self, bundled_gazetteer):
-        assert len(bundled_gazetteer.rules) > 100
-        priorities = [r.priority for r in bundled_gazetteer.rules]
-        assert priorities == sorted(priorities)
-        assert all(r.region in REGIONS for r in bundled_gazetteer.rules)
+        # Read the CSV apart from the loader: rows sorted by priority (a
+        # stable sort keeps file order), patterns lowercased and
+        # whitespace-collapsed.
+        with default_gazetteer_path().open(encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh)
+                    if row and not row[0].lstrip().startswith("#")]
+        rows.sort(key=lambda row: int(row[2]))
+        assert bundled_gazetteer == tuple(
+            (" ".join(pattern.lower().split()), region.strip())
+            for pattern, region, _priority in rows)
+        assert len(bundled_gazetteer) > 100
+        assert all(region in REGIONS for _pattern, region in bundled_gazetteer)
 
 
 def test_region_registry_shape():
