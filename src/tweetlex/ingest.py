@@ -2,7 +2,7 @@
 
 Malformed lines never abort a stream: they are skipped, tallied by reason,
 and logged with their line number.  The accounting invariant
-``yielded + skipped == lines`` holds for every run.
+``admitted + skipped == lines`` holds for every run.
 """
 
 from __future__ import annotations
@@ -43,21 +43,28 @@ Record = tuple[str, datetime, str, str | None]
 
 @dataclass
 class ReadStats:
-    """Accounting for one read pass: lines == yielded + total skipped."""
+    """Accounting for one read pass: lines == admitted records + total
+    skipped.  The first 1,000 rejections keep their diagnostics."""
 
     lines: int = 0
     skipped: Counter = field(default_factory=Counter)
     diagnostics: list[tuple[int, str, str]] = field(default_factory=list)
+    # Whether rejections go to the debug log.  The reader asks the logger
+    # once per pass, so a rejected line makes no logging call by default.
+    log_skips: bool = field(default=False, repr=False, compare=False)
 
     @property
     def skipped_total(self) -> int:
         return sum(self.skipped.values())
 
-    def _skip(self, lineno: int, reason: str, detail: str = "") -> None:
+    def _skip(self, lineno: int, reason: str, detail: object = "") -> None:
+        """Tally one rejection; ``detail`` becomes a string only when it is
+        stored or logged."""
         self.skipped[reason] += 1
         if len(self.diagnostics) < _MAX_DIAGNOSTICS:
-            self.diagnostics.append((lineno, reason, detail))
-        logger.debug("line %d skipped (%s) %s", lineno, reason, detail)
+            self.diagnostics.append((lineno, reason, str(detail)))
+        if self.log_skips:
+            logger.debug("line %d skipped (%s) %s", lineno, reason, detail)
 
 
 def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
@@ -179,6 +186,7 @@ class RecordReader:
                 yield from self._read(fh)
 
     def _read(self, fh) -> Iterator[Record]:
+        self.stats.log_skips = logger.isEnabledFor(logging.DEBUG)
         if self.format == "jsonl":
             yield from self._read_jsonl(fh)
         else:
@@ -197,7 +205,7 @@ class RecordReader:
             local = ts.date()
             if (self.date_from and local < self.date_from) or \
                     (self.date_to and local > self.date_to):
-                self.stats._skip(lineno, "out_of_range", local.isoformat())
+                self.stats._skip(lineno, "out_of_range", local)
                 return None
         self._seen_ids.add(rec_id)
         loc = raw.get("user_location")
@@ -220,7 +228,7 @@ class RecordReader:
             except ValueError as exc:
                 # A JSONDecodeError, or an integer literal longer than
                 # Python's int-string conversion limit.
-                self.stats._skip(lineno, "malformed", str(exc))
+                self.stats._skip(lineno, "malformed", exc)
                 continue
             except RecursionError:
                 self.stats._skip(lineno, "malformed", "nested too deeply")
@@ -251,7 +259,7 @@ class RecordReader:
                 return
             except csv.Error as exc:
                 self.stats.lines += 1
-                self.stats._skip(reader.line_num, "malformed", str(exc))
+                self.stats._skip(reader.line_num, "malformed", exc)
                 continue
             self.stats.lines += 1
             lineno = reader.line_num

@@ -139,12 +139,29 @@ def _init_worker(masks: dict[str, int], stopwords: frozenset[str],
     _G["mention"] = mention
 
 
+def _may_mention(text: str, at_handle: str) -> bool:
+    """Whether ``text`` can mention ``at_handle`` ("@" plus a lowercase
+    handle): a cheap test before ``preprocess`` that every match passes.
+
+    A matched mention is "@" plus ASCII handle characters that stand
+    together in ``text``: URL removal puts a space in place of each URL,
+    so it never joins characters.  ``str.lower`` maps each ASCII letter to
+    its own lowercase form wherever it stands, so that run reads as
+    ``at_handle`` in ``text.lower()``.
+    """
+    return at_handle in text.lower()
+
+
 def _process_chunk(records: list[Record]) -> _Partial:
     masks = _G["masks"]
     stopwords = _G["stopwords"]
     rules = _G["rules"]
     emit_tags = _G["emit_tags"]
     mention = _G["mention"]
+    if mention is not None:
+        at_handle = "@" + mention
+        records = [record for record in records
+                   if _may_mention(record[2], at_handle)]
 
     part = _Partial()
     region_of: dict = {}  # raw location -> region, for this chunk only

@@ -4,6 +4,7 @@ import csv
 import datetime as dt
 import io
 import json
+import logging
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,3 +527,63 @@ def test_reader_equals_plain_reference(corpus_dir, fmt, data, window):
     assert reader.stats.lines == tally.lines
     assert reader.stats.skipped == tally.skipped
     assert reader.stats.diagnostics == tally.diagnostics
+
+
+class TestRejectionDiagnostics:
+    """Rejections are tallied in full; their diagnostics are kept for the
+    first 1,000 and logged at DEBUG only."""
+
+    WINDOW = {"date_from": dt.date(2017, 7, 3), "date_to": dt.date(2017, 7, 3)}
+
+    @pytest.fixture
+    def windowed(self, tmp_path):
+        # 1,400 lines over six days: about 1,170 fall outside the one-day
+        # window, with a malformed line and a duplicate now and then.
+        lines = []
+        for i in range(1400):
+            day = 1 + i % 6
+            if i % 97 == 5:
+                lines.append("{oops")
+            elif i % 89 == 7:
+                lines.append(_row("r0003", ts="2017-07-03T09:00:00+05:30"))
+            else:
+                lines.append(_row(f"r{i:04d}",
+                                  ts=f"2017-07-0{day}T23:30:00+05:30"))
+        return _jsonl(tmp_path, lines)
+
+    def test_equal_to_reference_tally_with_iso_dates_and_cap(self, windowed):
+        reader = RecordReader(windowed, "jsonl", **self.WINDOW)
+        tally = ReadTally()
+        assert list(reader) == list(naive_read(windowed, "jsonl", tally,
+                                               **self.WINDOW))
+        assert reader.stats.skipped == tally.skipped
+        assert reader.stats.diagnostics == tally.diagnostics
+        assert set(reader.stats.skipped) == {
+            "out_of_range", "malformed", "duplicate"}
+        assert reader.stats.skipped_total > 1000
+        assert len(reader.stats.diagnostics) == 1000
+        lines = windowed.read_text(encoding="utf-8").splitlines()
+        out_of_range = 0
+        for lineno, reason, detail in reader.stats.diagnostics:
+            assert type(detail) is str
+            if reason == "out_of_range":
+                out_of_range += 1
+                assert detail == json.loads(lines[lineno - 1])[
+                    "created_at"][:10]
+        assert out_of_range > 900
+
+    def test_debug_log_holds_every_rejection(self, windowed, caplog):
+        caplog.set_level(logging.DEBUG, logger="tweetlex.ingest")
+        reader = RecordReader(windowed, "jsonl", **self.WINDOW)
+        list(reader)
+        skipped = [r for r in caplog.records if "skipped" in r.getMessage()]
+        assert len(skipped) == reader.stats.skipped_total
+        assert skipped[0].getMessage() == \
+            "line 1 skipped (out_of_range) 2017-07-01"
+
+    def test_no_log_record_below_debug(self, windowed, caplog):
+        caplog.set_level(logging.INFO, logger="tweetlex.ingest")
+        reader = RecordReader(windowed, "jsonl", **self.WINDOW)
+        list(reader)
+        assert reader.stats.skipped_total > 1000
+        assert caplog.records == []

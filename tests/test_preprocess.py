@@ -18,7 +18,7 @@ from tweetlex.preprocess import (
     load_stopwords,
     preprocess,
 )
-from tweetlex.report import AnalyzeConfig, run_analyze
+from tweetlex.report import AnalyzeConfig, _may_mention, run_analyze
 
 from golden_fixtures import FIXTURES, STOPWORDS
 
@@ -123,6 +123,61 @@ def test_blank_flag_matches_token_emptiness(texts, toy_lexicon_path,
                  for text in texts)
     assert summary["blanks_dropped"] == blanks
     assert summary["tweets_tagged"] == len(texts) - blanks
+
+
+# A subcorpus run skips a tweet before preprocess when its lowercased text
+# lacks "@" + handle.  These draws put the handle where that check could
+# go wrong: inside and right after URLs, in mixed case, as the prefix of a
+# longer handle, and next to characters whose lower() is or holds ASCII.
+_HANDLE_NEIGHBOURS = st.sampled_from([
+    "", " ", ".", "/", "@", "#", "_", "x", "K", "i", "s", "http://",
+    "https://x.co/", "www.", "www.a.b", "\u212a", "\u0130", "\u017f",
+    "\u03a3", "\u1e9e", "\ufb00", "\u00e9",
+])
+
+
+@st.composite
+def _text_and_handle(draw):
+    handle = draw(st.from_regex(r"[a-z0-9_]{1,5}", fullmatch=True))
+    pieces = []
+    for _ in range(draw(st.integers(1, 4))):
+        written = "".join(c.upper() if draw(st.booleans()) else c
+                          for c in handle)
+        form = draw(st.sampled_from([
+            "@{}", "http://x.co/@{}", "www.a.b@{}", "http://x.co @{}",
+            "https://t.co/x@{} @{}", "@{}\u212a", "@{}x_9", "@{}\u0130",
+            "\u212a@{}", "\u017f@{}", "@\u212a{}", "{}",
+        ]))
+        pieces += [draw(_HANDLE_NEIGHBOURS), form.format(written, written),
+                   draw(st.one_of(_HANDLE_NEIGHBOURS, st.text(max_size=3)))]
+    return "".join(pieces), handle
+
+
+@settings(max_examples=400)
+@given(case=_text_and_handle())
+def test_handle_pre_check_keeps_every_match(case):
+    text, handle = case
+    if handle in preprocess(text, STOPWORDS).mentions:
+        assert "@" + handle in text.lower()
+        assert _may_mention(text, "@" + handle)
+
+
+@pytest.mark.parametrize("text, handle, matched", [
+    ("Thanks @FinMinIndia!", "finminindia", True),
+    ("http://x.co @GST_council", "gst_council", True),
+    ("\u212a@gSt", "gst", True),
+    ("\u0130@gst\u0130", "gst", True),
+    # The check is necessary, not sufficient: each of these passes it and
+    # preprocess still finds no such mention.
+    ("http://x.co/@gst", "gst", False),
+    ("www.a.b@gst", "gst", False),
+    ("@gst_council", "gst", False),
+    ("@\u212aelvin", "kelvin", False),
+    ("@gst\u0130", "gsti", False),
+])
+def test_handle_pre_check_examples(text, handle, matched):
+    assert (handle in preprocess(text, STOPWORDS).mentions) == matched
+    assert _may_mention(text, "@" + handle)
 
 
 @given(text=_tweety_text)

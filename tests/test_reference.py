@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tweetlex import ingest, reference
+from tweetlex import ingest, reference, report
 from tweetlex.errors import OracleMismatchError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category, load_lexicon
@@ -252,6 +252,23 @@ def test_oracle_catches_an_admission_fault(tmp_path, toy_lexicon_path,
     assert run_analyze(config).summary["oracle_check"] == "ok"
     mutate(monkeypatch)
     with pytest.raises(OracleMismatchError, match="rejected_reasons"):
+        run_analyze(config)
+
+
+def test_oracle_catches_a_handle_pre_check_that_drops_matches(
+        tmp_path, toy_lexicon_path, monkeypatch):
+    # The generated corpus writes the handle as "@FinMinIndia", so a
+    # case-sensitive pre-check skips every tweet that mentions it.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus_gen.write_random_corpus(corpus, 300, seed=5)
+    assert "@FinMinIndia" in corpus.read_text(encoding="utf-8")
+    config = AnalyzeConfig(
+        input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+        out_dir=str(tmp_path / "out"), oracle=True, mention="finminindia")
+    assert run_analyze(config).summary["subcorpus_tweets"] > 0
+    monkeypatch.setattr(report, "_may_mention",
+                        lambda text, at_handle: at_handle in text)
+    with pytest.raises(OracleMismatchError, match="subcorpus_tweets"):
         run_analyze(config)
 
 

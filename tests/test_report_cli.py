@@ -18,13 +18,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from datetime import date
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 import tweetlex
-from tweetlex import reference, spatial
+from tweetlex import reference, report, spatial
 from tweetlex.errors import OracleMismatchError, TweetlexError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category
@@ -96,6 +97,35 @@ class TestDeterminism:
                 workers=workers))
             trees[workers] = _read_tree(out)
         assert trees[1] == trees[2] == trees[3]
+
+    def test_subcorpus_worker_count_never_changes_output(
+            self, corpus, toy_lexicon_path, tmp_path):
+        trees = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            run_subcorpus(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+                workers=workers, mention="gst_council"))
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2] == trees[3]
+        assert sorted(trees[1]) == ["daily.csv", "summary.json", "tags.jsonl"]
+        assert trees[1]["tags.jsonl"]
+
+    def test_subcorpus_oracle_adds_only_its_summary_key(
+            self, corpus, toy_lexicon_path, tmp_path):
+        trees = {}
+        for oracle in (False, True):
+            out = tmp_path / f"oracle{oracle}"
+            run_subcorpus(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+                mention="finminindia", oracle=oracle))
+            trees[oracle] = _read_tree(out)
+        checked = json.loads(trees[True].pop("summary.json"))
+        assert checked.pop("oracle_check") == "ok"
+        assert checked == json.loads(trees[False].pop("summary.json"))
+        assert trees[False] == trees[True]
 
     def test_rerun_is_byte_identical(self, corpus, toy_lexicon_path, tmp_path):
         outs = []
@@ -349,6 +379,56 @@ class TestSubcorpus:
         with pytest.raises(TweetlexError, match="mention handle"):
             run_subcorpus(config)
         assert not (tmp_path / "out").exists()
+
+
+class TestSubcorpusWork:
+    """A subcorpus run cleans only the admitted tweets whose lowercased
+    text holds "@" + handle; an analyze run cleans every admitted tweet."""
+
+    WINDOW = {"date_from": date(2017, 7, 2), "date_to": date(2017, 7, 5)}
+
+    @pytest.fixture
+    def cleaned(self, monkeypatch):
+        texts = []
+        preprocess = report.preprocess
+
+        def counted(text, stopwords):
+            texts.append(text)
+            return preprocess(text, stopwords)
+        monkeypatch.setattr(report, "preprocess", counted)
+        return texts
+
+    def _config(self, corpus, lexicon, out, **extra):
+        return AnalyzeConfig(input_path=str(corpus), lexicon_path=str(lexicon),
+                             out_dir=str(out), **self.WINDOW, **extra)
+
+    def _admitted_texts(self, corpus):
+        return [text for _id, _ts, text, _loc
+                in RecordReader(str(corpus), "jsonl", **self.WINDOW)]
+
+    # "finmin" is a prefix of the corpus's "FinMinIndia": the check passes
+    # those tweets, and preprocess matches none of them.
+    @pytest.mark.parametrize("handle", ["finminindia", "gst_council",
+                                        "finmin"])
+    def test_subcorpus_cleans_only_possible_carriers(
+            self, corpus, toy_lexicon_path, tmp_path, cleaned, handle):
+        texts = self._admitted_texts(corpus)
+        result = run_subcorpus(self._config(corpus, toy_lexicon_path,
+                                            tmp_path / "out",
+                                            mention=handle))
+        carriers = [text for text in texts if "@" + handle in text.lower()]
+        assert cleaned == carriers
+        assert 0 < len(carriers) < len(texts)
+        assert result.part.matched <= len(carriers)
+
+    def test_analyze_cleans_every_admitted_tweet(
+            self, corpus, toy_lexicon_path, tmp_path, cleaned):
+        texts = self._admitted_texts(corpus)
+        result = run_analyze(self._config(corpus, toy_lexicon_path,
+                                          tmp_path / "out"))
+        assert cleaned == texts
+        assert result.summary["records_rejected"] > 0
+        assert result.part.matched == len(texts)
 
 
 @pytest.fixture(scope="module")
