@@ -5,8 +5,10 @@ per-tweet sentiment/emotion labels, daily and hourly activity buckets,
 mention/hashtag frequency tables, and region-level aggregates.  Everything is
 deterministic: the same inputs produce byte-identical output files.
 The stages pass plain data: a record is an ``(id, local time, text,
-location)`` tuple, the lexicon a word -> category-bitmask dict, and the
-gazetteer a tuple of ``(pattern, region)`` pairs.
+location)`` tuple, a cleaned tweet a ``CleanTweet`` named tuple of its
+tokens and its final mention and hashtag keys, the lexicon a word ->
+category-bitmask dict, and the gazetteer a tuple of ``(pattern, region)``
+pairs.  ``tag_tweet`` takes the token list.
 
 Hot loops (tokenization and category counting) run through a small compiled
 extension when it is available, with a pure-Python fallback that produces

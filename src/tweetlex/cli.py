@@ -19,7 +19,7 @@ from datetime import date
 from pathlib import Path
 
 from . import __version__
-from .entities import FrequencyTable, count_entities
+from .entities import FrequencyTable
 from .errors import TweetlexError
 from .ingest import FORMATS, IST, RecordReader, parse_tz_offset
 from .preprocess import preprocess
@@ -189,7 +189,9 @@ def _cmd_top(args) -> int:
     mentions, hashtags = FrequencyTable(), FrequencyTable()
     no_stopwords = frozenset()
     for _id, _timestamp, text, _location in reader:
-        count_entities(preprocess(text, no_stopwords), mentions, hashtags)
+        clean = preprocess(text, no_stopwords)
+        mentions.update(clean.mentions)
+        hashtags.update(clean.hashtags)
     table = mentions if args.what == "mentions" else hashtags
     for key, count in table.items_sorted()[:args.n]:
         print(f"{key},{count}")

@@ -1,17 +1,15 @@
 """Mention/hashtag frequency tables.
 
 Counting is per-occurrence: a user mentioned twice in one tweet counts
-twice.  Mention keys are lowercase (handles are case-insensitive on the
-platform); hashtag keys are uppercased so differently-cased spellings of
-one tag merge.
+twice.  The keys arrive folded by ``preprocess``: mentions lowercase
+(handles are case-insensitive on the platform), hashtags uppercase so
+differently-cased spellings of one tag merge.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 from typing import Iterable
-
-from .preprocess import CleanTweet
 
 
 class FrequencyTable:
@@ -48,12 +46,3 @@ class FrequencyTable:
         items = sorted(self._counts.items())
         items.sort(key=itemgetter(1), reverse=True)
         return items
-
-
-def count_entities(clean: CleanTweet, mentions: FrequencyTable,
-                   hashtags: FrequencyTable) -> None:
-    """Count one tweet's entities: mentions keyed as preprocess gives them
-    (lowercase), hashtags folded to uppercase."""
-    mentions.update(clean.mentions)
-    hashtags.update(tag.upper() for tag in clean.hashtags)
-

@@ -11,11 +11,12 @@ import csv
 import io
 import json
 import logging
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .errors import CorpusFormatError, TweetlexError
 
@@ -118,18 +119,18 @@ def _encodes(text: str) -> bool:
     return True
 
 
-def _check_fields(raw: Mapping, default_tz: timezone) -> datetime | str:
+def _check_fields(rec_id, created_at, text,
+                  default_tz: timezone) -> datetime | str:
     """The field rules of a parsed line: return its local timestamp, or the
     name of the first failing field, checked in order: id, timestamp, text.
     """
-    rec_id = raw.get("id")
     if not isinstance(rec_id, str) or not rec_id or \
             not (rec_id.isascii() or _encodes(rec_id)):
         return "id"
-    ts = parse_timestamp(raw.get("created_at"), default_tz)
+    ts = parse_timestamp(created_at, default_tz)
     if ts is None:
         return "timestamp"
-    if not isinstance(raw.get("text"), str):
+    if not isinstance(text, str):
         return "text"
     return ts
 
@@ -192,12 +193,14 @@ class RecordReader:
         else:
             yield from self._read_csv(fh)
 
-    def _admit(self, raw: Mapping, lineno: int) -> Record | None:
-        ts = _check_fields(raw, self.default_tz)
+    def _admit(self, lineno: int, rec_id, created_at, text,
+               loc) -> Record | None:
+        """The record of one parsed line's four fields (in ``CSV_HEADER``
+        order), or None when a check rejects it."""
+        ts = _check_fields(rec_id, created_at, text, self.default_tz)
         if isinstance(ts, str):
             self.stats._skip(lineno, ts)
             return None
-        rec_id = raw["id"]
         if rec_id in self._seen_ids:
             self.stats._skip(lineno, "duplicate", rec_id)
             return None
@@ -208,10 +211,9 @@ class RecordReader:
                 self.stats._skip(lineno, "out_of_range", local)
                 return None
         self._seen_ids.add(rec_id)
-        loc = raw.get("user_location")
         if not isinstance(loc, str) or not loc.strip():
             loc = None
-        return rec_id, ts, raw["text"], loc
+        return rec_id, ts, text, loc
 
     def _read_jsonl(self, fh) -> Iterator[Record]:
         for lineno, line in enumerate(fh, 1):
@@ -236,7 +238,9 @@ class RecordReader:
             if not isinstance(raw, dict):
                 self.stats._skip(lineno, "malformed", "not a JSON object")
                 continue
-            record = self._admit(raw, lineno)
+            get = raw.get
+            record = self._admit(lineno, get("id"), get("created_at"),
+                                 get("text"), get("user_location"))
             if record is not None:
                 yield record
 
@@ -270,22 +274,16 @@ class RecordReader:
                 self.stats._skip(lineno, "malformed",
                                  f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 continue
-            record = self._admit(dict(zip(CSV_HEADER, row)), lineno)
+            record = self._admit(lineno, *row)
             if record is not None:
                 yield record
 
 
 def parse_tz_offset(text: str) -> timezone:
-    """Parse a ``±HH:MM`` CLI offset into a timezone."""
-    raw = text.strip()
-    sign = 1
-    if raw.startswith(("+", "-")):
-        sign = -1 if raw[0] == "-" else 1
-        raw = raw[1:]
-    parts = raw.split(":")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
+    """Parse a ``[±]HH:MM`` CLI offset (ASCII digits, at most 23:59; no sign
+    means ahead of UTC) into a timezone."""
+    m = re.fullmatch(r"([+-]?)([0-9]{2}):([0-9]{2})", text.strip())
+    if m is None or int(m[2]) > 23 or int(m[3]) > 59:
         raise TweetlexError(f"bad timezone offset {text!r}; expected ±HH:MM")
-    hours, minutes = int(parts[0]), int(parts[1])
-    if hours > 23 or minutes > 59:
-        raise TweetlexError(f"bad timezone offset {text!r}; expected ±HH:MM")
-    return timezone(sign * timedelta(hours=hours, minutes=minutes))
+    sign = -1 if m[1] == "-" else 1
+    return timezone(sign * timedelta(hours=int(m[2]), minutes=int(m[3])))

@@ -77,7 +77,7 @@ def load_lexicon(path) -> dict[str, int]:
     fields, an empty word, a word containing whitespace, an unknown
     category token, a flag outside {0, 1}, and a duplicate (word, category)
     pair.  A byte that is not UTF-8 is fatal too (``LexiconError`` naming
-    the file).
+    the file); a leading byte-order mark is dropped.
 
     Files laid out like NRC's own (ten rows per word, every word's rows in
     one category order) load a word per regex match: the order is taken
@@ -96,7 +96,7 @@ def load_lexicon(path) -> dict[str, int]:
     block = flag_masks = None
     lineno = 0
     rest = ""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         while rest is not None:
             try:
                 piece = fh.read(_PIECE_CHARS)

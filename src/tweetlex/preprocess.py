@@ -1,9 +1,11 @@
-"""Raw tweet text -> clean token list plus extracted entities.
+"""Raw tweet text -> clean token list plus the entity keys the tables count.
 
 The cleaning chain, in fixed order:
 
-1. extract and remove URLs, then mentions, then hashtags (URLs first so a
-   ``#`` or ``@`` inside a link is never miscounted as a tag or mention);
+1. remove URLs, then extract and remove mentions, then hashtags (URLs
+   first so a ``#`` or ``@`` inside a link is never miscounted as a tag or
+   mention); mentions are lowercased and hashtags uppercased here, so they
+   come out as the exact keys of the mention and hashtag tables;
 2. lowercase;
 3. replace every non-alphanumeric character with a space (covers
    punctuation, symbols, and underscores);
@@ -21,8 +23,8 @@ lexicon, and runs report a tally of them so the data loss is visible.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from . import _kernels
 from .errors import TweetlexError
@@ -35,26 +37,22 @@ _MENTION_RE = re.compile(f"@({_HANDLE})")
 _HASHTAG_RE = re.compile(f"#({_HANDLE})")
 
 
-@dataclass(frozen=True)
-class CleanTweet:
-    """Preprocessed tweet: ordered tokens plus the extracted entities.
+class CleanTweet(NamedTuple):
+    """Preprocessed tweet: ordered tokens plus its entity keys.
 
-    Hashtags keep their original case (case-folding for frequency merging
-    happens in the entities module); mentions are lowercased.  Entity lists
-    preserve occurrence multiplicity and text order.
+    Mentions are lowercased and hashtags uppercased, so differently-cased
+    spellings of one handle or tag count as one key.  Entity lists preserve
+    occurrence multiplicity and text order.
     """
 
     tokens: list[str]
-    hashtags: list[str]
     mentions: list[str]
-    urls: list[str]
+    hashtags: list[str]
 
 
 def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
     """Run the full cleaning chain on one tweet's text."""
-    urls = _URL_RE.findall(text)
-    if urls:
-        text = _URL_RE.sub(" ", text)
+    text = _URL_RE.sub(" ", text)
     mentions = _MENTION_RE.findall(text)
     if mentions:
         text = _MENTION_RE.sub(" ", text)
@@ -62,8 +60,8 @@ def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
     hashtags = _HASHTAG_RE.findall(text)
     if hashtags:
         text = _HASHTAG_RE.sub(" ", text)
-    return CleanTweet(_kernels.tokenize(text, stopwords), hashtags, mentions,
-                      urls)
+        hashtags = [h.upper() for h in hashtags]
+    return CleanTweet(_kernels.tokenize(text, stopwords), mentions, hashtags)
 
 
 def is_mention_key(handle: str) -> bool:
@@ -80,10 +78,11 @@ def count_non_ascii_tokens(tokens: list[str]) -> int:
 
 
 def load_stopwords(path) -> frozenset[str]:
-    """One stopword per line, ``#`` comments and blank lines ignored;
-    entries are lowercased so they compare against normalized tokens."""
+    """One stopword per line, ``#`` comments and blank lines ignored, a
+    leading byte-order mark dropped; entries are lowercased so they compare
+    against normalized tokens."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError:
         raise TweetlexError(f"{path}: invalid UTF-8 byte") from None

@@ -271,7 +271,7 @@ def scan_lexicon_file(path: str) -> dict[str, frozenset[str]]:
     enum, just the raw strings from the file.
     """
     table: dict[str, set[str]] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\r\n")
             if not line.strip() or line.lstrip().startswith("#"):

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
 from . import reference
-from .entities import FrequencyTable, count_entities
+from .entities import FrequencyTable
 from .errors import OracleMismatchError, TweetlexError
 from .ingest import IST, Record, RecordReader
 from .lexicon import Category, load_lexicon
@@ -170,12 +170,13 @@ def _process_chunk(records: list[Record]) -> _Partial:
         if mention is not None and mention not in clean.mentions:
             continue
         part.matched += 1
-        count_entities(clean, part.mentions, part.hashtags)
+        part.mentions.update(clean.mentions)
+        part.hashtags.update(clean.hashtags)
         if not clean.tokens:
             part.blanks += 1
             continue
         part.non_latin += count_non_ascii_tokens(clean.tokens)
-        tag = tag_tweet(clean, masks)
+        tag = tag_tweet(clean.tokens, masks)
         vector, s, e, o, tied = tag
         if tied:
             part.ties += 1

@@ -66,15 +66,16 @@ Rules = tuple[tuple[str, str], ...]
 
 
 def load_gazetteer(path) -> Rules:
-    """Parse a ``pattern,region,priority`` CSV (UTF-8, ``#`` comments) into
-    ``(pattern, region)`` pairs sorted by priority, then file order.
+    """Parse a ``pattern,region,priority`` CSV (UTF-8, ``#`` comments, a
+    leading byte-order mark dropped) into ``(pattern, region)`` pairs
+    sorted by priority, then file order.
 
     Patterns are normalized like location strings (lowercase, trimmed,
     whitespace collapsed).  Unknown region names and non-integer priorities
     are fatal, with the line number.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = list(fh)
     except UnicodeDecodeError:
         raise GazetteerError(f"{path}: invalid UTF-8 byte") from None

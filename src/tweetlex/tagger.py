@@ -13,17 +13,17 @@ Each tweet gets three labels:
 ``tied`` is set when any of the applied argmaxes had two or more maximal
 categories.
 
-Counts come from the word -> category-bitmask dict ``load_lexicon``
-returns.  Labels stay ints inside the pipeline: each is an index into its
-channel's label tuple below, whose last entry is ``neutral``.  Only the
-writers turn them into strings.
+Counts come from a tweet's token list, as ``preprocess`` gives it, and
+the word -> category-bitmask dict ``load_lexicon`` returns.  Labels stay
+ints inside the pipeline: each is an index into its channel's label tuple
+below, whose last entry is ``neutral``.  Only the writers turn them into
+strings.
 """
 
 from __future__ import annotations
 
 from . import _kernels
 from .lexicon import EMOTIONS, SENTIMENTS, Category
-from .preprocess import CleanTweet
 
 NEUTRAL = "neutral"
 
@@ -44,10 +44,10 @@ _N_SENTIMENTS = len(SENTIMENTS)
 Tag = tuple[list[int], int, int, int, bool]
 
 
-def tag_tweet(clean: CleanTweet, masks: dict[str, int]) -> Tag:
-    """Tag one preprocessed tweet against the word -> category-mask dict
-    that ``load_lexicon`` returns; blank tweets come out all-neutral."""
-    vector = _kernels.count_masks(clean.tokens, masks)
+def tag_tweet(tokens: list[str], masks: dict[str, int]) -> Tag:
+    """Tag one preprocessed tweet's tokens against the word -> category-mask
+    dict that ``load_lexicon`` returns; an empty list is all-neutral."""
+    vector = _kernels.count_masks(tokens, masks)
     sentiments = vector[:_N_SENTIMENTS]
     emotions = vector[_N_SENTIMENTS:]
     s_max = max(sentiments)

@@ -5,7 +5,6 @@ each category's own label is a word carrying just that category.
 """
 
 from tweetlex.lexicon import Category
-from tweetlex.preprocess import CleanTweet
 from tweetlex.tagger import (EMOTION_LABELS, OVERALL_LABELS,
                              SENTIMENT_LABELS, tag_tweet)
 
@@ -27,4 +26,4 @@ def label_masks(labels_by_word) -> dict[str, int]:
 def tag_vector(vector: list[int]):
     """tag_tweet's result for a tweet whose category counts are ``vector``."""
     tokens = [c.label for c in Category for _ in range(vector[c])]
-    return tag_tweet(CleanTweet(tokens, [], [], []), VECTOR_MASKS)
+    return tag_tweet(tokens, VECTOR_MASKS)

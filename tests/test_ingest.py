@@ -123,7 +123,11 @@ class TestParseTzOffset:
         expect = dt.timezone(sign * dt.timedelta(hours=abs(hours), minutes=minutes))
         assert parse_tz_offset(text) == expect
 
-    @pytest.mark.parametrize("bad", ["abc", "+5", "+25:00", "+05:99", "--05:30", "+05:3x", ""])
+    @pytest.mark.parametrize("bad", [
+        "abc", "+5", "+25:00", "+05:99", "--05:30", "+05:3x", "",
+        # One-digit fields, and digits that are not ASCII.
+        "+05:3", "+5:30", "+\u0660\u0665:\u0663\u0660", "+\u00b2:30",
+    ])
     def test_invalid(self, bad):
         with pytest.raises(TweetlexError):
             parse_tz_offset(bad)

@@ -62,6 +62,20 @@ def test_all_zero_word_is_queryable_but_absent(tmp_path):
     assert lex == {}
 
 
+@pytest.mark.parametrize("body", ["calm\tjoy\t1\ncalm\ttrust\t0\n",
+                                  "# header\ncalm\tjoy\t1\n"])
+def test_byte_order_mark_is_dropped(tmp_path, body):
+    # The loader and the oracle's scan both read a BOM-prefixed copy as
+    # the plain file: the first word is not filed under "\ufeffcalm", and
+    # a first-line comment is still a comment.
+    plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_text(body, encoding="utf-8")
+    bom.write_text(body, encoding="utf-8-sig")
+    assert load_lexicon(bom) == load_lexicon(plain) == \
+        {"calm": 1 << Category.JOY}
+    assert scan_lexicon_file(str(bom)) == scan_lexicon_file(str(plain))
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     lex = load_lexicon(_write(tmp_path, "# header\n\ncalm\tjoy\t1\n"))
     assert len(lex) == 1

@@ -14,6 +14,8 @@ from pathlib import Path
 from tweetlex import _kernels, reference, report
 from tweetlex.entities import FrequencyTable
 from tweetlex.ingest import RecordReader
+from tweetlex.preprocess import (default_stopwords_path, load_stopwords,
+                                 preprocess)
 from tweetlex.report import AnalyzeConfig, run_analyze
 from tweetlex.spatial import RegionAggregate
 from tweetlex.temporal import DayBuckets, HourBuckets
@@ -67,3 +69,12 @@ def test_traced_run_records_aggregate_spans_and_restores(tmp_path):
     assert metrics["spatial.aggregate_s"] > 0
     assert metrics["preprocess.calls"] == summary["records_read"] - \
         summary["records_rejected"]
+    # The traced token count and tag calls are the ones the run made, so a
+    # reshaped cleaning result or tagger signature cannot blank its layer.
+    stopwords = load_stopwords(default_stopwords_path())
+    texts = [text for _id, _ts, text, _loc
+             in RecordReader(str(GOLDEN / "corpus.jsonl"), "jsonl")]
+    assert metrics["preprocess.tokens"] == sum(
+        len(preprocess(text, stopwords).tokens) for text in texts)
+    assert metrics["preprocess.tokens"] > 0
+    assert calls["tagger.tag_tweet"] == summary["tweets_tagged"]

@@ -33,8 +33,7 @@ def test_golden_fixture(fx, backend):
     clean = preprocess(fx.text, STOPWORDS)
     assert tuple(clean.tokens) == fx.tokens
     assert tuple(clean.mentions) == (fx.mentions or ())
-    assert tuple(clean.hashtags) == (fx.hashtags or ())
-    assert tuple(clean.urls) == (fx.urls or ())
+    assert clean.hashtags == [h.upper() for h in fx.hashtags or ()]
 
 
 def test_fixture_corpus_is_large_enough():
@@ -48,13 +47,11 @@ class TestExtractionOrder:
 
     def test_mention_inside_url_not_extracted(self):
         clean = preprocess("see http://x.com/@user now", STOPWORDS)
-        assert clean.urls == ["http://x.com/@user"]
         assert clean.mentions == []
         assert clean.tokens == ["see", "now"]
 
     def test_hashtag_inside_url_not_extracted(self):
         clean = preprocess("docs at www.ex.com/#frag here", STOPWORDS)
-        assert clean.urls == ["www.ex.com/#frag"]
         assert clean.hashtags == []
         assert clean.tokens == ["docs", "here"]
 
@@ -62,13 +59,13 @@ class TestExtractionOrder:
         # "@tag#x": the mention regex consumes "tag" first, leaving "#x".
         clean = preprocess("@tag#x fine", STOPWORDS)
         assert clean.mentions == ["tag"]
-        assert clean.hashtags == ["x"]
+        assert clean.hashtags == ["X"]
         assert clean.tokens == ["fine"]
 
     def test_entities_keep_multiplicity_and_order(self):
         clean = preprocess("@A @a #Tag #tag @A", STOPWORDS)
         assert clean.mentions == ["a", "a", "a"]
-        assert clean.hashtags == ["Tag", "tag"]
+        assert clean.hashtags == ["TAG", "TAG"]
 
 
 class TestEntityRules:
@@ -76,21 +73,20 @@ class TestEntityRules:
         clean = preprocess("@GST_Council and @Modi", STOPWORDS)
         assert clean.mentions == ["gst_council", "modi"]
 
-    def test_hashtags_keep_case(self):
+    def test_hashtags_uppercased(self):
         clean = preprocess("#GST #gst #GSTRollout", STOPWORDS)
-        assert clean.hashtags == ["GST", "gst", "GSTRollout"]
+        assert clean.hashtags == ["GST", "GST", "GSTROLLOUT"]
 
     def test_entities_replaced_with_space(self):
         # A removed entity leaves a token break, so the text on either
         # side of it never fuses into one token.
         clean = preprocess("left@bobédgeécho#tagénd", STOPWORDS)
         assert clean.mentions == ["bob"]
-        assert clean.hashtags == ["tag"]
+        assert clean.hashtags == ["TAG"]
         assert clean.tokens == ["left", "édgeécho", "énd"]
-        for text in ("a http://x.y b", "a WWW.x.y b"):
+        for text in ("left http://x.y right", "left WWW.x.y right"):
             clean = preprocess(text, STOPWORDS)
-            assert clean.urls == [text[2:-2]]
-            assert clean.tokens == []
+            assert clean.tokens == ["left", "right"]
 
 
 # Random text mixed with the fragments most likely to stress the chain.
@@ -197,9 +193,13 @@ def test_count_non_ascii_tokens():
 
 
 def test_clean_tweet_is_frozen():
-    clean = CleanTweet([], [], [], [])
+    clean = CleanTweet([], [], [])
     with pytest.raises(AttributeError):
         clean.tokens = ["y"]
+
+
+def test_clean_tweet_fields():
+    assert CleanTweet._fields == ("tokens", "mentions", "hashtags")
 
 
 class TestLoadStopwords:
@@ -207,6 +207,14 @@ class TestLoadStopwords:
         p = tmp_path / "stop.txt"
         p.write_text("# comment\nThe\n\n  and  \nIS\n", encoding="utf-8")
         assert load_stopwords(p) == frozenset({"the", "and", "is"})
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        body = "# stopwords\nThe\nand\n"
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_text(body, encoding="utf-8")
+        bom.write_text(body, encoding="utf-8-sig")
+        assert load_stopwords(bom) == load_stopwords(plain) == \
+            frozenset({"the", "and"})
 
     def test_bundled_list_loads(self, bundled_stopwords):
         assert "the" in bundled_stopwords

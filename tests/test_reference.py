@@ -18,7 +18,7 @@ from tweetlex import ingest, reference, report
 from tweetlex.errors import OracleMismatchError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category, load_lexicon
-from tweetlex.preprocess import CleanTweet, preprocess
+from tweetlex.preprocess import preprocess
 from tweetlex.reference import (
     naive_clean,
     naive_count,
@@ -50,11 +50,10 @@ _tweety_text = st.lists(
 @given(text=_tweety_text)
 def test_naive_clean_matches_preprocess(text):
     clean = preprocess(text, STOPWORDS)
-    tokens, mentions, hashtags, urls = naive_clean(text, STOPWORDS)
+    tokens, mentions, hashtags, _urls = naive_clean(text, STOPWORDS)
     assert tokens == clean.tokens
     assert mentions == clean.mentions
-    assert hashtags == clean.hashtags
-    assert urls == clean.urls
+    assert [h.upper() for h in hashtags] == clean.hashtags
 
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: repr(fx.text)[:48])
@@ -77,8 +76,7 @@ _tokens = st.lists(
 def test_naive_count_and_label_match_tagger(tokens, toy_lexicon,
                                             toy_lexicon_path):
     table = scan_lexicon_file(str(toy_lexicon_path))
-    clean = CleanTweet(list(tokens), [], [], [])
-    tag = tag_tweet(clean, toy_lexicon)
+    tag = tag_tweet(tokens, toy_lexicon)
 
     counts = naive_count(tokens, table)
     vec = tag[0]
@@ -210,10 +208,10 @@ _FAULT_LINES = [
 def _window_before_dedup(monkeypatch):
     admit = RecordReader._admit
 
-    def mutant(self, raw, lineno):
-        ts = ingest._check_fields(raw, self.default_tz)
+    def mutant(self, lineno, rec_id, created_at, text, loc):
+        ts = ingest._check_fields(rec_id, created_at, text, self.default_tz)
         if isinstance(ts, str) or self.date_from <= ts.date() <= self.date_to:
-            return admit(self, raw, lineno)
+            return admit(self, lineno, rec_id, created_at, text, loc)
         self.stats._skip(lineno, "out_of_range", ts.date().isoformat())
     monkeypatch.setattr(RecordReader, "_admit", mutant)
 
@@ -230,10 +228,10 @@ def _date_to_off_by_one(monkeypatch):
 def _null_text_as_empty(monkeypatch):
     admit = RecordReader._admit
 
-    def mutant(self, raw, lineno):
-        if raw.get("text") is None:
-            raw = {**raw, "text": ""}
-        return admit(self, raw, lineno)
+    def mutant(self, lineno, rec_id, created_at, text, loc):
+        if text is None:
+            text = ""
+        return admit(self, lineno, rec_id, created_at, text, loc)
     monkeypatch.setattr(RecordReader, "_admit", mutant)
 
 

@@ -112,6 +112,13 @@ class TestLoadGazetteer:
         assert gz == (("new town", "Goa"),)
         assert resolve_location("new town, beach", gz) == "Goa"
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        body = "# comment\nnew town,Goa,1\n"
+        plain = self._load(tmp_path, body)
+        bom = tmp_path / "bom.csv"
+        bom.write_text(body, encoding="utf-8-sig")
+        assert load_gazetteer(bom) == plain == (("new town", "Goa"),)
+
     @pytest.mark.parametrize("line", [
         "too,few",
         "a,b,c,d",

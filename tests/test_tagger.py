@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from tweetlex import _kernels
 from tweetlex.lexicon import Category
-from tweetlex.preprocess import CleanTweet
 from tweetlex.tagger import (
     EMOTION_LABELS,
     EMOTION_NEUTRAL,
@@ -26,10 +25,6 @@ def _vector(**counts) -> list[int]:
     for name, value in counts.items():
         vector[int(Category[name.upper()])] = value
     return vector
-
-
-def _clean(tokens) -> CleanTweet:
-    return CleanTweet(list(tokens), [], [], [])
 
 
 def test_label_order_constants():
@@ -68,7 +63,7 @@ def test_label_table(named, sent, emo, overall, tied):
 class TestTagTweet:
     def test_hand_traced_example(self, toy_lexicon):
         # good: positive+joy; love: positive+joy+trust; bad: negative+sadness.
-        tag = tag_tweet(_clean(["good", "love", "bad"]), toy_lexicon)
+        tag = tag_tweet(["good", "love", "bad"], toy_lexicon)
         vector = tag[0]
         assert vector[Category.POSITIVE] == 2
         assert vector[Category.JOY] == 2
@@ -78,18 +73,18 @@ class TestTagTweet:
 
     def test_cross_channel_tie(self, toy_lexicon):
         # hope: positive+anticipation+trust; fear: negative+fear.
-        tag = tag_tweet(_clean(["hope", "fear"]), toy_lexicon)
+        tag = tag_tweet(["hope", "fear"], toy_lexicon)
         assert label_names(tag) == ("positive", "trust", "positive", True)
 
     def test_unknown_tokens_are_neutral(self, toy_lexicon):
-        tag = tag_tweet(_clean(["zzyzx", "qwerty"]), toy_lexicon)
+        tag = tag_tweet(["zzyzx", "qwerty"], toy_lexicon)
         assert tag[1:] == (SENTIMENT_NEUTRAL, EMOTION_NEUTRAL,
                            OVERALL_NEUTRAL, False)
         assert label_names(tag) == (NEUTRAL, NEUTRAL, NEUTRAL, False)
         assert sum(tag[0]) == 0
 
     def test_blank_tweet_is_neutral(self, toy_lexicon):
-        vector, _s, _e, o, tied = tag_tweet(_clean([]), toy_lexicon)
+        vector, _s, _e, o, tied = tag_tweet([], toy_lexicon)
         assert vector == [0] * len(Category)
         assert o == OVERALL_NEUTRAL
         assert tied is False
@@ -97,7 +92,7 @@ class TestTagTweet:
     def test_repeated_tokens_count_each_occurrence(self, toy_lexicon):
         # fine: positive only; bad: negative+sadness.  positive reaches 2
         # with no other category matching it, so no channel ties.
-        tag = tag_tweet(_clean(["fine", "fine", "bad"]), toy_lexicon)
+        tag = tag_tweet(["fine", "fine", "bad"], toy_lexicon)
         assert tag[0][Category.POSITIVE] == 2
         assert tag[0][Category.NEGATIVE] == 1
         assert label_names(tag) == ("positive", "sadness", "positive", False)
@@ -117,7 +112,7 @@ def test_count_categories_agrees_with_kernel(tokens, toy_lexicon):
     for tok in tokens:
         for label in TOY_LEXICON.get(tok, ()):
             by_category[Category[label.upper()]] += 1
-    vector = tag_tweet(_clean(tokens), toy_lexicon)[0]
+    vector = tag_tweet(tokens, toy_lexicon)[0]
     assert vector == by_category
     assert vector == _kernels.count_masks(tokens, toy_lexicon)
 
