@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import re
 
-_REPEAT_RE = re.compile(r"(.)\1{2,}")
+# A character then two or more copies of it.  Spelled ``\1\1+``: it finds
+# the same runs as ``\1{2,}`` but scans tweet text several times faster.
+_REPEAT_RE = re.compile(r"(.)\1\1+")
 # A token is a maximal run of alphanumeric characters (str.isalnum()):
 # word characters minus the underscore.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -25,8 +27,10 @@ def tokenize(text: str, stopwords) -> list[str]:
     collapsing each token: a run of one repeated character lies either
     wholly inside a token or wholly between tokens.
     """
-    collapsed = _REPEAT_RE.sub(r"\1\1", text.lower())
-    return [tok for tok in _TOKEN_RE.findall(collapsed)
+    text = text.lower()
+    if _REPEAT_RE.search(text):  # few texts hold a run; sub costs more
+        text = _REPEAT_RE.sub(r"\1\1", text)
+    return [tok for tok in _TOKEN_RE.findall(text)
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 

@@ -22,7 +22,7 @@ from . import __version__
 from .entities import FrequencyTable
 from .errors import TweetlexError
 from .ingest import FORMATS, IST, RecordReader, parse_tz_offset
-from .preprocess import preprocess
+from .preprocess import strip_entities
 from .report import AnalyzeConfig, run_analyze, run_subcorpus
 
 
@@ -187,11 +187,10 @@ def _cmd_top(args) -> int:
                           default_tz=args.default_tz,
                           date_from=args.date_from, date_to=args.date_to)
     mentions, hashtags = FrequencyTable(), FrequencyTable()
-    no_stopwords = frozenset()
     for _id, _timestamp, text, _location in reader:
-        clean = preprocess(text, no_stopwords)
-        mentions.update(clean.mentions)
-        hashtags.update(clean.hashtags)
+        _rest, tweet_mentions, tweet_hashtags = strip_entities(text)
+        mentions.update(tweet_mentions)
+        hashtags.update(tweet_hashtags)
     table = mentions if args.what == "mentions" else hashtags
     for key, count in table.items_sorted()[:args.n]:
         print(f"{key},{count}")

@@ -5,7 +5,8 @@ The cleaning chain, in fixed order:
 1. remove URLs, then extract and remove mentions, then hashtags (URLs
    first so a ``#`` or ``@`` inside a link is never miscounted as a tag or
    mention); mentions are lowercased and hashtags uppercased here, so they
-   come out as the exact keys of the mention and hashtag tables;
+   come out as the exact keys of the mention and hashtag tables
+   (``strip_entities``, all that ``tweetlex top`` runs);
 2. lowercase;
 3. replace every non-alphanumeric character with a space (covers
    punctuation, symbols, and underscores);
@@ -29,7 +30,9 @@ from typing import NamedTuple
 from . import _kernels
 from .errors import TweetlexError
 
-_URL_RE = re.compile(r"(?:https?://|www\.)\S+", re.IGNORECASE)
+# The prefix matches case-insensitively in ASCII letters only: under
+# re.IGNORECASE "s" would also match U+017F (long s), which str.lower keeps.
+_URL_RE = re.compile(r"(?:[hH][tT][tT][pP][sS]?://|[wW][wW][wW]\.)\S+")
 # Platform handle/tag grammar: ASCII letters, digits, underscore.
 _HANDLE = "[A-Za-z0-9_]+"
 _HANDLE_RE = re.compile(_HANDLE)
@@ -50,17 +53,30 @@ class CleanTweet(NamedTuple):
     hashtags: list[str]
 
 
-def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
-    """Run the full cleaning chain on one tweet's text."""
-    text = _URL_RE.sub(" ", text)
-    mentions = _MENTION_RE.findall(text)
+def strip_entities(text: str) -> tuple[str, list[str], list[str]]:
+    """Step 1 of the chain: ``text`` with every URL, mention and hashtag
+    replaced by a space, plus the mention and hashtag keys.
+
+    Each scan runs only when ``text`` holds a literal that every match
+    needs: "://" or "www." in any ASCII case for a URL, "@" for a
+    mention, "#" for a hashtag.
+    """
+    if "://" in text or "www." in text.lower():
+        text = _URL_RE.sub(" ", text)
+    mentions = _MENTION_RE.findall(text) if "@" in text else []
     if mentions:
         text = _MENTION_RE.sub(" ", text)
         mentions = [m.lower() for m in mentions]
-    hashtags = _HASHTAG_RE.findall(text)
+    hashtags = _HASHTAG_RE.findall(text) if "#" in text else []
     if hashtags:
         text = _HASHTAG_RE.sub(" ", text)
         hashtags = [h.upper() for h in hashtags]
+    return text, mentions, hashtags
+
+
+def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
+    """Run the full cleaning chain on one tweet's text."""
+    text, mentions, hashtags = strip_entities(text)
     return CleanTweet(_kernels.tokenize(text, stopwords), mentions, hashtags)
 
 
@@ -74,6 +90,8 @@ def is_mention_key(handle: str) -> bool:
 def count_non_ascii_tokens(tokens: list[str]) -> int:
     """Tokens containing at least one non-ASCII character (the run-level
     "non-Latin" tally)."""
+    if "".join(tokens).isascii():  # most tweets: one scan, no loop
+        return 0
     return sum(1 for t in tokens if not t.isascii())
 
 

@@ -138,6 +138,32 @@ def test_backends_tokenize_identically(compiled_kernel, text):
     assert pure.tokenize(text, STOP) == compiled_kernel.tokenize(text, STOP)
 
 
+def _tokenize_by_sub(text: str, stopwords) -> list[str]:
+    """The pure tokenizer with its repeat collapse as one unconditional
+    ``(.)\\1{2,}`` substitution."""
+    collapsed = re.sub(r"(.)\1{2,}", r"\1\1", text.lower())
+    return [tok for tok in re.findall(r"[^\W_]+", collapsed)
+            if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
+
+
+# Long runs of one character: non-BMP, newline ("." does not match it, so
+# a run of newlines is never collapsed) and digits.
+_runs = st.builds(
+    str.__mul__,
+    st.one_of(st.characters(min_codepoint=0x10000), st.just("\n"),
+              st.sampled_from("0123456789")),
+    st.integers(1, 40),
+)
+
+
+@given(st.one_of(_tricky_text,
+                 st.lists(st.one_of(_runs, _tricky_text), max_size=6)
+                 .map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_pure_tokenize_matches_unguarded_sub(text):
+    assert pure.tokenize(text, STOP) == _tokenize_by_sub(text, STOP)
+
+
 # The repeat collapse runs inside tokenize; feed both backends free text
 # and long runs of one character, framed so no collapsed run is too short
 # to survive as (part of) a token.

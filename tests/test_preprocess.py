@@ -84,9 +84,15 @@ class TestEntityRules:
         assert clean.mentions == ["bob"]
         assert clean.hashtags == ["TAG"]
         assert clean.tokens == ["left", "édgeécho", "énd"]
-        for text in ("left http://x.y right", "left WWW.x.y right"):
+        for text in ("left http://x.y right", "left WWW.x.y right",
+                     "left HtTpS://x.y right", "left wWw.x.y right"):
             clean = preprocess(text, STOPWORDS)
             assert clean.tokens == ["left", "right"]
+
+    def test_url_prefix_folds_ascii_case_only(self):
+        # U+017F is no "s": str.lower keeps it, and so does the URL rule.
+        clean = preprocess("httpſ://good.example hello", STOPWORDS)
+        assert clean.tokens == ["good", "example", "hello"]
 
 
 # Random text mixed with the fragments most likely to stress the chain.

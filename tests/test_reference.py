@@ -40,10 +40,14 @@ _fragments = st.sampled_from([
     "http://t.co/x", "https://", "www.gst.gov.in", "@user", "@GST_Council",
     "#GST", "#1", "http", "sooo", "goooood", "___", "a_b", "!!!", "नमस्ते",
     "大好き", "❤", "RT", "...", "@", "#", "w.w", "India",
+    # URL prefixes in mixed case and near misses; joined with "" as well
+    # as " ", so a prefix can also start inside a word.  U+017F folds to
+    # "s" under re.IGNORECASE but not under str.lower, and U+212A (Kelvin
+    # sign) lowercases to an ASCII "k".
+    "HtTpS://x", "wWw.", "WWW.y", "httpſ://z", "://", "K",
 ])
-_tweety_text = st.lists(
-    st.one_of(st.text(max_size=8), _fragments), max_size=14,
-).map(" ".join)
+_pieces = st.lists(st.one_of(st.text(max_size=8), _fragments), max_size=14)
+_tweety_text = st.one_of(_pieces.map(" ".join), _pieces.map("".join))
 
 
 @settings(max_examples=400)
@@ -268,6 +272,22 @@ def test_oracle_catches_a_handle_pre_check_that_drops_matches(
                         lambda text, at_handle: at_handle in text)
     with pytest.raises(OracleMismatchError, match="subcorpus_tweets"):
         run_analyze(config)
+
+
+def test_oracle_agrees_on_a_long_s_url_prefix(tmp_path, toy_lexicon_path):
+    # "httpſ://" is no URL prefix in ASCII letters, so "good" stays a
+    # token on both paths; re.IGNORECASE would fold the long s to "s" and
+    # remove the whole word as a URL.
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(
+        {"id": "1", "created_at": "2017-07-03T10:00:00+05:30",
+         "text": "httpſ://good.example hello"}) + "\n", encoding="utf-8")
+    config = AnalyzeConfig(
+        input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+        out_dir=str(tmp_path / "out"), oracle=True)
+    summary = run_analyze(config).summary
+    assert summary["oracle_check"] == "ok"
+    assert summary["tweets_tagged"] == 1
 
 
 def test_reference_imports_no_pipeline_code():

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tweetlex
-from tweetlex import reference, report, spatial
+from tweetlex import _kernels, reference, report, spatial
 from tweetlex.errors import OracleMismatchError, TweetlexError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category
@@ -462,6 +462,18 @@ class TestTopCommand:
         assert main([*argv, "-n", "10"]) == 0
         assert capsys.readouterr().out == "a,2\nb,1\nc,1\n"
 
+    @pytest.mark.parametrize("what", ["mentions", "hashtags"])
+    def test_never_tokenizes(self, capsys, monkeypatch, what):
+        argv = ["top", "--what", what, "--input", str(GOLDEN / "corpus.jsonl")]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+
+        def refuse(text, stopwords):
+            raise AssertionError("top tokenized a text")
+        monkeypatch.setattr(_kernels, "tokenize", refuse)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == printed
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_n_exits_1(self, capsys, n):
         with pytest.raises(SystemExit) as exc:
@@ -570,6 +582,47 @@ class TestCsvFormat:
         assert summary["tweets_tagged"] == 2
         assert summary["locations"] == {"located": 1, "unknown": 1,
                                         "india_total": 1, "foreign": 0}
+
+    def test_worker_count_never_changes_output(self, longtail_corpus,
+                                               toy_lexicon_path, tmp_path):
+        # Shaped like perfbench's longtail_tags: long-tail entities, a
+        # distinct location per row, and every tenth row rejected as a
+        # duplicate id, a bad timestamp or a short row.
+        corpus = tmp_path / "corpus.csv"
+        with open(longtail_corpus, encoding="utf-8") as src, \
+                open(corpus, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "created_at", "text", "user_location"])
+            prev_id = None
+            for i, line in enumerate(src):
+                rec = json.loads(line)
+                loc = rec["user_location"]
+                row = [rec["id"], rec["created_at"], rec["text"],
+                       f"{loc} {i}" if loc else ""]
+                if i % 30 == 10:
+                    row[0] = prev_id
+                elif i % 30 == 20:
+                    row[1] = "2017-07-32T10:00:00"
+                elif i % 30 == 29:
+                    row = row[:3]
+                writer.writerow(row)
+                prev_id = rec["id"]
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run_analyze(AnalyzeConfig(
+                input_path=str(corpus), fmt="csv",
+                lexicon_path=str(toy_lexicon_path), out_dir=str(out),
+                emit_tags=str(out / "tags.jsonl"), workers=workers))
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2]
+        summary = json.loads(trees[1]["summary.json"])
+        assert set(summary["rejected_reasons"]) == {
+            "duplicate", "timestamp", "malformed"}
+        # More than one chunk, so two workers really split the run.
+        assert summary["records_read"] - summary["records_rejected"] \
+            > report.CHUNK_SIZE
+        assert trees[1]["tags.jsonl"]
 
 
 class TestRegionsCsv:
