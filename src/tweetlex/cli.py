@@ -119,7 +119,7 @@ def build_parser() -> _Parser:
     subc = sub.add_parser("subcorpus",
                           help="analyze only tweets mentioning a handle")
     subc.add_argument("--mention", required=True,
-                      help="handle to filter on (leading @ optional, "
+                      help="handle to filter on (one leading @ optional, "
                            "case-insensitive)")
     _add_corpus_args(subc)
     _add_pipeline_args(subc)
@@ -175,7 +175,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_subcorpus(args) -> int:
-    mention = args.mention.lstrip("@").lower()
+    mention = args.mention.removeprefix("@")
+    if mention.isascii():  # a non-ASCII handle stays as given, and refused
+        mention = mention.lower()
     start = time.perf_counter()
     result = run_subcorpus(_make_config(args, mention=mention))
     _report_run(result, time.perf_counter() - start)

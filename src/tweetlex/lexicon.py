@@ -72,12 +72,13 @@ def _block_matcher(order: list[int]):
 def load_lexicon(path) -> dict[str, int]:
     """Parse a word-level lexicon file into a word -> category-mask dict.
 
-    Fatal conditions (``LexiconError`` naming the offending line), checked
-    in this order on each line: a row without exactly three tab-separated
-    fields, an empty word, a word containing whitespace, an unknown
-    category token, a flag outside {0, 1}, and a duplicate (word, category)
-    pair.  A byte that is not UTF-8 is fatal too (``LexiconError`` naming
-    the file); a leading byte-order mark is dropped.
+    Blank and ``#`` comment lines are skipped.  Fatal conditions
+    (``LexiconError`` naming the offending line), checked in this order on
+    every other line: a row without exactly three tab-separated fields, an
+    empty word, a word containing whitespace, an unknown category token, a
+    flag outside {0, 1}, and a duplicate (word, category) pair.  A byte
+    that is not UTF-8 is fatal too (``LexiconError`` naming the file); a
+    leading byte-order mark is dropped.
 
     Files laid out like NRC's own (ten rows per word, every word's rows in
     one category order) load a word per regex match: the order is taken
@@ -88,9 +89,6 @@ def load_lexicon(path) -> dict[str, int]:
     masks: dict[str, int] = {}
     # word -> bits of the categories it has a row for, whatever the flag.
     seen: dict[str, int] = {}
-    # Raw word field -> its validated lowercase word.  A word has one row
-    # per category, so most fields are validated once and then looked up.
-    words: dict[str, str] = {}
     # Category bits of the first data rows, until there are ten of them.
     order: list[int] = []
     block = flag_masks = None
@@ -128,40 +126,29 @@ def load_lexicon(path) -> dict[str, int]:
                 line = text[pos:nl]
                 pos = nl
                 lineno += 1
+                if not line.strip() or line.lstrip().startswith("#"):
+                    continue
                 parts = line.rstrip("\r\n").split("\t")
-                word = words.get(parts[0])
-                if word is None:
-                    # Only a field that starts a data line is ever cached,
-                    # so a cached field also proves the line is no comment.
-                    if not line.strip() or line.lstrip().startswith("#"):
-                        continue
-                    if len(parts) == 3:
-                        raw_word = parts[0]
-                        word = raw_word.strip().lower()
-                        if not word:
-                            raise LexiconError(
-                                f"{path}: line {lineno}: empty word")
-                        if len(word.split()) != 1:
-                            raise LexiconError(
-                                f"{path}: line {lineno}: word contains "
-                                f"whitespace: {raw_word!r}")
-                        words[raw_word] = word
                 if len(parts) != 3:
                     raise LexiconError(
                         f"{path}: line {lineno}: expected 3 tab-separated "
                         f"fields, got {len(parts)}")
-                _raw_word, cat_token, flag = parts
-                bit = _BIT_BY_LABEL.get(cat_token)
+                raw_word, cat_token, flag = parts
+                word = raw_word.strip().lower()
+                if not word:
+                    raise LexiconError(f"{path}: line {lineno}: empty word")
+                if len(word.split()) != 1:
+                    raise LexiconError(
+                        f"{path}: line {lineno}: word contains "
+                        f"whitespace: {raw_word!r}")
+                bit = _BIT_BY_LABEL.get(cat_token.strip())
                 if bit is None:
-                    bit = _BIT_BY_LABEL.get(cat_token.strip())
-                    if bit is None:
-                        raise LexiconError(f"{path}: line {lineno}: unknown "
-                                           f"category {cat_token.strip()!r}")
+                    raise LexiconError(f"{path}: line {lineno}: unknown "
+                                       f"category {cat_token.strip()!r}")
+                flag = flag.strip()
                 if flag != "1" and flag != "0":
-                    flag = flag.strip()
-                    if flag != "1" and flag != "0":
-                        raise LexiconError(f"{path}: line {lineno}: flag "
-                                           f"must be 0 or 1, got {flag!r}")
+                    raise LexiconError(f"{path}: line {lineno}: flag "
+                                       f"must be 0 or 1, got {flag!r}")
                 bits = seen.get(word, 0)
                 if bits & bit:
                     label = Category(bit.bit_length() - 1).label

@@ -17,7 +17,6 @@ constants of the input format, and no code.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import re
 from collections import Counter
@@ -263,7 +262,6 @@ def naive_clean(text: str, stopwords: frozenset[str]):
     return tokens, mentions, hashtags, urls
 
 
-@functools.lru_cache(maxsize=8)
 def scan_lexicon_file(path: str) -> dict[str, frozenset[str]]:
     """Brute-force lexicon read: word -> set of flag-1 category labels.
 

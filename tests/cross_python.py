@@ -1,0 +1,79 @@
+"""Golden-run check for one Python interpreter, standard library only.
+
+Usage: python tests/cross_python.py PYTHON
+
+Runs the golden corpus through ``PYTHON -m tweetlex.cli analyze --emit-tags
+--threads 2`` with ``PYTHONPATH`` set to this checkout's ``src``, and
+compares every output file with ``tests/data/golden_run/expected`` byte for
+byte. Then it runs the corpus again with ``--oracle`` and requires exit 0.
+Neither this script nor the run needs pytest, so PYTHON may be an
+interpreter that has only its standard library.
+
+Exits 0 when everything matches. Otherwise it prints one line per
+difference to stderr and exits 1.
+"""
+
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "golden_run"
+
+
+def _analyze(python, golden: Path, out_dir: Path, *extra):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    cmd = [python, "-m", "tweetlex.cli", "analyze",
+           "--input", str(golden / "corpus.jsonl"),
+           "--lexicon", str(golden / "lexicon.tsv"),
+           "--out", str(out_dir), *extra]
+    return subprocess.run(cmd, env=env, capture_output=True, text=True,
+                          timeout=300)
+
+
+def check(python, golden: Path = GOLDEN) -> list[str]:
+    """The differences between PYTHON's golden run and ``golden/expected``,
+    and a failed ``--oracle`` run, one line each; empty when none."""
+    problems = []
+    expected_dir = golden / "expected"
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        proc = _analyze(python, golden, out, "--emit-tags", "--threads", "2")
+        if proc.returncode != 0:
+            return [f"analyze exited {proc.returncode}: "
+                    f"{proc.stderr.strip()}"]
+        expected = sorted(p.name for p in expected_dir.iterdir())
+        got = sorted(p.name for p in out.iterdir())
+        if got != expected:
+            problems.append(f"wrote {got}, expected {expected}")
+        for name in expected:
+            path = out / name
+            if (path.is_file() and path.read_bytes()
+                    != (expected_dir / name).read_bytes()):
+                problems.append(f"{name} differs from the golden copy")
+        proc = _analyze(python, golden, Path(tmp) / "oracle", "--oracle")
+        if proc.returncode != 0:
+            problems.append(f"--oracle exited {proc.returncode}: "
+                            f"{proc.stderr.strip()}")
+    return problems
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print("usage: python tests/cross_python.py PYTHON", file=sys.stderr)
+        return 2
+    python = args[0]
+    problems = check(python)
+    for problem in problems:
+        print(f"{python}: {problem}", file=sys.stderr)
+    if problems:
+        return 1
+    print(f"{python}: golden run matches; --oracle agrees")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -218,7 +219,7 @@ def test_block_match_agrees_with_line_checks(tmp_path_factory, text, piece):
     assert _outcome(path) == want
     assert _outcome(path, piece=piece) == want
     if isinstance(want, dict):
-        assert want == label_masks(scan_lexicon_file.__wrapped__(str(path)))
+        assert want == label_masks(scan_lexicon_file(str(path)))
 
 
 def test_every_piece_boundary(tmp_path):
@@ -248,15 +249,9 @@ class _CountingPattern:
         return m
 
 
-def test_alphabetical_category_order_loads_by_block(tmp_path, monkeypatch):
-    # NRC's own file lists each word's rows in alphabetical category order.
-    source = tmp_path / "scaled.txt"
-    n_words = 2000
-    truth = corpus_gen.write_scaled_lexicon(source, n_words, seed=11)
-    rows = source.read_text("utf-8").splitlines()
-    blocks = [sorted(rows[i:i + 10], key=lambda r: r.split("\t")[1])
-              for i in range(0, len(rows), 10)]
-    path = _write(tmp_path, "".join(f"{r}\n" for b in blocks for r in b))
+@pytest.fixture
+def block_hits(monkeypatch):
+    """Whether each block match the loader tries finds a word, in order."""
     hits = []
     real = lexicon._block_matcher
 
@@ -265,10 +260,55 @@ def test_alphabetical_category_order_loads_by_block(tmp_path, monkeypatch):
         return _CountingPattern(pattern, hits), flag_masks
 
     monkeypatch.setattr(lexicon, "_block_matcher", counting)
+    return hits
+
+
+def test_alphabetical_category_order_loads_by_block(tmp_path, block_hits):
+    # NRC's own file lists each word's rows in alphabetical category order.
+    source = tmp_path / "scaled.txt"
+    n_words = 2000
+    truth = corpus_gen.write_scaled_lexicon(source, n_words, seed=11)
+    rows = source.read_text("utf-8").splitlines()
+    blocks = [sorted(rows[i:i + 10], key=lambda r: r.split("\t")[1])
+              for i in range(0, len(rows), 10)]
+    path = _write(tmp_path, "".join(f"{r}\n" for b in blocks for r in b))
     lex = load_lexicon(path)
     assert lex == label_masks(truth)
     # The first word sets the order and each piece boundary cuts at most
     # one block, whose rows are checked one by one; every other word is one
     # match.
     pieces = -(-path.stat().st_size // lexicon._PIECE_CHARS)
-    assert sum(hits) >= n_words - pieces
+    assert sum(block_hits) >= n_words - pieces
+
+
+@pytest.mark.parametrize("layout", ["flag_1_only", "shuffled"])
+def test_row_by_row_layouts_at_scale(tmp_path, block_hits, layout):
+    # Neither layout holds a word's ten rows in the order the loader
+    # learns, so no block match succeeds and every row takes the per-line
+    # checks.
+    source = tmp_path / "scaled.txt"
+    truth = corpus_gen.write_scaled_lexicon(source, 2000, seed=13)
+    rows = source.read_text("utf-8").splitlines()
+    if layout == "flag_1_only":
+        rows = [row for row in rows if row.endswith("\t1")]
+    else:
+        rng = random.Random(17)
+        blocks = [rows[i:i + 10] for i in range(0, len(rows), 10)]
+        for block in blocks:
+            rng.shuffle(block)
+        rows = [row for block in blocks for row in block]
+    path = _write(tmp_path, "".join(f"{row}\n" for row in rows))
+    lex = load_lexicon(path)
+    assert not any(block_hits)
+    assert lex == label_masks(truth)
+    assert lex == label_masks(scan_lexicon_file(str(path)))
+
+    # An early row repeated near the end is refused on its own line.
+    late = len(rows) - 5
+    word, cat, _flag = rows[3].split("\t")
+    rows.insert(late, rows[3])
+    path = _write(tmp_path, "".join(f"{row}\n" for row in rows))
+    with pytest.raises(LexiconError) as err:
+        load_lexicon(path)
+    assert str(err.value) == \
+        f"{path}: line {late + 1}: duplicate row for ({word!r}, {cat})"

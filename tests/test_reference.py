@@ -290,6 +290,21 @@ def test_oracle_agrees_on_a_long_s_url_prefix(tmp_path, toy_lexicon_path):
     assert summary["tweets_tagged"] == 1
 
 
+def test_oracle_reads_a_rewritten_lexicon_again(random_corpus,
+                                                toy_lexicon_path, tmp_path):
+    # Two runs in one process on one lexicon path, the file rewritten in
+    # between: the reference must scan the file as it is now.
+    lexicon = tmp_path / "lexicon.tsv"
+    rows = toy_lexicon_path.read_text(encoding="utf-8").splitlines(True)
+    for kept in (rows, rows[:len(rows) // 2]):
+        lexicon.write_text("".join(kept), encoding="utf-8")
+        summary = run_analyze(AnalyzeConfig(
+            input_path=str(random_corpus), lexicon_path=str(lexicon),
+            out_dir=str(tmp_path / f"out{len(kept)}"), oracle=True)).summary
+        assert summary["oracle_check"] == "ok"
+        assert summary["lexicon_entries"] == len(kept) // 10
+
+
 def test_reference_imports_no_pipeline_code():
     # --oracle checks only what the reference computes itself, so a change
     # that makes it share a production path again fails here.

@@ -329,12 +329,16 @@ class TestSubcorpus:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("handle", [
-        "fin-min", "@fin.min", "fin min", "f\u00efnmin", "finmin\n"],
-        ids=["hyphen", "dot", "space", "non-ascii", "newline"])
+        "fin-min", "@fin.min", "fin min", "f\u00efnmin", "finmin\n",
+        "\u212aerala", "@@foo"],
+        ids=["hyphen", "dot", "space", "non-ascii", "newline",
+             "kelvin-sign", "double-at"])
     def test_handle_outside_grammar_rejected(self, tmp_path, capsys,
                                              handle):
         # preprocess only ever yields [a-z0-9_]+ mentions, so such a
-        # handle could match nothing.
+        # handle could match nothing.  Only one "@" is stripped, and only
+        # an ASCII handle is lowercased: str.lower would turn U+212A
+        # (Kelvin sign) into an ASCII "k" and run on "kerala".
         rc = main(["subcorpus", "--mention", handle,
                    *_golden_args(tmp_path / "out")[1:]])
         assert rc == 1
