@@ -2,15 +2,12 @@
 
 The package works without the extension (a pure-Python fallback is selected
 at import time), so a missing compiler must not break installs.  The
-extension is built from ``_core.pyx`` when Cython is importable, and from
-the committed Cython-generated ``_core.c`` otherwise, so a plain C compiler
-is enough.
+extension is compiled from the committed Cython-generated ``_core.c``, so a
+plain C compiler is enough; ``_core.pyx`` is its source, kept for reading.
 """
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
-
-_CORE = "src/tweetlex/_kernels/_core"
 
 
 class optional_build_ext(build_ext):
@@ -31,14 +28,6 @@ class optional_build_ext(build_ext):
                   "falling back to the pure-Python kernels")
 
 
-def kernel_extensions() -> list[Extension]:
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        return [Extension("tweetlex._kernels._core", [_CORE + ".c"])]
-    return cythonize([Extension("tweetlex._kernels._core", [_CORE + ".pyx"])],
-                     language_level="3")
-
-
-setup(ext_modules=kernel_extensions(),
+setup(ext_modules=[Extension("tweetlex._kernels._core",
+                             ["src/tweetlex/_kernels/_core.c"])],
       cmdclass={"build_ext": optional_build_ext})

@@ -23,7 +23,7 @@ from .entities import FrequencyTable
 from .errors import TweetlexError
 from .ingest import FORMATS, IST, RecordReader, parse_tz_offset
 from .preprocess import strip_entities
-from .report import AnalyzeConfig, run_analyze, run_subcorpus
+from .report import AnalyzeConfig, run_analyze
 
 
 class _Parser(argparse.ArgumentParser):
@@ -114,7 +114,7 @@ def build_parser() -> _Parser:
     analyze.add_argument("--oracle", action="store_true",
                          help="verify the run against the sequential "
                               "reference implementation before writing")
-    analyze.set_defaults(func=_cmd_analyze)
+    analyze.set_defaults(func=_cmd_run)
 
     subc = sub.add_parser("subcorpus",
                           help="analyze only tweets mentioning a handle")
@@ -123,7 +123,7 @@ def build_parser() -> _Parser:
                            "case-insensitive)")
     _add_corpus_args(subc)
     _add_pipeline_args(subc)
-    subc.set_defaults(func=_cmd_subcorpus)
+    subc.set_defaults(func=_cmd_run)
 
     top = sub.add_parser("top", help="print a frequency ranking")
     top.add_argument("--what", choices=("mentions", "hashtags"),
@@ -135,13 +135,18 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_config(args, mention: str | None = None) -> AnalyzeConfig:
+def _make_config(args) -> AnalyzeConfig:
     emit_tags = getattr(args, "emit_tags", None)
     if emit_tags is not None:
         tags_path = Path(emit_tags)
         if not tags_path.is_absolute():
             tags_path = Path(args.out) / tags_path
         emit_tags = str(tags_path)
+    mention = getattr(args, "mention", None)
+    if mention is not None:
+        mention = mention.removeprefix("@")
+        if mention.isascii():  # a non-ASCII handle stays as given, and refused
+            mention = mention.lower()
     return AnalyzeConfig(
         input_path=args.input,
         lexicon_path=args.lexicon,
@@ -159,28 +164,16 @@ def _make_config(args, mention: str | None = None) -> AnalyzeConfig:
     )
 
 
-def _report_run(result, elapsed: float) -> None:
+def _cmd_run(args) -> int:
+    """``analyze`` and ``subcorpus``: one run, timed on stderr."""
+    start = time.perf_counter()
+    result = run_analyze(_make_config(args))
+    elapsed = time.perf_counter() - start
     tagged = result.summary["tweets_tagged"]
     rate = tagged / elapsed if elapsed > 0 else float("inf")
     print(f"tagged {tagged} tweets in {elapsed:.2f}s ({rate:.0f}/s); "
           f"wrote {len(result.written)} files to {result.out_dir}",
           file=sys.stderr)
-
-
-def _cmd_analyze(args) -> int:
-    start = time.perf_counter()
-    result = run_analyze(_make_config(args))
-    _report_run(result, time.perf_counter() - start)
-    return 0
-
-
-def _cmd_subcorpus(args) -> int:
-    mention = args.mention.removeprefix("@")
-    if mention.isascii():  # a non-ASCII handle stays as given, and refused
-        mention = mention.lower()
-    start = time.perf_counter()
-    result = run_subcorpus(_make_config(args, mention=mention))
-    _report_run(result, time.perf_counter() - start)
     return 0
 
 

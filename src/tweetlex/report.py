@@ -33,7 +33,7 @@ from typing import BinaryIO, Iterable, Iterator
 from . import reference
 from .entities import FrequencyTable
 from .errors import OracleMismatchError, TweetlexError
-from .ingest import IST, Record, RecordReader
+from .ingest import IST, ReadStats, Record, RecordReader
 from .lexicon import Category, load_lexicon
 from .preprocess import (count_non_ascii_tokens, default_stopwords_path,
                          is_mention_key, load_stopwords, preprocess)
@@ -234,70 +234,64 @@ class RunResult:
     written: list[Path]
 
 
-def _load_inputs(config: AnalyzeConfig):
-    masks = load_lexicon(config.lexicon_path)
-    stopwords = load_stopwords(config.stopwords_path
-                               or default_stopwords_path())
-    rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
-    return masks, stopwords, rules
+def _entity_summary(table: FrequencyTable) -> tuple[dict, list]:
+    """A mention or hashtag table's summary figures, and its ranking."""
+    ranked = table.items_sorted()
+    top = sum(count for _key, count in ranked[:WORDCLOUD_TOP_N])
+    return {"distinct": table.distinct_keys,
+            "total_occurrences": table.total_occurrences,
+            "top40_subtotal": top}, ranked
 
 
-def _build_summary(config: AnalyzeConfig, reader: RecordReader,
-                   part: _Partial, masks: dict, mentions: list | None,
-                   hashtags: list | None) -> dict:
-    """The summary.json dict; ``mentions`` and ``hashtags`` are the sorted
-    tables, None on a subcorpus run."""
-    stats = reader.stats
-    peak = peak_slot(part.hours)
-    tagged = part.hours.total
-    located = part.regions.grand_total()
+def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
+             masks: dict) -> tuple[dict, list]:
+    """The summary.json dict, and the run's tables as (file name, writer,
+    data) triples in write order: the daily table alone on a subcorpus
+    run, all seven tables otherwise."""
     totals = sum_rows(part.day.rows.values())
-    neutral = {channel: totals[DAY_ROW.index((channel, NEUTRAL))]
-               for channel in CHANNELS}
-    if config.mention is not None:
-        return {
-            "mention": config.mention,
-            "records_read": stats.lines,
-            "records_rejected": stats.skipped_total,
-            "rejected_reasons": dict(sorted(stats.skipped.items())),
-            "subcorpus_tweets": part.matched,
-            "blanks_dropped": part.blanks,
-            "tweets_tagged": tagged,
-            "neutral_counts": neutral,
-            "tie_count": part.ties,
-            "peak_hour_slot": peak,
-            "lexicon_entries": len(masks),
-        }
-    return {
+    read = {
         "records_read": stats.lines,
         "records_rejected": stats.skipped_total,
         "rejected_reasons": dict(sorted(stats.skipped.items())),
+    }
+    tagging = {
         "blanks_dropped": part.blanks,
-        "tweets_tagged": tagged,
-        "neutral_counts": neutral,
+        "tweets_tagged": part.hours.total,
+        "neutral_counts": {channel: totals[DAY_ROW.index((channel, NEUTRAL))]
+                           for channel in CHANNELS},
         "tie_count": part.ties,
+    }
+    tables = [("daily.csv", write_daily_csv, part.day)]
+    if config.mention is not None:
+        return {"mention": config.mention, **read,
+                "subcorpus_tweets": part.matched, **tagging,
+                "peak_hour_slot": peak_slot(part.hours),
+                "lexicon_entries": len(masks)}, tables
+    mention_summary, mentions = _entity_summary(part.mentions)
+    hashtag_summary, hashtags = _entity_summary(part.hashtags)
+    located = part.regions.grand_total()
+    summary = {
+        **read, **tagging,
         "non_latin_token_tally": part.non_latin,
-        "peak_hour_slot": peak,
-        "mentions": {
-            "distinct": part.mentions.distinct_keys,
-            "total_occurrences": part.mentions.total_occurrences,
-            "top40_subtotal": sum(c for _k, c in
-                                  mentions[:WORDCLOUD_TOP_N]),
-        },
-        "hashtags": {
-            "distinct": part.hashtags.distinct_keys,
-            "total_occurrences": part.hashtags.total_occurrences,
-            "top40_subtotal": sum(c for _k, c in
-                                  hashtags[:WORDCLOUD_TOP_N]),
-        },
+        "peak_hour_slot": peak_slot(part.hours),
+        "mentions": mention_summary,
+        "hashtags": hashtag_summary,
         "locations": {
             "located": located,
-            "unknown": tagged - located,
+            "unknown": part.hours.total - located,
             "india_total": part.regions.india_total(),
             "foreign": part.regions.count(FOREIGN),
         },
         "lexicon_entries": len(masks),
     }
+    return summary, tables + [
+        ("hourly.csv", write_hourly_csv, part.hours),
+        ("mentions.csv", write_freq_csv, mentions),
+        ("hashtags.csv", write_freq_csv, hashtags),
+        ("regions.csv", write_regions_csv, part.regions),
+        ("wordcloud_mentions.json", write_wordcloud_json, mentions),
+        ("wordcloud_hashtags.json", write_wordcloud_json, hashtags),
+    ]
 
 
 def _diff_dicts(prefix: str, mine, ref, out: list[str]) -> None:
@@ -482,7 +476,10 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
         if path.exists() and not path.is_dir():
             raise NotADirectoryError(errno.ENOTDIR,
                                      os.strerror(errno.ENOTDIR), str(path))
-    masks, stopwords, rules = _load_inputs(config)
+    masks = load_lexicon(config.lexicon_path)
+    stopwords = load_stopwords(config.stopwords_path
+                               or default_stopwords_path())
+    rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,
                           date_from=config.date_from,
@@ -492,38 +489,22 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
         part = _run_chunks(reader, initargs, config.workers, spill)
-        mentions = hashtags = None
-        if config.mention is None:
-            mentions = part.mentions.items_sorted()
-            hashtags = part.hashtags.items_sorted()
-        summary = _build_summary(config, reader, part, masks, mentions,
-                                 hashtags)
+        summary, tables = _outputs(config, reader.stats, part, masks)
         if config.oracle:
             _check_oracle(config, summary, part, stopwords, rules)
             summary["oracle_check"] = "ok"
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-
-        def emit(name: str, writer, *args) -> None:
-            path = out_dir / name
-            writer(path, *args)
-            written.append(path)
-
-        emit("daily.csv", write_daily_csv, part.day)
-        if config.mention is None:
-            emit("hourly.csv", write_hourly_csv, part.hours)
-            emit("mentions.csv", write_freq_csv, mentions)
-            emit("hashtags.csv", write_freq_csv, hashtags)
-            emit("regions.csv", write_regions_csv, part.regions)
-            emit("wordcloud_mentions.json", write_wordcloud_json, mentions)
-            emit("wordcloud_hashtags.json", write_wordcloud_json, hashtags)
+        outputs = [(out_dir / name, writer, data)
+                   for name, writer, data in tables]
         if spill is not None:
-            tags_path = Path(config.emit_tags)
-            write_spilled_tags(tags_path, spill)
-            written.append(tags_path)
-        emit("summary.json", write_summary_json, summary)
-    return RunResult(summary, part, out_dir, written)
+            outputs.append((Path(config.emit_tags), write_spilled_tags, spill))
+        outputs.append((out_dir / "summary.json", write_summary_json,
+                        summary))
+        for path, writer, data in outputs:
+            writer(path, data)
+    return RunResult(summary, part, out_dir,
+                     [path for path, _writer, _data in outputs])
 
 
 def run_subcorpus(config: AnalyzeConfig) -> RunResult:

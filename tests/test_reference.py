@@ -9,6 +9,7 @@ tests assert exact agreement from token level up to full-run reports.
 import ast
 import datetime as dt
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,32 @@ def test_oracle_agrees_on_a_long_s_url_prefix(tmp_path, toy_lexicon_path):
     summary = run_analyze(config).summary
     assert summary["oracle_check"] == "ok"
     assert summary["tweets_tagged"] == 1
+
+
+_NON_LATIN_WORDS = ("नमस्ते", "भारत", "வணக்கம்", "தமிழ்நாடு", "北京市",
+                    "大好き", "καλημέρα", "Ελλάδα", "café", "naïve", "São",
+                    "Zürich")
+
+
+def test_oracle_counts_non_latin_tokens(tmp_path, toy_lexicon_path):
+    # Devanagari, Tamil, CJK, Greek and accented-Latin words among the toy
+    # lexicon's, so --oracle recounts a non-zero non-Latin token tally.
+    rng = random.Random(3)
+    vocab = _NON_LATIN_WORDS + tuple(corpus_gen.TOY_LEXICON)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(
+        {"id": f"n{i}", "created_at": f"2017-07-0{1 + i % 7}T10:00:00+05:30",
+         "text": " ".join(rng.choices(vocab, k=rng.randint(1, 6)))},
+        ensure_ascii=False) + "\n" for i in range(300)), encoding="utf-8")
+    summaries = []
+    for workers in (1, 2):
+        summaries.append(run_analyze(AnalyzeConfig(
+            input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+            out_dir=str(tmp_path / f"w{workers}"), oracle=True,
+            workers=workers)).summary)
+    assert summaries[0] == summaries[1]
+    assert summaries[0]["oracle_check"] == "ok"
+    assert summaries[0]["non_latin_token_tally"] > 0
 
 
 def test_oracle_reads_a_rewritten_lexicon_again(random_corpus,

@@ -138,6 +138,28 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
 
+class TestWindowFlags:
+    def test_from_to_equal_config_window(self, corpus, toy_lexicon_path,
+                                          tmp_path, capsys):
+        cli_out, api_out = tmp_path / "cli", tmp_path / "api"
+        assert main(["analyze", "--input", str(corpus),
+                     "--lexicon", str(toy_lexicon_path),
+                     "--out", str(cli_out),
+                     "--from", "2017-07-02", "--to", "2017-07-04"]) == 0
+        run_analyze(AnalyzeConfig(
+            input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+            out_dir=str(api_out), date_from=date(2017, 7, 2),
+            date_to=date(2017, 7, 4)))
+        tree = _read_tree(cli_out)
+        assert tree == _read_tree(api_out)
+        # The corpus spans July 1-7, so both bounds are inclusive.
+        days = {line.split(",", 1)[0]
+                for line in tree["daily.csv"].decode().splitlines()[1:]}
+        assert days == {"2017-07-02", "2017-07-03", "2017-07-04"}
+        summary = json.loads(tree["summary.json"])
+        assert summary["rejected_reasons"]["out_of_range"] > 0
+
+
 class TestEmitTags:
     def test_relative_name_lands_in_out_dir(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -628,6 +650,55 @@ class TestCsvFormat:
             > report.CHUNK_SIZE
         assert trees[1]["tags.jsonl"]
 
+    def test_rows_the_csv_module_rejects(self, tmp_path, toy_lexicon_path):
+        # Line 3 holds a field past csv.field_size_limit(); line 5 opens a
+        # quoted field that passes the limit before its line ends, so the
+        # rest of that field, on line 6, is read as a short row of its own.
+        limit = csv.field_size_limit()
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("\n".join([
+            "id,created_at,text,user_location",
+            "a,2017-07-01T10:00:00+05:30,good glad day,Delhi",
+            f"b,2017-07-01T11:00:00+05:30,{'x' * (limit + 1)},Delhi",
+            "c,2017-07-01T12:00:00+05:30,bad poor show,",
+            f'd,2017-07-01T13:00:00+05:30,"{"y" * limit}',
+            'still quoted",Delhi',
+            "e,2017-07-02T09:00:00+05:30,hope and faith,Mumbai",
+        ]) + "\n", encoding="utf-8")
+        reader = RecordReader(corpus, "csv")
+        tally = reference.ReadTally()
+        assert list(reader) == list(reference.naive_read(corpus, "csv",
+                                                         tally))
+        assert reader.stats.diagnostics == tally.diagnostics
+        assert [diagnostic[:2] for diagnostic in tally.diagnostics] == [
+            (3, "malformed"), (5, "malformed"), (6, "malformed")]
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            summary = run_analyze(AnalyzeConfig(
+                input_path=str(corpus), fmt="csv",
+                lexicon_path=str(toy_lexicon_path), out_dir=str(out),
+                oracle=True, workers=workers)).summary
+            assert summary["oracle_check"] == "ok"
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2]
+        assert summary["records_read"] == 6
+        assert summary["rejected_reasons"] == {"malformed": 3}
+        assert summary["tweets_tagged"] == 3
+
+    def test_overlong_header_field_exits_1(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(
+            "id,created_at,text," + "u" * (csv.field_size_limit() + 1)
+            + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        rc = main(["analyze", "--input", str(corpus), "--format", "csv",
+                   "--lexicon", str(GOLDEN / "lexicon.tsv"),
+                   "--out", str(out)])
+        assert rc == 1
+        assert "unreadable CSV header" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRegionsCsv:
     @pytest.mark.parametrize("workers", [1, 2])
@@ -916,6 +987,10 @@ class TestExitCodes:
         # Forms some Pythons' date.fromisoformat reads as 2017-07-04.
         ["top", "--what", "mentions", "--input", "x", "--from", "20170704"],
         ["top", "--what", "mentions", "--input", "x", "--to", "2017-W27-2"],
+        # Counts that are not integers.
+        ["top", "--what", "mentions", "--input", "x", "-n", "abc"],
+        ["analyze", "--input", "x", "--lexicon", "y", "--out", "z",
+         "--threads", "x"],
     ])
     def test_usage_errors_exit_1(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
