@@ -5,9 +5,12 @@ reader that runs every admission check in its plain order on a fully
 parsed line, a character-walk tokenizer instead of the regex/compiled
 kernels, a word -> label-set lexicon table instead of packed bitmasks, and
 flat dict tallies instead of the mergeable aggregate classes.  ``--oracle``
-runs a corpus through this module and compares the resulting summary,
-daily, and hourly figures against the optimized pipeline before any file
-is written.
+runs a corpus through this module and, before any file is written,
+compares with the optimized pipeline: every summary.json figure, the
+daily label counts, the hourly slots, the mention and hashtag counts, the
+tweets per region, and the first MAX_DIAGNOSTICS rejections.  It does not
+compare the label columns of each region, the ranked order of the tables,
+or the tags.jsonl rows.
 
 Only gazetteer *parsing* is shared with the main pipeline, on purpose;
 rule matching is redone here.  From tweetlex.ingest this module reads two
@@ -220,7 +223,7 @@ def _squeeze(token: str) -> str:
 
 
 def naive_clean(text: str, stopwords: frozenset[str]):
-    """Reference tweet cleaner; returns (tokens, mentions, hashtags, urls).
+    """Reference tweet cleaner; returns (tokens, mentions, hashtags).
 
     Same contract as tweetlex.preprocess but built on character walks: strip
     URLs, then @mentions (handles lowercased), then #hashtags (original
@@ -228,13 +231,11 @@ def naive_clean(text: str, stopwords: frozenset[str]):
     split; squeeze character runs; drop short tokens, tokens containing
     "http", and stopwords.
     """
-    urls: list[str] = []
     out: list[str] = []
     i = 0
     while i < len(text):
         end = _url_end(text, i)
         if end is not None:
-            urls.append(text[i:end])
             out.append(" ")
             i = end
         else:
@@ -259,7 +260,7 @@ def naive_clean(text: str, stopwords: frozenset[str]):
         if len(tok) < 3 or "http" in tok or tok in stopwords:
             continue
         tokens.append(tok)
-    return tokens, mentions, hashtags, urls
+    return tokens, mentions, hashtags
 
 
 def scan_lexicon_file(path: str) -> dict[str, frozenset[str]]:
@@ -332,9 +333,11 @@ def naive_resolve(raw: str | None, rules: Rules) -> str:
     return UNKNOWN
 
 
-def _top_subtotal(counts: dict[str, int], n: int = 40) -> int:
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-    return sum(c for _k, c in ranked[:n])
+def _entity_figures(counts: dict[str, int]) -> dict[str, int]:
+    """The summary figures of a mention or hashtag count dict."""
+    return {"distinct": len(counts),
+            "total_occurrences": sum(counts.values()),
+            "top40_subtotal": sum(sorted(counts.values(), reverse=True)[:40])}
 
 
 def run_reference(input_path, fmt: str, lexicon_path, *,
@@ -345,10 +348,13 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
                   mention_filter: str | None = None) -> dict:
     """Sequential reference run over one corpus.
 
-    Returns {"summary": .., "daily": .., "hourly": ..} where daily maps
-    channel -> ISO date -> label -> count and hourly is a 24-slot list.
-    With ``mention_filter`` set, only tweets mentioning that (lowercase)
-    handle are analyzed and the summary takes the subcorpus shape.
+    Returns its tallies by name: "summary" (the summary.json figures),
+    "daily" (channel -> ISO date -> label -> count), "hourly" (a 24-slot
+    list), "mentions" and "hashtags" (key -> count), "regions" (region ->
+    tweets, UNKNOWN left out) and "rejections" (the first MAX_DIAGNOSTICS
+    (line number, reason, detail) triples).  With ``mention_filter`` set,
+    only tweets mentioning that (lowercase) handle are analyzed and the
+    summary takes the subcorpus shape.
     """
     table = scan_lexicon_file(str(lexicon_path))
     tally = ReadTally()
@@ -368,7 +374,7 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
     non_latin = 0
 
     for _id, local, text, location in records:
-        tokens, mentions, hashtags, _urls = naive_clean(text, stopwords)
+        tokens, mentions, hashtags = naive_clean(text, stopwords)
         if mention_filter is not None and mention_filter not in mentions:
             continue
         for m in mentions:
@@ -385,13 +391,12 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
                 non_latin += 1
         counts = naive_count(tokens, table)
         s, e, o, tied = naive_label(counts)
-        for channel, lab in (("sentiment", s), ("emotion", e), ("overall", o)):
-            if lab == "neutral":
-                neutral[channel] += 1
         if tied:
             ties += 1
         day = local.date().isoformat()
         for channel, lab in (("sentiment", s), ("emotion", e), ("overall", o)):
+            if lab == "neutral":
+                neutral[channel] += 1
             per_day = daily[channel].setdefault(day, {})
             per_day[lab] = per_day.get(lab, 0) + 1
         hourly[local.hour] += 1
@@ -401,52 +406,31 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
         else:
             region_tweets[region] = region_tweets.get(region, 0) + 1
 
-    peak = hourly.index(max(hourly)) if tagged else None
-    india_total = sum(region_tweets.get(r, 0) for r in INDIAN_REGIONS)
-    india_total += region_tweets.get(INDIA_UNSPECIFIED, 0)
-    foreign = region_tweets.get(FOREIGN, 0)
-
+    summary = {
+        "records_read": tally.lines,
+        "records_rejected": sum(tally.skipped.values()),
+        "rejected_reasons": dict(sorted(tally.skipped.items())),
+        "blanks_dropped": blanks,
+        "tweets_tagged": tagged,
+        "neutral_counts": neutral,
+        "tie_count": ties,
+        "peak_hour_slot": hourly.index(max(hourly)) if tagged else None,
+        "lexicon_entries": len(table),
+    }
     if mention_filter is not None:
-        summary = {
-            "mention": mention_filter,
-            "records_read": tally.lines,
-            "records_rejected": sum(tally.skipped.values()),
-            "rejected_reasons": dict(sorted(tally.skipped.items())),
-            "subcorpus_tweets": blanks + tagged,
-            "blanks_dropped": blanks,
-            "tweets_tagged": tagged,
-            "neutral_counts": neutral,
-            "tie_count": ties,
-            "peak_hour_slot": peak,
-            "lexicon_entries": len(table),
-        }
+        summary["mention"] = mention_filter
+        summary["subcorpus_tweets"] = blanks + tagged
     else:
-        summary = {
-            "records_read": tally.lines,
-            "records_rejected": sum(tally.skipped.values()),
-            "rejected_reasons": dict(sorted(tally.skipped.items())),
-            "blanks_dropped": blanks,
-            "tweets_tagged": tagged,
-            "neutral_counts": neutral,
-            "tie_count": ties,
-            "non_latin_token_tally": non_latin,
-            "peak_hour_slot": peak,
-            "mentions": {
-                "distinct": len(mention_counts),
-                "total_occurrences": sum(mention_counts.values()),
-                "top40_subtotal": _top_subtotal(mention_counts),
-            },
-            "hashtags": {
-                "distinct": len(hashtag_counts),
-                "total_occurrences": sum(hashtag_counts.values()),
-                "top40_subtotal": _top_subtotal(hashtag_counts),
-            },
-            "locations": {
-                "located": sum(region_tweets.values()),
-                "unknown": unknown_locs,
-                "india_total": india_total,
-                "foreign": foreign,
-            },
-            "lexicon_entries": len(table),
+        summary["non_latin_token_tally"] = non_latin
+        summary["mentions"] = _entity_figures(mention_counts)
+        summary["hashtags"] = _entity_figures(hashtag_counts)
+        summary["locations"] = {
+            "located": sum(region_tweets.values()),
+            "unknown": unknown_locs,
+            "india_total": sum(region_tweets.get(r, 0) for r in
+                               (*INDIAN_REGIONS, INDIA_UNSPECIFIED)),
+            "foreign": region_tweets.get(FOREIGN, 0),
         }
-    return {"summary": summary, "daily": daily, "hourly": hourly}
+    return {"summary": summary, "daily": daily, "hourly": hourly,
+            "mentions": mention_counts, "hashtags": hashtag_counts,
+            "regions": region_tweets, "rejections": tally.diagnostics}

@@ -49,6 +49,9 @@ CHUNK_SIZE = 1024
 
 WORDCLOUD_TOP_N = 40
 
+#: Differing figures an oracle mismatch lists before it counts the rest.
+MAX_MISMATCHES = 20
+
 # tags.jsonl line fragments.  A line is, byte for byte, json.dumps(row,
 # ensure_ascii=False) of the dict {"id", "counts", "sentiment", "emotion",
 # "overall", "tied"}; only the id is encoded per row, by the encoder that
@@ -295,39 +298,50 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
 
 
 def _diff_dicts(prefix: str, mine, ref, out: list[str]) -> None:
+    """Append a line per differing figure, walking dicts in key order and
+    lists in index order."""
+    if isinstance(mine, list) and isinstance(ref, list):
+        mine, ref = dict(enumerate(mine)), dict(enumerate(ref))
     if isinstance(mine, dict) and isinstance(ref, dict):
-        for key in sorted(set(mine) | set(ref), key=str):
+        for key in sorted(set(mine) | set(ref)):
             _diff_dicts(f"{prefix}{key}.", mine.get(key), ref.get(key), out)
     elif mine != ref:
         out.append(f"{prefix[:-1]}: pipeline={mine!r} reference={ref!r}")
 
 
-def _check_oracle(config: AnalyzeConfig, summary: dict,
+def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
                   part: _Partial, stopwords: frozenset[str],
                   rules: Rules) -> None:
-    """Recompute the run through tweetlex.reference and compare.
+    """Recompute the run through tweetlex.reference and compare each of
+    its named tallies with the pipeline's.
 
-    Raises OracleMismatchError listing every differing figure.  The
-    reference makes its own pass over the input, so run_analyze admits an
-    oracle run only on a file input.
+    Raises OracleMismatchError listing the first MAX_MISMATCHES differing
+    figures and the count of the rest.  The reference makes its own pass
+    over the input, so run_analyze admits an oracle run only on a file
+    input.
     """
     ref = reference.run_reference(
         config.input_path, config.fmt, config.lexicon_path,
         stopwords=stopwords, gazetteer=rules, default_tz=config.default_tz,
         date_from=config.date_from, date_to=config.date_to,
         mention_filter=config.mention)
-    mine_daily: dict[str, dict] = {channel: {} for channel in CHANNELS}
+    daily: dict[str, dict] = {channel: {} for channel in CHANNELS}
     for day, row in part.day.rows.items():
         for (channel, label), count in zip(DAY_ROW, row):
             if count:
-                mine_daily[channel].setdefault(day.isoformat(), {})[label] = count
+                daily[channel].setdefault(day.isoformat(), {})[label] = count
+    mine = {"summary": summary, "daily": daily, "hourly": part.hours.slots,
+            "mentions": dict(part.mentions.items_sorted()),
+            "hashtags": dict(part.hashtags.items_sorted()),
+            "regions": {region: row_tweets(row)
+                        for region, row in part.regions.rows.items()},
+            "rejections": stats.diagnostics}
     diffs: list[str] = []
-    _diff_dicts("summary.", summary, ref["summary"], diffs)
-    _diff_dicts("daily.", mine_daily, ref["daily"], diffs)
-    for slot in range(24):
-        if part.hours.slots[slot] != ref["hourly"][slot]:
-            diffs.append(f"hourly.{slot}: pipeline={part.hours.slots[slot]}"
-                         f" reference={ref['hourly'][slot]}")
+    for name in mine:
+        _diff_dicts(f"{name}.", mine[name], ref[name], diffs)
+    if len(diffs) > MAX_MISMATCHES:
+        diffs[MAX_MISMATCHES:] = [f"... and {len(diffs) - MAX_MISMATCHES}"
+                                  f" more, {len(diffs)} in all"]
     if diffs:
         raise OracleMismatchError(
             "reference run disagrees with pipeline:\n  " + "\n  ".join(diffs))
@@ -491,7 +505,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
         part = _run_chunks(reader, initargs, config.workers, spill)
         summary, tables = _outputs(config, reader.stats, part, masks)
         if config.oracle:
-            _check_oracle(config, summary, part, stopwords, rules)
+            _check_oracle(config, reader.stats, summary, part,
+                          stopwords, rules)
             summary["oracle_check"] = "ok"
 
         out_dir.mkdir(parents=True, exist_ok=True)

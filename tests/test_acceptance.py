@@ -65,7 +65,7 @@ def test_criterion_1_per_tweet_oracle_equivalence(work_dir, toy_lexicon,
         clean = preprocess(text, bundled_stopwords)
         tag = tag_tweet(clean.tokens, toy_lexicon)
 
-        tokens, _m, _h, _u = naive_clean(text, bundled_stopwords)
+        tokens, _m, _h = naive_clean(text, bundled_stopwords)
         counts = naive_count(tokens, table)
 
         expected_vec = [counts.get(c.label, 0) for c in Category]

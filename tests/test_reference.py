@@ -55,7 +55,7 @@ _tweety_text = st.one_of(_pieces.map(" ".join), _pieces.map("".join))
 @given(text=_tweety_text)
 def test_naive_clean_matches_preprocess(text):
     clean = preprocess(text, STOPWORDS)
-    tokens, mentions, hashtags, _urls = naive_clean(text, STOPWORDS)
+    tokens, mentions, hashtags = naive_clean(text, STOPWORDS)
     assert tokens == clean.tokens
     assert mentions == clean.mentions
     assert [h.upper() for h in hashtags] == clean.hashtags
@@ -64,11 +64,10 @@ def test_naive_clean_matches_preprocess(text):
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: repr(fx.text)[:48])
 def test_naive_clean_matches_hand_traces(fx):
     # Three-way agreement: hand trace, pipeline (covered elsewhere), oracle.
-    tokens, mentions, hashtags, urls = naive_clean(fx.text, STOPWORDS)
+    tokens, mentions, hashtags = naive_clean(fx.text, STOPWORDS)
     assert tuple(tokens) == fx.tokens
     assert tuple(mentions) == (fx.mentions or ())
     assert tuple(hashtags) == (fx.hashtags or ())
-    assert tuple(urls) == (fx.urls or ())
 
 
 _tokens = st.lists(

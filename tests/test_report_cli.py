@@ -13,6 +13,7 @@ import importlib.metadata
 import io
 import itertools
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import tweetlex
-from tweetlex import _kernels, reference, report, spatial
+from tweetlex import _kernels, ingest, reference, report, spatial
 from tweetlex.errors import OracleMismatchError, TweetlexError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category
@@ -126,6 +127,31 @@ class TestDeterminism:
         assert checked.pop("oracle_check") == "ok"
         assert checked == json.loads(trees[False].pop("summary.json"))
         assert trees[False] == trees[True]
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_pool_start_method_never_changes_output(
+            self, toy_lexicon_path, tmp_path, monkeypatch, method):
+        # Python 3.14 starts pools with forkserver by default on Linux; a
+        # worker must then get all its state from the pool's initargs.
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, 3000, seed=13)
+        trees = {}
+        for workers in (1, 2):
+            if workers == 2:
+                monkeypatch.setattr(report.multiprocessing, "Pool",
+                                    multiprocessing.get_context(method).Pool)
+            out = tmp_path / f"w{workers}"
+            run_analyze(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+                workers=workers))
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2]
+        # More than one chunk, so the second worker really takes one.
+        summary = json.loads(trees[1]["summary.json"])
+        assert summary["records_read"] > report.CHUNK_SIZE
 
     def test_rerun_is_byte_identical(self, corpus, toy_lexicon_path, tmp_path):
         outs = []
@@ -589,6 +615,83 @@ class TestOracleFailurePath:
         assert "--oracle needs a file input" in capsys.readouterr().err
         assert stdin.tell() == 0
         assert not out.exists()
+
+
+def _rewriting(function, rewrite, field=None):
+    """``function`` with ``rewrite`` applied to its result, or to each key
+    in the named field of its CleanTweet result."""
+    def rewritten(*args):
+        result = function(*args)
+        if field is None:
+            return rewrite(result)
+        keys = getattr(result, field)
+        return result._replace(**{field: [rewrite(key) for key in keys]})
+    return rewritten
+
+
+def _swap(a: str, b: str):
+    return lambda key: {a: b, b: a}.get(key, key)
+
+
+class TestOracleTallies:
+    """Faults that leave every summary figure as it was: --oracle finds
+    them in the tables and the rejections it also compares."""
+
+    @staticmethod
+    def _oracle_error(corpus, tmp_path, **extra) -> str:
+        out = tmp_path / "out"
+        with pytest.raises(OracleMismatchError) as info:
+            run_analyze(AnalyzeConfig(
+                input_path=str(corpus),
+                lexicon_path=str(GOLDEN / "lexicon.tsv"), out_dir=str(out),
+                oracle=True, **extra))
+        assert not out.exists()
+        return str(info.value)
+
+    def test_swapped_regions(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "resolve_location", _rewriting(
+            report.resolve_location, _swap("Maharashtra", "Karnataka")))
+        message = self._oracle_error(corpus, tmp_path)
+        assert "\n  regions.Karnataka: pipeline=" in message
+        assert "\n  regions.Maharashtra: pipeline=" in message
+        assert "summary." not in message
+
+    def test_swapped_hashtags(self, corpus, tmp_path, monkeypatch):
+        monkeypatch.setattr(report, "preprocess", _rewriting(
+            report.preprocess, _swap("GST", "GSTROLLOUT"), "hashtags"))
+        message = self._oracle_error(corpus, tmp_path)
+        assert "\n  hashtags.GST: pipeline=" in message
+        assert "\n  hashtags.GSTROLLOUT: pipeline=" in message
+        assert "summary." not in message
+
+    def test_shifted_rejection_line(self, corpus, tmp_path, monkeypatch):
+        skip = ingest.ReadStats._skip
+        monkeypatch.setattr(ingest.ReadStats, "_skip",
+                            lambda self, lineno, *rest:
+                            skip(self, lineno + 1, *rest))
+        message = self._oracle_error(corpus, tmp_path,
+                                     date_from=date(2017, 7, 2),
+                                     date_to=date(2017, 7, 4))
+        assert "\n  rejections.0: pipeline=(" in message
+        assert "summary." not in message
+
+    def test_long_mismatch_list_is_capped(self, longtail_corpus, tmp_path,
+                                          monkeypatch):
+        distinct = run_analyze(AnalyzeConfig(
+            input_path=str(longtail_corpus),
+            lexicon_path=str(GOLDEN / "lexicon.tsv"),
+            out_dir=str(tmp_path / "plain"))).summary["mentions"]["distinct"]
+        monkeypatch.setattr(report, "preprocess", _rewriting(
+            report.preprocess, str.upper, "mentions"))
+        lines = self._oracle_error(longtail_corpus, tmp_path).splitlines()
+        # Each key is missing once on each side.
+        total = 2 * distinct
+        assert total > report.MAX_MISMATCHES
+        assert lines[0] == "reference run disagrees with pipeline:"
+        assert len(lines) == 1 + report.MAX_MISMATCHES + 1
+        assert all(line.startswith("  mentions.") for line in lines[1:-1])
+        assert lines[-1] == (f"  ... and {total - report.MAX_MISMATCHES}"
+                             f" more, {total} in all")
 
 
 class TestCsvFormat:
