@@ -141,7 +141,8 @@ class RecordReader:
 
     Each line is checked in this order, and its first failing check names
     its rejection: ``blank_line``, ``encoding``, ``malformed`` (JSON that
-    does not parse into an object, or a CSV row without four fields), then
+    does not parse into an object, or a CSV row without four fields; a CSV
+    row holding a NUL character is ``malformed`` before any check), then
     the fields ``id`` (a non-empty string encodable as UTF-8),
     ``timestamp`` (see ``parse_timestamp``) and ``text`` (a string), then
     ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
@@ -267,6 +268,10 @@ class RecordReader:
                 continue
             self.stats.lines += 1
             lineno = reader.line_num
+            # Python 3.10's csv module raises on a NUL; later ones read it.
+            if "\0" in "".join(row):
+                self.stats._skip(lineno, "malformed", "line contains NUL")
+                continue
             if not all(map(str.isascii, row)) and not all(map(_encodes, row)):
                 self.stats._skip(lineno, "encoding", _BAD_BYTES)
                 continue

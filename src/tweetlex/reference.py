@@ -115,7 +115,9 @@ def _parsed_lines(fh, fmt: str, tally: ReadTally):
             tally.skip(rows.line_num, "malformed", str(exc))
             continue
         tally.lines += 1
-        if any(map(_SURROGATE.search, row)):
+        if any("\0" in field for field in row):
+            tally.skip(rows.line_num, "malformed", "line contains NUL")
+        elif any(map(_SURROGATE.search, row)):
             tally.skip(rows.line_num, "encoding", "invalid UTF-8 byte")
         elif len(row) != len(CSV_HEADER):
             tally.skip(rows.line_num, "malformed",
@@ -132,10 +134,11 @@ def naive_read(path, fmt: str, tally: ReadTally, *,
 
     The first check a line fails names its rejection: blank_line, encoding
     (a byte that is not UTF-8), malformed (a JSONL line that json.loads
-    does not turn into an object, or a CSV row without four fields), id (not
-    a non-empty string), timestamp (see naive_timestamp), text (not a
-    string), duplicate (an id already yielded), out_of_range (a local date
-    outside [date_from, date_to]).  A blank or non-string location is None.
+    does not turn into an object, or a CSV row with a NUL character or
+    without four fields), id (not a non-empty string), timestamp (see
+    naive_timestamp), text (not a string), duplicate (an id already
+    yielded), out_of_range (a local date outside [date_from, date_to]).  A
+    blank or non-string location is None.
     """
     seen: set[str] = set()
     with open(path, encoding="utf-8-sig", errors="surrogateescape",

@@ -220,7 +220,10 @@ def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
         finally:
             _G.clear()
         return total
-    with multiprocessing.Pool(workers, initializer=_init_worker,
+    # Processes beyond the CPUs this one may run on only add start-up cost.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    with multiprocessing.Pool(min(workers, cpus), initializer=_init_worker,
                               initargs=initargs) as pool:
         for part in pool.imap(_process_chunk, _iter_chunks(reader)):
             take(part)
@@ -237,13 +240,36 @@ class RunResult:
     written: list[Path]
 
 
-def _entity_summary(table: FrequencyTable) -> tuple[dict, list]:
-    """A mention or hashtag table's summary figures, and its ranking."""
+def _entity_summary(table: FrequencyTable) -> tuple[dict, list, dict]:
+    """A mention or hashtag table's summary figures, ranking and top 40."""
     ranked = table.items_sorted()
-    top = sum(count for _key, count in ranked[:WORDCLOUD_TOP_N])
+    top = dict(ranked[:WORDCLOUD_TOP_N])
     return {"distinct": table.distinct_keys,
             "total_occurrences": table.total_occurrences,
-            "top40_subtotal": top}, ranked
+            "top40_subtotal": sum(top.values())}, ranked, top
+
+
+def _region_table(regions: RegionAggregate) -> list[tuple[str, list[int]]]:
+    """regions.csv's (name, label row) pairs in file order: every Indian
+    region (tweet count desc, then name), INDIA_UNSPECIFIED, then the
+    INDIA_TOTAL, FOREIGN and TOTAL rows."""
+    rows, empty = regions.rows, [0] * len(DAY_ROW)
+    india = sorted(((name, rows.get(name, empty)) for name in INDIAN_REGIONS),
+                   key=lambda item: (-row_tweets(item[1]), item[0]))
+    india.append((INDIA_UNSPECIFIED, rows.get(INDIA_UNSPECIFIED, empty)))
+    india_total = sum_rows(row for _name, row in india)
+    foreign = rows.get(FOREIGN, empty)
+    return india + [("INDIA_TOTAL", india_total), (FOREIGN, foreign),
+                    ("TOTAL", sum_rows([india_total, foreign]))]
+
+
+def _daily_cells(day: DayBuckets) -> Iterator[tuple[str, str, str, int]]:
+    """daily.csv's (ISO date, channel, label, count) cells in file order:
+    by date, then in DAY_ROW order, zeros included."""
+    for when in sorted(day.rows):
+        iso = when.isoformat()
+        for (channel, label), count in zip(DAY_ROW, day.rows[when]):
+            yield iso, channel, label, count
 
 
 def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
@@ -270,9 +296,11 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
                 "subcorpus_tweets": part.matched, **tagging,
                 "peak_hour_slot": peak_slot(part.hours),
                 "lexicon_entries": len(masks)}, tables
-    mention_summary, mentions = _entity_summary(part.mentions)
-    hashtag_summary, hashtags = _entity_summary(part.hashtags)
-    located = part.regions.grand_total()
+    mention_summary, mentions, mention_top = _entity_summary(part.mentions)
+    hashtag_summary, hashtags, hashtag_top = _entity_summary(part.hashtags)
+    regions = _region_table(part.regions)
+    india_total, foreign, located = (row_tweets(row)
+                                     for _name, row in regions[-3:])
     summary = {
         **read, **tagging,
         "non_latin_token_tally": part.non_latin,
@@ -282,8 +310,8 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
         "locations": {
             "located": located,
             "unknown": part.hours.total - located,
-            "india_total": part.regions.india_total(),
-            "foreign": part.regions.count(FOREIGN),
+            "india_total": india_total,
+            "foreign": foreign,
         },
         "lexicon_entries": len(masks),
     }
@@ -291,9 +319,9 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
         ("hourly.csv", write_hourly_csv, part.hours),
         ("mentions.csv", write_freq_csv, mentions),
         ("hashtags.csv", write_freq_csv, hashtags),
-        ("regions.csv", write_regions_csv, part.regions),
-        ("wordcloud_mentions.json", write_wordcloud_json, mentions),
-        ("wordcloud_hashtags.json", write_wordcloud_json, hashtags),
+        ("regions.csv", write_regions_csv, regions),
+        ("wordcloud_mentions.json", write_json, mention_top),
+        ("wordcloud_hashtags.json", write_json, hashtag_top),
     ]
 
 
@@ -326,10 +354,9 @@ def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
         date_from=config.date_from, date_to=config.date_to,
         mention_filter=config.mention)
     daily: dict[str, dict] = {channel: {} for channel in CHANNELS}
-    for day, row in part.day.rows.items():
-        for (channel, label), count in zip(DAY_ROW, row):
-            if count:
-                daily[channel].setdefault(day.isoformat(), {})[label] = count
+    for iso, channel, label, count in _daily_cells(part.day):
+        if count:
+            daily[channel].setdefault(iso, {})[label] = count
     mine = {"summary": summary, "daily": daily, "hourly": part.hours.slots,
             "mentions": dict(part.mentions.items_sorted()),
             "hashtags": dict(part.hashtags.items_sorted()),
@@ -356,10 +383,8 @@ def write_daily_csv(path: Path, day: DayBuckets) -> None:
     included) so the file shape does not depend on the data."""
     with _open_out(path) as fh:
         fh.write("date,channel,label,count\n")
-        for when in day.dates():
-            iso = when.isoformat()
-            for (channel, label), count in zip(DAY_ROW, day.rows[when]):
-                fh.write(f"{iso},{channel},{label},{count}\n")
+        for iso, channel, label, count in _daily_cells(day):
+            fh.write(f"{iso},{channel},{label},{count}\n")
 
 
 def write_hourly_csv(path: Path, hours: HourBuckets) -> None:
@@ -381,14 +406,10 @@ def write_freq_csv(path: Path, ranked: list[tuple[str, int]]) -> None:
             fh.write(f"{key},{count}\n")
 
 
-def _region_csv_row(name: str, row: list[int], share: str) -> str:
-    counts = map(str, row[:len(_REGION_COLS)])
-    return ",".join([name, str(row_tweets(row)), *counts, share]) + "\n"
-
-
-def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
-    """Region table: all Indian regions (tweet count desc, then name),
-    then INDIA_UNSPECIFIED, the INDIA_TOTAL and FOREIGN rows, and TOTAL.
+def write_regions_csv(path: Path,
+                      table: list[tuple[str, list[int]]]) -> None:
+    """name,tweets, the _REGION_COLS counts and cum_share for each row of
+    a _region_table.
 
     cum_share accumulates tweets/located-total down the state rows through
     INDIA_UNSPECIFIED and FOREIGN; the derived INDIA_TOTAL and TOTAL rows
@@ -397,26 +418,20 @@ def write_regions_csv(path: Path, regions: RegionAggregate) -> None:
     with _open_out(path) as fh:
         fh.write(",".join(("region", "tweets", *_REGION_COLS, "cum_share"))
                  + "\n")
-        grand = regions.grand_total()
+        grand = row_tweets(table[-1][1])
         if grand == 0:
             return
-        empty = [0] * len(DAY_ROW)
-        names = sorted(INDIAN_REGIONS,
-                       key=lambda name: (-regions.count(name), name))
-        names.append(INDIA_UNSPECIFIED)
-        india = [regions.rows.get(name, empty) for name in names]
         running = 0
-        for name, row in zip(names, india):
-            running += row_tweets(row)
-            fh.write(_region_csv_row(name, row, f"{running / grand:.6f}"))
-        india_total = sum_rows(india)
-        fh.write(_region_csv_row("INDIA_TOTAL", india_total,
-                                 f"{row_tweets(india_total) / grand:.6f}"))
-        foreign = regions.rows.get(FOREIGN, empty)
-        running += row_tweets(foreign)
-        fh.write(_region_csv_row(FOREIGN, foreign, f"{running / grand:.6f}"))
-        fh.write(_region_csv_row("TOTAL", sum_rows([india_total, foreign]),
-                                 f"{grand / grand:.6f}"))
+        for name, row in table:
+            tweets = row_tweets(row)
+            if name in ("INDIA_TOTAL", "TOTAL"):
+                share = tweets
+            else:
+                running += tweets
+                share = running
+            counts = map(str, row[:len(_REGION_COLS)])
+            fh.write(",".join([name, str(tweets), *counts,
+                               f"{share / grand:.6f}"]) + "\n")
 
 
 def write_tags_jsonl(fh: BinaryIO, rows: list[tuple]) -> None:
@@ -436,18 +451,10 @@ def write_spilled_tags(path: Path, spill: BinaryIO) -> None:
         shutil.copyfileobj(spill, fh)
 
 
-def write_wordcloud_json(path: Path, ranked: list[tuple[str, int]]) -> None:
-    """key -> count mapping for the top 40 keys of a table's items_sorted()
-    list, in rank order, ready to feed a wordcloud renderer."""
+def write_json(path: Path, data: dict) -> None:
+    """summary.json or a wordcloud file, ending in a newline."""
     with _open_out(path) as fh:
-        json.dump(dict(ranked[:WORDCLOUD_TOP_N]), fh,
-                  ensure_ascii=False, indent=2)
-        fh.write("\n")
-
-
-def write_summary_json(path: Path, summary: dict) -> None:
-    with _open_out(path) as fh:
-        json.dump(summary, fh, ensure_ascii=False, indent=2)
+        json.dump(data, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 
 
@@ -514,8 +521,7 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
                    for name, writer, data in tables]
         if spill is not None:
             outputs.append((Path(config.emit_tags), write_spilled_tags, spill))
-        outputs.append((out_dir / "summary.json", write_summary_json,
-                        summary))
+        outputs.append((out_dir / "summary.json", write_json, summary))
         for path, writer, data in outputs:
             writer(path, data)
     return RunResult(summary, part, out_dir,

@@ -19,7 +19,7 @@ from importlib import resources
 
 from .errors import GazetteerError
 from .tagger import Tag
-from .temporal import count_tag, merge_rows, row_tweets
+from .temporal import count_tag, merge_rows
 
 UNKNOWN = "UNKNOWN"
 INDIA_UNSPECIFIED = "INDIA_UNSPECIFIED"
@@ -145,15 +145,3 @@ class RegionAggregate:
     def merge(self, other: "RegionAggregate") -> "RegionAggregate":
         merge_rows(self.rows, other.rows)
         return self
-
-    def count(self, region: str) -> int:
-        row = self.rows.get(region)
-        return row_tweets(row) if row else 0
-
-    def india_total(self) -> int:
-        """State counts plus INDIA_UNSPECIFIED (the "India (Total)" row)."""
-        return sum(self.count(region)
-                   for region in (*INDIAN_REGIONS, INDIA_UNSPECIFIED))
-
-    def grand_total(self) -> int:
-        return sum(map(row_tweets, self.rows.values()))

@@ -76,9 +76,6 @@ class DayBuckets:
         merge_rows(self.rows, other.rows)
         return self
 
-    def dates(self) -> list[date]:
-        return sorted(self.rows)
-
 
 class HourBuckets:
     """24 local-time slots; slot i covers [i:00:00, i:59:59], summed over

@@ -5,14 +5,16 @@ Usage: python tests/cross_python.py PYTHON
 Runs the golden corpus through ``PYTHON -m tweetlex.cli analyze --emit-tags
 --threads 2`` with ``PYTHONPATH`` set to this checkout's ``src``, and
 compares every output file with ``tests/data/golden_run/expected`` byte for
-byte. Then it runs the corpus again with ``--oracle`` and requires exit 0.
-Neither this script nor the run needs pytest, so PYTHON may be an
-interpreter that has only its standard library.
+byte. Then it runs the corpus again with ``--oracle`` and requires exit 0,
+and runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
+malformed and tag the other. Neither this script nor the run needs pytest,
+so PYTHON may be an interpreter that has only its standard library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
 difference to stderr and exits 1.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -22,12 +24,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden_run"
 
+#: A CSV corpus whose second line holds a NUL character. Python 3.10's csv
+#: module raises on that line and later ones read it; on every Python it
+#: must be one malformed rejection.
+NUL_CORPUS = ("id,created_at,text,user_location\n"
+              "n1,2017-07-01T10:00:00+05:30,good \0 day,Delhi\n"
+              "c2,2017-07-01T11:00:00+05:30,bad poor show,\n")
 
-def _analyze(python, golden: Path, out_dir: Path, *extra):
+
+def _analyze(python, corpus: Path, lexicon: Path, out_dir: Path, *extra):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     cmd = [python, "-m", "tweetlex.cli", "analyze",
-           "--input", str(golden / "corpus.jsonl"),
-           "--lexicon", str(golden / "lexicon.tsv"),
+           "--input", str(corpus), "--lexicon", str(lexicon),
            "--out", str(out_dir), *extra]
     return subprocess.run(cmd, env=env, capture_output=True, text=True,
                           timeout=300)
@@ -38,9 +46,11 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
     and a failed ``--oracle`` run, one line each; empty when none."""
     problems = []
     expected_dir = golden / "expected"
+    corpus, lexicon = golden / "corpus.jsonl", golden / "lexicon.tsv"
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out"
-        proc = _analyze(python, golden, out, "--emit-tags", "--threads", "2")
+        proc = _analyze(python, corpus, lexicon, out,
+                        "--emit-tags", "--threads", "2")
         if proc.returncode != 0:
             return [f"analyze exited {proc.returncode}: "
                     f"{proc.stderr.strip()}"]
@@ -53,10 +63,26 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
             if (path.is_file() and path.read_bytes()
                     != (expected_dir / name).read_bytes()):
                 problems.append(f"{name} differs from the golden copy")
-        proc = _analyze(python, golden, Path(tmp) / "oracle", "--oracle")
+        proc = _analyze(python, corpus, lexicon, Path(tmp) / "oracle",
+                        "--oracle")
         if proc.returncode != 0:
             problems.append(f"--oracle exited {proc.returncode}: "
                             f"{proc.stderr.strip()}")
+        nul = Path(tmp) / "nul.csv"
+        nul.write_bytes(NUL_CORPUS.encode("utf-8"))
+        out = Path(tmp) / "nul"
+        proc = _analyze(python, nul, lexicon, out, "--format", "csv",
+                        "--oracle", "--threads", "2")
+        if proc.returncode != 0:
+            problems.append(f"NUL corpus: --oracle exited {proc.returncode}:"
+                            f" {proc.stderr.strip()}")
+        else:
+            summary = json.loads((out / "summary.json").read_text("utf-8"))
+            got = (summary["rejected_reasons"], summary["tweets_tagged"])
+            if got != ({"malformed": 1}, 1):
+                problems.append(f"NUL corpus: rejected {got[0]} and tagged "
+                                f"{got[1]}, expected one malformed row and "
+                                f"one tagged tweet")
     return problems
 
 

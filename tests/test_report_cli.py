@@ -36,6 +36,7 @@ from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
 from tweetlex.cli import main
 
 import corpus_gen
+import cross_python
 
 GOLDEN = Path(__file__).parent / "data" / "golden_run"
 PYPROJECT = Path(__file__).parents[1] / "pyproject.toml"
@@ -150,6 +151,34 @@ class TestDeterminism:
             trees[workers] = _read_tree(out)
         assert trees[1] == trees[2]
         # More than one chunk, so the second worker really takes one.
+        summary = json.loads(trees[1]["summary.json"])
+        assert summary["records_read"] > report.CHUNK_SIZE
+
+    def test_pool_never_exceeds_the_cpus(self, toy_lexicon_path, tmp_path,
+                                         monkeypatch):
+        # Two CPUs are faked, so the pool stays small on any host.
+        monkeypatch.setattr(report.os, "sched_getaffinity",
+                            lambda _pid: {0, 1}, raising=False)
+        sizes = []
+        pool = multiprocessing.Pool
+
+        def recording_pool(processes, *args, **kwargs):
+            sizes.append(processes)
+            return pool(processes, *args, **kwargs)
+
+        monkeypatch.setattr(report.multiprocessing, "Pool", recording_pool)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, 3000, seed=13)
+        trees = {}
+        for workers in (1, 3):
+            out = tmp_path / f"w{workers}"
+            run_analyze(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+                workers=workers))
+            trees[workers] = _read_tree(out)
+        assert sizes == [2]
+        assert trees[1] == trees[3]
         summary = json.loads(trees[1]["summary.json"])
         assert summary["records_read"] > report.CHUNK_SIZE
 
@@ -789,6 +818,25 @@ class TestCsvFormat:
         assert summary["rejected_reasons"] == {"malformed": 3}
         assert summary["tweets_tagged"] == 3
 
+    def test_row_with_nul_is_malformed(self, tmp_path, toy_lexicon_path):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(cross_python.NUL_CORPUS.encode("utf-8"))
+        reader = RecordReader(corpus, "csv")
+        assert [record[0] for record in reader] == ["c2"]
+        assert reader.stats.diagnostics == [
+            (2, "malformed", "line contains NUL")]
+        trees = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            summary = run_analyze(AnalyzeConfig(
+                input_path=str(corpus), fmt="csv",
+                lexicon_path=str(toy_lexicon_path), out_dir=str(out),
+                oracle=True, workers=workers)).summary
+            assert summary["oracle_check"] == "ok"
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2]
+        assert summary["rejected_reasons"] == {"malformed": 1}
+
     def test_overlong_header_field_exits_1(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         corpus.write_text(
@@ -809,9 +857,9 @@ class TestRegionsCsv:
                                               toy_lexicon_path,
                                               bundled_stopwords,
                                               bundled_gazetteer, workers):
-        # --oracle checks only the located/unknown/india/foreign totals;
-        # this recounts every row and label column of regions.csv with the
-        # reference cleaner, tagger and resolver.
+        # --oracle compares each region's tweet count; this recounts every
+        # row's label columns, the row order and cum_share of regions.csv
+        # with the reference cleaner, tagger and resolver.
         corpus = tmp_path / "corpus.jsonl"
         corpus_gen.write_random_corpus(corpus, 2500, seed=29)
         out = tmp_path / "out"

@@ -61,7 +61,7 @@ class TestDayBuckets:
         assert _channel(buckets, july1, "overall") == \
             {"positive": 1, "negative": 1}
         assert _channel(buckets, july2, "overall") == {"positive": 1}
-        assert buckets.dates() == [july1, july2]
+        assert sorted(buckets.rows) == [july1, july2]
         assert _channel_totals(buckets) == dict.fromkeys(CHANNELS, 3)
 
     def test_every_channel_totals_match(self):
@@ -70,7 +70,7 @@ class TestDayBuckets:
             buckets.add(_result(i), _when(day=1 + i % 3))
         per_channel = {
             ch: sum(sum(_channel(buckets, day, ch).values())
-                    for day in buckets.dates())
+                    for day in sorted(buckets.rows))
             for ch in CHANNELS
         }
         assert set(per_channel.values()) == {17}
