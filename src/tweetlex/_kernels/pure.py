@@ -11,6 +11,8 @@ import re
 # A character then two or more copies of it.  Spelled ``\1\1+``: it finds
 # the same runs as ``\1{2,}`` but scans tweet text several times faster.
 _REPEAT_RE = re.compile(r"(.)\1\1+")
+# The same for a token character, the alphabet of ``_TOKEN_RE`` below.
+_TOKEN_REPEAT_RE = re.compile(r"([^\W_])\1\1+")
 # A token is a maximal run of alphanumeric characters (str.isalnum()):
 # word characters minus the underscore.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -20,16 +22,24 @@ BACKEND = "pure"
 
 def tokenize(text: str, stopwords) -> list[str]:
     """Lowercase, strip punctuation, split, shorten every run of 3+
-    identical characters to exactly 2, then drop tokens that are shorter
-    than 3 characters, contain "http" (URL debris), or are stopwords.
+    identical letters or digits to exactly 2, then drop tokens that are
+    shorter than 3 characters, contain "http" (URL debris), or are
+    stopwords.
 
     Collapsing the whole text before splitting gives the same tokens as
     collapsing each token: a run of one repeated character lies either
-    wholly inside a token or wholly between tokens.
+    wholly inside a token or wholly between tokens.  A run between tokens
+    only separates them, and would separate the same tokens if shortened,
+    so it is left alone.  Entity removal leaves such a run of spaces for
+    each chain of mentions or hashtags, so many texts hold a separator
+    run and few a letter or digit run.  The search for any run is the
+    cheap gate; the token class is checked only from the first run it
+    finds, as ``.`` matches every token character.
     """
     text = text.lower()
-    if _REPEAT_RE.search(text):  # few texts hold a run; sub costs more
-        text = _REPEAT_RE.sub(r"\1\1", text)
+    run = _REPEAT_RE.search(text)
+    if run and _TOKEN_REPEAT_RE.search(text, run.start()):
+        text = _TOKEN_REPEAT_RE.sub(r"\1\1", text)
     return [tok for tok in _TOKEN_RE.findall(text)
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 

@@ -153,13 +153,18 @@ class RecordReader:
 
     Every timestamp is converted to ``default_tz`` (naive ones are taken to
     be in it), and the optional [date_from, date_to] window is evaluated on
-    that local date (both ends inclusive).
+    that local date (both ends inclusive).  A window that ends before it
+    starts is refused here, before the source is opened.
     """
 
     def __init__(self, source, fmt: str, *, default_tz: timezone = IST,
                  date_from: date | None = None, date_to: date | None = None):
         if fmt not in FORMATS:
             raise TweetlexError(f"unsupported format {fmt!r}; expected one of {FORMATS}")
+        if date_from is not None and date_to is not None \
+                and date_from > date_to:
+            raise TweetlexError(f"empty date window: --from {date_from} is "
+                                f"after --to {date_to}")
         self.source = source
         self.format = fmt
         self.default_tz = default_tz

@@ -497,14 +497,14 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
         if path.exists() and not path.is_dir():
             raise NotADirectoryError(errno.ENOTDIR,
                                      os.strerror(errno.ENOTDIR), str(path))
-    masks = load_lexicon(config.lexicon_path)
-    stopwords = load_stopwords(config.stopwords_path
-                               or default_stopwords_path())
-    rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,
                           date_from=config.date_from,
                           date_to=config.date_to)
+    masks = load_lexicon(config.lexicon_path)
+    stopwords = load_stopwords(config.stopwords_path
+                               or default_stopwords_path())
+    rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
     initargs = (masks, stopwords, rules, config.emit_tags is not None,
                 config.mention)
     with (tempfile.TemporaryFile() if config.emit_tags is not None

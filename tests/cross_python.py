@@ -6,19 +6,23 @@ Runs the golden corpus through ``PYTHON -m tweetlex.cli analyze --emit-tags
 --threads 2`` with ``PYTHONPATH`` set to this checkout's ``src``, and
 compares every output file with ``tests/data/golden_run/expected`` byte for
 byte. Then it runs the corpus again with ``--oracle`` and requires exit 0,
-and runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
-malformed and tag the other. Neither this script nor the run needs pytest,
-so PYTHON may be an interpreter that has only its standard library.
+runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
+malformed and tag the other, and runs ``SEPARATOR_CORPUS`` with
+``--oracle``, which must tag one positive and one negative tweet. Neither
+this script nor the run needs pytest, so PYTHON may be an interpreter that
+has only its standard library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
 difference to stderr and exits 1.
 """
 
+import csv
 import json
 import os
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,6 +34,16 @@ GOLDEN = ROOT / "tests" / "data" / "golden_run"
 NUL_CORPUS = ("id,created_at,text,user_location\n"
               "n1,2017-07-01T10:00:00+05:30,good \0 day,Delhi\n"
               "c2,2017-07-01T11:00:00+05:30,bad poor show,\n")
+
+#: A JSONL corpus in which each tweet's only lexicon word comes after the
+#: run of spaces that removing its mentions and hashtags leaves, and holds
+#: a run of one letter: "goooood" and "poooor" must still collapse to
+#: "good" and "poor".
+SEPARATOR_CORPUS = (
+    '{"id": "s1", "created_at": "2017-07-01T10:00:00+05:30", '
+    '"text": "@a @b #c goooood!!!"}\n'
+    '{"id": "s2", "created_at": "2017-07-01T11:00:00+05:30", '
+    '"text": "#x #y poooor..."}\n')
 
 
 def _analyze(python, corpus: Path, lexicon: Path, out_dir: Path, *extra):
@@ -83,6 +97,24 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
                 problems.append(f"NUL corpus: rejected {got[0]} and tagged "
                                 f"{got[1]}, expected one malformed row and "
                                 f"one tagged tweet")
+        runs = Path(tmp) / "runs.jsonl"
+        runs.write_bytes(SEPARATOR_CORPUS.encode("utf-8"))
+        out = Path(tmp) / "runs"
+        proc = _analyze(python, runs, lexicon, out, "--oracle",
+                        "--threads", "2")
+        if proc.returncode != 0:
+            problems.append(f"separator corpus: --oracle exited "
+                            f"{proc.returncode}: {proc.stderr.strip()}")
+        else:
+            sentiment = Counter()
+            with open(out / "daily.csv", encoding="utf-8", newline="") as fh:
+                for row in csv.DictReader(fh):
+                    if row["channel"] == "sentiment":
+                        sentiment[row["label"]] += int(row["count"])
+            if sentiment != {"positive": 1, "negative": 1, "neutral": 0}:
+                problems.append(f"separator corpus: daily.csv sentiment "
+                                f"{dict(sentiment)}, expected one positive "
+                                f"and one negative")
     return problems
 
 

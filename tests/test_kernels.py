@@ -3,10 +3,11 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tweetlex import _kernels
 from tweetlex._kernels import pure
+from tweetlex.preprocess import strip_entities
 
 STOP = frozenset({"the", "and", "for"})
 
@@ -132,7 +133,27 @@ _tricky_text = st.lists(
 ).map("".join)
 
 
-@given(_tricky_text)
+# Long runs of one character: separators (space, "!", "_", tab, an emoji,
+# and newline, which "." does not match, so a run of newlines is never
+# collapsed), letters, digits and non-BMP characters.  Joined, they give
+# texts whose first run is a separator run and a later one a letter run.
+_runs = st.builds(
+    str.__mul__,
+    st.one_of(st.characters(min_codepoint=0x10000),
+              st.sampled_from(" !_\t\n😀"),
+              st.sampled_from("aé0123456789")),
+    st.integers(1, 40),
+)
+
+_run_text = st.one_of(
+    _tricky_text,
+    st.lists(st.one_of(_runs, _tricky_text), max_size=6).map("".join),
+)
+
+
+@given(_run_text)
+@example("   goooood!!!")
+@example("__\t\t\t😀😀😀 x 1111 bbbb")
 @settings(max_examples=500, deadline=None)
 def test_backends_tokenize_identically(compiled_kernel, text):
     assert pure.tokenize(text, STOP) == compiled_kernel.tokenize(text, STOP)
@@ -146,22 +167,42 @@ def _tokenize_by_sub(text: str, stopwords) -> list[str]:
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 
-# Long runs of one character: non-BMP, newline ("." does not match it, so
-# a run of newlines is never collapsed) and digits.
-_runs = st.builds(
-    str.__mul__,
-    st.one_of(st.characters(min_codepoint=0x10000), st.just("\n"),
-              st.sampled_from("0123456789")),
-    st.integers(1, 40),
-)
-
-
-@given(st.one_of(_tricky_text,
-                 st.lists(st.one_of(_runs, _tricky_text), max_size=6)
-                 .map("".join)))
+@given(_run_text)
+@example("   goooood!!!")
+@example("__\t\t\t😀😀😀 x 1111 bbbb")
 @settings(max_examples=500, deadline=None)
 def test_pure_tokenize_matches_unguarded_sub(text):
     assert pure.tokenize(text, STOP) == _tokenize_by_sub(text, STOP)
+
+
+class _CountingPattern:
+    """A compiled pattern that records each of its ``sub`` calls."""
+
+    def __init__(self, pattern: re.Pattern, calls: list):
+        self._pattern, self._calls = pattern, calls
+
+    def __getattr__(self, name):
+        return getattr(self._pattern, name)
+
+    def sub(self, *args, **kwargs):
+        self._calls.append(self._pattern.pattern)
+        return self._pattern.sub(*args, **kwargs)
+
+
+@pytest.mark.parametrize("raw,subs,tokens", [
+    # Entity removal leaves a run of spaces; "!!!" is another separator run.
+    ("gst @a @b #c rollout!!!", 0, ["gst", "rollout"]),
+    ("@a @b goooood", 1, ["good"]),
+])
+def test_pure_tokenize_rewrites_only_letter_or_digit_runs(
+        monkeypatch, raw, subs, tokens):
+    calls = []
+    for name, value in list(vars(pure).items()):
+        if isinstance(value, re.Pattern):
+            monkeypatch.setattr(pure, name, _CountingPattern(value, calls))
+    text, _mentions, _hashtags = strip_entities(raw)
+    assert pure.tokenize(text, STOP) == tokens
+    assert len(calls) == subs
 
 
 # The repeat collapse runs inside tokenize; feed both backends free text

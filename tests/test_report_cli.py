@@ -214,6 +214,36 @@ class TestWindowFlags:
         summary = json.loads(tree["summary.json"])
         assert summary["rejected_reasons"]["out_of_range"] > 0
 
+    @pytest.mark.parametrize("command", ["analyze", "subcorpus", "top"])
+    def test_reversed_window_is_a_usage_error(self, command, tmp_path,
+                                               capsys):
+        out = tmp_path / "out"
+        argv = [command, "--input", str(GOLDEN / "corpus.jsonl"),
+                "--from", "2017-07-05", "--to", "2017-07-01"]
+        if command == "top":
+            argv += ["--what", "mentions"]
+        else:
+            argv += ["--lexicon", str(GOLDEN / "lexicon.tsv"),
+                     "--out", str(out)]
+        if command == "subcorpus":
+            argv += ["--mention", "gst_council"]
+        assert main(argv) == 1
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty date window" in captured.err
+
+    def test_reversed_window_is_refused_before_any_file_is_read(
+            self, tmp_path):
+        # Neither file exists: the refusal must come before either is opened.
+        with pytest.raises(TweetlexError, match="empty date window"):
+            run_analyze(AnalyzeConfig(
+                input_path=str(tmp_path / "missing.jsonl"),
+                lexicon_path=str(tmp_path / "missing.tsv"),
+                out_dir=str(tmp_path / "out"), date_from=date(2017, 7, 5),
+                date_to=date(2017, 7, 1)))
+        assert not (tmp_path / "out").exists()
+
 
 class TestEmitTags:
     def test_relative_name_lands_in_out_dir(self, tmp_path, capsys):
