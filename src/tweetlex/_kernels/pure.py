@@ -16,6 +16,11 @@ _TOKEN_REPEAT_RE = re.compile(r"([^\W_])\1\1+")
 # A token is a maximal run of alphanumeric characters (str.isalnum()):
 # word characters minus the underscore.
 _TOKEN_RE = re.compile(r"[^\W_]+")
+# For ASCII bytes: lowercase each letter, keep each digit, and turn every
+# other byte into a space.  Over ASCII, str.isalnum() is exactly [A-Za-z0-9],
+# the alphabet of _TOKEN_RE.
+_ASCII_TABLE = bytes(ord(chr(b).lower()) if chr(b).isalnum() else 0x20
+                     for b in range(256))
 
 BACKEND = "pure"
 
@@ -35,12 +40,28 @@ def tokenize(text: str, stopwords) -> list[str]:
     run and few a letter or digit run.  The search for any run is the
     cheap gate; the token class is checked only from the first run it
     finds, as ``.`` matches every token character.
+
+    An ASCII text is lowercased and has every non-alphanumeric character
+    turned into a space in one byte-table ``translate``, and is then split
+    with ``str.split``.  Its tokens are the same as the regex path's: on
+    ASCII, ``str.lower`` maps only ``A``-``Z`` and ``[^\\W_]`` is exactly
+    ``[A-Za-z0-9]``, so the translated text holds only ``[a-z0-9 ]`` and its
+    whitespace-separated words are the maximal letter and digit runs.
+    Turning separators into spaces changes no letter or digit run, so the
+    collapse shortens the same runs.  Any other text keeps ``lower`` and
+    ``findall``: they follow Unicode's ``isalnum``, and ``lower`` depends
+    on context for some characters (the final sigma).
     """
-    text = text.lower()
+    ascii_text = text.isascii()
+    if ascii_text:
+        text = text.encode("ascii").translate(_ASCII_TABLE).decode("ascii")
+    else:
+        text = text.lower()
     run = _REPEAT_RE.search(text)
     if run and _TOKEN_REPEAT_RE.search(text, run.start()):
         text = _TOKEN_REPEAT_RE.sub(r"\1\1", text)
-    return [tok for tok in _TOKEN_RE.findall(text)
+    tokens = text.split() if ascii_text else _TOKEN_RE.findall(text)
+    return [tok for tok in tokens
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 

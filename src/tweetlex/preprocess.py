@@ -16,7 +16,10 @@ The cleaning chain, in fixed order:
    containing "http");
 7. drop stopwords.
 
-Steps 2-7 run inside the kernel backend (compiled when available).
+Steps 2-7 run inside the kernel backend (compiled when available).  The
+pure backend does steps 2-4 of an ASCII text with one byte-table
+``translate`` and ``str.split``, and of any other text with ``str.lower``
+and a Unicode regex; both give the same tokens on ASCII.
 Non-Latin-script tokens are kept: they simply never match an English
 lexicon, and runs report a tally of them so the data loss is visible.
 """

@@ -7,10 +7,10 @@ Runs the golden corpus through ``PYTHON -m tweetlex.cli analyze --emit-tags
 compares every output file with ``tests/data/golden_run/expected`` byte for
 byte. Then it runs the corpus again with ``--oracle`` and requires exit 0,
 runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
-malformed and tag the other, and runs ``SEPARATOR_CORPUS`` with
-``--oracle``, which must tag one positive and one negative tweet. Neither
-this script nor the run needs pytest, so PYTHON may be an interpreter that
-has only its standard library.
+malformed and tag the other, and runs ``SEPARATOR_CORPUS`` and
+``UNICODE_CORPUS`` with ``--oracle``, each of which must give a fixed
+sentiment tally. Neither this script nor the run needs pytest, so PYTHON
+may be an interpreter that has only its standard library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
 difference to stderr and exits 1.
@@ -44,6 +44,28 @@ SEPARATOR_CORPUS = (
     '"text": "@a @b #c goooood!!!"}\n'
     '{"id": "s2", "created_at": "2017-07-01T11:00:00+05:30", '
     '"text": "#x #y poooor..."}\n')
+
+#: A JSONL corpus of non-ASCII texts, which the pure tokenizer splits with
+#: its Unicode regex rather than its ASCII byte table. Lexicon words sit
+#: next to a curly quote, a no-break space, an emoji, a Devanagari word,
+#: ``é`` and ``ß``. The last two are letters, so "goodé" and "goodß" are
+#: not "good": the second tweet is negative only if they stay whole
+#: tokens. Every character is in Unicode 13 or older, so all supported
+#: Pythons read it alike.
+UNICODE_CORPUS = (
+    '{"id": "u1", "created_at": "2017-07-01T10:00:00+05:30", '
+    '"text": "Café \u201cGOOD\u201d\u00a0straße love\U0001f600"}\n'
+    '{"id": "u2", "created_at": "2017-07-01T11:00:00+05:30", '
+    '"text": "\u201cbad\u201d goodé goodß"}\n'
+    '{"id": "u3", "created_at": "2017-07-01T12:00:00+05:30", '
+    '"text": "\u092a\u0930 hope\U0001f600 wonder"}\n')
+
+#: The daily sentiment tally each ``--oracle`` corpus must give.
+TALLIES = {
+    "separator": (SEPARATOR_CORPUS,
+                  {"positive": 1, "negative": 1, "neutral": 0}),
+    "unicode": (UNICODE_CORPUS, {"positive": 2, "negative": 1, "neutral": 0}),
+}
 
 
 def _analyze(python, corpus: Path, lexicon: Path, out_dir: Path, *extra):
@@ -97,24 +119,24 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
                 problems.append(f"NUL corpus: rejected {got[0]} and tagged "
                                 f"{got[1]}, expected one malformed row and "
                                 f"one tagged tweet")
-        runs = Path(tmp) / "runs.jsonl"
-        runs.write_bytes(SEPARATOR_CORPUS.encode("utf-8"))
-        out = Path(tmp) / "runs"
-        proc = _analyze(python, runs, lexicon, out, "--oracle",
-                        "--threads", "2")
-        if proc.returncode != 0:
-            problems.append(f"separator corpus: --oracle exited "
-                            f"{proc.returncode}: {proc.stderr.strip()}")
-        else:
+        for name, (text, want) in TALLIES.items():
+            runs = Path(tmp) / f"{name}.jsonl"
+            runs.write_bytes(text.encode("utf-8"))
+            out = Path(tmp) / name
+            proc = _analyze(python, runs, lexicon, out, "--oracle",
+                            "--threads", "2")
+            if proc.returncode != 0:
+                problems.append(f"{name} corpus: --oracle exited "
+                                f"{proc.returncode}: {proc.stderr.strip()}")
+                continue
             sentiment = Counter()
             with open(out / "daily.csv", encoding="utf-8", newline="") as fh:
                 for row in csv.DictReader(fh):
                     if row["channel"] == "sentiment":
                         sentiment[row["label"]] += int(row["count"])
-            if sentiment != {"positive": 1, "negative": 1, "neutral": 0}:
-                problems.append(f"separator corpus: daily.csv sentiment "
-                                f"{dict(sentiment)}, expected one positive "
-                                f"and one negative")
+            if sentiment != want:
+                problems.append(f"{name} corpus: daily.csv sentiment "
+                                f"{dict(sentiment)}, expected {want}")
     return problems
 
 

@@ -1,6 +1,7 @@
 """Kernel unit tests plus pure/compiled differential properties."""
 
 import re
+import string
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -145,9 +146,31 @@ _runs = st.builds(
     st.integers(1, 40),
 )
 
+# ASCII texts, which the pure tokenizer splits through its byte table: any
+# of the 128 code points (controls such as \x0b, \x0c, \x1c-\x1f and \x7f,
+# which str.split treats as whitespace, and "_"), mixed with upper- and
+# lower-case words and runs of one letter or digit.  The second strategy
+# joins them with long runs of any one ASCII character, as ``_runs`` does
+# for full-range text.
+_alnum = string.ascii_letters + string.digits
+_ascii_text = st.lists(
+    st.one_of(
+        st.text(st.characters(max_codepoint=0x7F), max_size=6),
+        st.text(st.sampled_from(_alnum), min_size=1, max_size=8),
+        st.builds(str.__mul__, st.sampled_from(_alnum), st.integers(1, 8)),
+        st.sampled_from(["HTTP", "http", "_", "\x0b", "\x0c", "\x1c",
+                         "\x1f", "\x7f"]),
+    ),
+    max_size=20,
+).map("".join)
+_ascii_runs = st.builds(str.__mul__, st.characters(max_codepoint=0x7F),
+                        st.integers(1, 40))
+
 _run_text = st.one_of(
     _tricky_text,
+    _ascii_text,
     st.lists(st.one_of(_runs, _tricky_text), max_size=6).map("".join),
+    st.lists(st.one_of(_ascii_runs, _ascii_text), max_size=6).map("".join),
 )
 
 
@@ -176,7 +199,8 @@ def test_pure_tokenize_matches_unguarded_sub(text):
 
 
 class _CountingPattern:
-    """A compiled pattern that records each of its ``sub`` calls."""
+    """A compiled pattern that records each of its ``sub`` and ``findall``
+    calls as a (method, pattern) pair."""
 
     def __init__(self, pattern: re.Pattern, calls: list):
         self._pattern, self._calls = pattern, calls
@@ -185,8 +209,22 @@ class _CountingPattern:
         return getattr(self._pattern, name)
 
     def sub(self, *args, **kwargs):
-        self._calls.append(self._pattern.pattern)
+        self._calls.append(("sub", self._pattern.pattern))
         return self._pattern.sub(*args, **kwargs)
+
+    def findall(self, *args, **kwargs):
+        self._calls.append(("findall", self._pattern.pattern))
+        return self._pattern.findall(*args, **kwargs)
+
+
+def _count_pattern_calls(monkeypatch) -> list:
+    """Wrap every compiled pattern of the pure kernel; return the list its
+    ``sub`` and ``findall`` calls are recorded in."""
+    calls = []
+    for name, value in list(vars(pure).items()):
+        if isinstance(value, re.Pattern):
+            monkeypatch.setattr(pure, name, _CountingPattern(value, calls))
+    return calls
 
 
 @pytest.mark.parametrize("raw,subs,tokens", [
@@ -196,13 +234,23 @@ class _CountingPattern:
 ])
 def test_pure_tokenize_rewrites_only_letter_or_digit_runs(
         monkeypatch, raw, subs, tokens):
-    calls = []
-    for name, value in list(vars(pure).items()):
-        if isinstance(value, re.Pattern):
-            monkeypatch.setattr(pure, name, _CountingPattern(value, calls))
+    calls = _count_pattern_calls(monkeypatch)
     text, _mentions, _hashtags = strip_entities(raw)
     assert pure.tokenize(text, STOP) == tokens
-    assert len(calls) == subs
+    assert [method for method, _ in calls].count("sub") == subs
+
+
+@pytest.mark.parametrize("text,findalls,tokens", [
+    # ASCII, with a control character between two words: the byte table
+    # and str.split, no token regex.
+    ("GST\x1frollout!!! goooood", 0, ["gst", "rollout", "good"]),
+    ("café rollout", 1, ["café", "rollout"]),
+])
+def test_pure_tokenize_runs_the_token_regex_only_on_non_ascii(
+        monkeypatch, text, findalls, tokens):
+    calls = _count_pattern_calls(monkeypatch)
+    assert pure.tokenize(text, STOP) == tokens
+    assert calls.count(("findall", pure._TOKEN_RE.pattern)) == findalls
 
 
 # The repeat collapse runs inside tokenize; feed both backends free text
