@@ -10,9 +10,8 @@ tokens and its final mention and hashtag keys, the lexicon a word ->
 category-bitmask dict, and the gazetteer a tuple of ``(pattern, region)``
 pairs.  ``tag_tweet`` takes the token list.
 
-Hot loops (tokenization and category counting) run through a small compiled
-extension when it is available, with a pure-Python fallback that produces
-identical results.  See tweetlex._kernels.BACKEND for which one is active.
+Hot loops (tokenization and category counting) live in tweetlex._kernels,
+in pure Python; ``BACKEND`` names that kernel (``"pure"``).
 """
 
 from .errors import (

@@ -1,7 +1,9 @@
-"""Pure-Python kernels: the per-tweet hot path.
+"""The per-tweet hot path: tokenizing and category counting.
 
-Same contract as the compiled backend in ``_core.pyx``; the test suite
-asserts exact output equality between the two on arbitrary text.
+``preprocess`` and ``tagger`` call ``tokenize`` and ``count_masks``
+through this module, so a caller that replaces either attribute (the
+benchmark's tracer does) sees every call.  ``BACKEND`` names the kernel
+for the benchmark's run record; there is only this one.
 """
 
 from __future__ import annotations

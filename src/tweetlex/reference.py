@@ -2,9 +2,9 @@
 
 Everything here is written from scratch as plain sequential Python: a
 reader that runs every admission check in its plain order on a fully
-parsed line, a character-walk tokenizer instead of the regex/compiled
-kernels, a word -> label-set lexicon table instead of packed bitmasks, and
-flat dict tallies instead of the mergeable aggregate classes.  ``--oracle``
+parsed line, a character-walk tokenizer instead of the regex kernels, a
+word -> label-set lexicon table instead of packed bitmasks, and flat dict
+tallies instead of the mergeable aggregate classes.  ``--oracle``
 runs a corpus through this module and, before any file is written,
 compares with the optimized pipeline: every summary.json figure, the
 daily label counts, the hourly slots, the mention and hashtag counts, the
@@ -230,9 +230,7 @@ def naive_clean(text: str, stopwords: frozenset[str]):
 
     Same contract as tweetlex.preprocess but built on character walks: strip
     URLs, then @mentions (handles lowercased), then #hashtags (original
-    case); lowercase; keep only alphanumeric non-underscore characters;
-    split; squeeze character runs; drop short tokens, tokens containing
-    "http", and stopwords.
+    case); tokenize what is left with ``naive_tokenize``.
     """
     out: list[str] = []
     i = 0
@@ -250,9 +248,16 @@ def naive_clean(text: str, stopwords: frozenset[str]):
     stage = _strip_marker(stage, "@", mentions, lower=True)
     hashtags: list[str] = []
     stage = _strip_marker(stage, "#", hashtags, lower=False)
+    return naive_tokenize(stage, stopwords), mentions, hashtags
 
+
+def naive_tokenize(text: str, stopwords: frozenset[str]) -> list[str]:
+    """Reference tokenizer, the contract of tweetlex._kernels.tokenize:
+    lowercase; keep only alphanumeric non-underscore characters; split;
+    squeeze character runs; drop short tokens, tokens containing "http",
+    and stopwords."""
     chars = []
-    for c in stage.lower():
+    for c in text.lower():
         if c.isalnum() and c != "_":
             chars.append(c)
         else:
@@ -263,7 +268,7 @@ def naive_clean(text: str, stopwords: frozenset[str]):
         if len(tok) < 3 or "http" in tok or tok in stopwords:
             continue
         tokens.append(tok)
-    return tokens, mentions, hashtags
+    return tokens
 
 
 def scan_lexicon_file(path: str) -> dict[str, frozenset[str]]:

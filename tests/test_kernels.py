@@ -1,4 +1,6 @@
-"""Kernel unit tests plus pure/compiled differential properties."""
+"""Kernel unit tests, run on the kernel module and on the character-walk
+implementation of its contract, plus properties that check the tokenizer
+against a plain regex tokenizer and the mask counts against a dict scan."""
 
 import re
 import string
@@ -7,23 +9,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tweetlex import _kernels
-from tweetlex._kernels import pure
 from tweetlex.preprocess import strip_entities
 
 STOP = frozenset({"the", "and", "for"})
-
-
-def test_both_backends_present_when_extension_built():
-    # The pure fallback always imports; the compiled kernel is the active
-    # one exactly when its extension module is built in place.
-    try:
-        from tweetlex._kernels import _core  # noqa: F401
-    except ImportError:
-        active = "pure"
-    else:
-        active = "c"
-    assert _kernels.BACKEND == active
-    assert pure.BACKEND == "pure"
 
 
 @pytest.mark.parametrize("raw,expected", [
@@ -39,12 +27,12 @@ def test_both_backends_present_when_extension_built():
     ("😀😀😀", "😀😀"),
     ("\U0001d41a" * 4, "\U0001d41a" * 2),  # non-BMP letter
 ])
-def test_collapse_repeats(kernel_backend, raw, expected):
+def test_collapse_repeats(kernel, raw, expected):
     # Framed by "pre" and "fix" so that no token is too short to keep,
     # the collapsed text comes back split at its non-alphanumerics.  (A run
     # of emoji only splits: no emoji reaches a token.)
     want = re.findall(r"[^\W_]+", f"pre{expected}fix")
-    assert kernel_backend.tokenize(f"pre{raw}fix", STOP) == want
+    assert kernel.tokenize(f"pre{raw}fix", STOP) == want
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -61,25 +49,25 @@ def test_collapse_repeats(kernel_backend, raw, expected):
     ("!!!", []),
     ("中国好 else", ["中国好", "else"]),
 ])
-def test_tokenize(kernel_backend, text, expected):
-    assert kernel_backend.tokenize(text, STOP) == expected
+def test_tokenize(kernel, text, expected):
+    assert kernel.tokenize(text, STOP) == expected
 
 
-def test_count_masks(kernel_backend, toy_lexicon):
+def test_count_masks(kernel, toy_lexicon):
     tokens = ["good", "good", "bad", "nonword", "love"]
-    vec = kernel_backend.count_masks(tokens, toy_lexicon)
+    vec = kernel.count_masks(tokens, toy_lexicon)
     # positive: good x2 + love; negative: bad; joy: good x2 + love;
     # trust: love; sadness: bad
     assert vec == [3, 1, 3, 1, 0, 0, 0, 1, 0, 0]
 
 
-def test_count_masks_empty(kernel_backend, toy_lexicon):
-    assert kernel_backend.count_masks([], toy_lexicon) == [0] * 10
+def test_count_masks_empty(kernel, toy_lexicon):
+    assert kernel.count_masks([], toy_lexicon) == [0] * 10
 
 
-def test_tokenize_rejects_nothing_valid(kernel_backend):
+def test_tokenize_rejects_nothing_valid(kernel):
     # tokens keep digits and non-Latin letters
-    assert kernel_backend.tokenize("abc123 987", STOP) == ["abc123", "987"]
+    assert kernel.tokenize("abc123 987", STOP) == ["abc123", "987"]
 
 
 @given(st.text(max_size=300))
@@ -99,8 +87,8 @@ def test_tokenize_is_idempotent(text):
     assert _kernels.tokenize(" ".join(tokens), STOP) == tokens
 
 
-@given(st.lists(st.sampled_from(["good", "bad", "love", "fear", "zzz"]),
-                max_size=30))
+@given(st.lists(st.sampled_from(["good", "bad", "love", "hope", "terror",
+                                 "fear", "zzz"]), max_size=40))
 @settings(max_examples=200, deadline=None)
 def test_count_masks_matches_dict_scan(toy_lexicon, tokens):
     got = _kernels.count_masks(tokens, toy_lexicon)
@@ -146,7 +134,7 @@ _runs = st.builds(
     st.integers(1, 40),
 )
 
-# ASCII texts, which the pure tokenizer splits through its byte table: any
+# ASCII texts, which the tokenizer splits through its byte table: any
 # of the 128 code points (controls such as \x0b, \x0c, \x1c-\x1f and \x7f,
 # which str.split treats as whitespace, and "_"), mixed with upper- and
 # lower-case words and runs of one letter or digit.  The second strategy
@@ -174,28 +162,28 @@ _run_text = st.one_of(
 )
 
 
-@given(_run_text)
-@example("   goooood!!!")
-@example("__\t\t\t😀😀😀 x 1111 bbbb")
-@settings(max_examples=500, deadline=None)
-def test_backends_tokenize_identically(compiled_kernel, text):
-    assert pure.tokenize(text, STOP) == compiled_kernel.tokenize(text, STOP)
-
-
 def _tokenize_by_sub(text: str, stopwords) -> list[str]:
-    """The pure tokenizer with its repeat collapse as one unconditional
+    """The tokenizer with its repeat collapse as one unconditional
     ``(.)\\1{2,}`` substitution."""
     collapsed = re.sub(r"(.)\1{2,}", r"\1\1", text.lower())
     return [tok for tok in re.findall(r"[^\W_]+", collapsed)
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]
 
 
-@given(_run_text)
+# Free text and short runs of any one character, framed by "pre" and "fix"
+# so that no collapsed run is too short to survive as (part of) a token.
+_framed_text = st.one_of(
+    st.text(max_size=60),
+    st.builds(str.__mul__, st.characters(), st.integers(2, 8)),
+).map("pre{}fix".format)
+
+
+@given(st.one_of(_run_text, _framed_text))
 @example("   goooood!!!")
 @example("__\t\t\t😀😀😀 x 1111 bbbb")
 @settings(max_examples=500, deadline=None)
 def test_pure_tokenize_matches_unguarded_sub(text):
-    assert pure.tokenize(text, STOP) == _tokenize_by_sub(text, STOP)
+    assert _kernels.tokenize(text, STOP) == _tokenize_by_sub(text, STOP)
 
 
 class _CountingPattern:
@@ -218,12 +206,12 @@ class _CountingPattern:
 
 
 def _count_pattern_calls(monkeypatch) -> list:
-    """Wrap every compiled pattern of the pure kernel; return the list its
-    ``sub`` and ``findall`` calls are recorded in."""
+    """Wrap every compiled pattern of the kernel module; return the list
+    its ``sub`` and ``findall`` calls are recorded in."""
     calls = []
-    for name, value in list(vars(pure).items()):
+    for name, value in list(vars(_kernels).items()):
         if isinstance(value, re.Pattern):
-            monkeypatch.setattr(pure, name, _CountingPattern(value, calls))
+            monkeypatch.setattr(_kernels, name, _CountingPattern(value, calls))
     return calls
 
 
@@ -236,7 +224,7 @@ def test_pure_tokenize_rewrites_only_letter_or_digit_runs(
         monkeypatch, raw, subs, tokens):
     calls = _count_pattern_calls(monkeypatch)
     text, _mentions, _hashtags = strip_entities(raw)
-    assert pure.tokenize(text, STOP) == tokens
+    assert _kernels.tokenize(text, STOP) == tokens
     assert [method for method, _ in calls].count("sub") == subs
 
 
@@ -249,25 +237,5 @@ def test_pure_tokenize_rewrites_only_letter_or_digit_runs(
 def test_pure_tokenize_runs_the_token_regex_only_on_non_ascii(
         monkeypatch, text, findalls, tokens):
     calls = _count_pattern_calls(monkeypatch)
-    assert pure.tokenize(text, STOP) == tokens
-    assert calls.count(("findall", pure._TOKEN_RE.pattern)) == findalls
-
-
-# The repeat collapse runs inside tokenize; feed both backends free text
-# and long runs of one character, framed so no collapsed run is too short
-# to survive as (part of) a token.
-@given(st.one_of(st.text(max_size=60),
-                 st.builds(str.__mul__, st.characters(), st.integers(2, 8))))
-@settings(max_examples=300, deadline=None)
-def test_backends_collapse_identically(compiled_kernel, token):
-    framed = f"pre{token}fix"
-    assert (pure.tokenize(framed, STOP)
-            == compiled_kernel.tokenize(framed, STOP))
-
-
-@given(st.lists(st.sampled_from(["good", "bad", "love", "hope", "terror",
-                                 "fear", "zzz"]), max_size=40))
-@settings(max_examples=200, deadline=None)
-def test_backends_count_identically(compiled_kernel, toy_lexicon, tokens):
-    assert (pure.count_masks(tokens, toy_lexicon)
-            == compiled_kernel.count_masks(tokens, toy_lexicon))
+    assert _kernels.tokenize(text, STOP) == tokens
+    assert calls.count(("findall", _kernels._TOKEN_RE.pattern)) == findalls

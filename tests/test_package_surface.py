@@ -3,7 +3,10 @@
 ``perfbench/sample.py`` runs each benchmark sample through the package's
 public entry points and result fields.  A refactor that renames one of them
 would fail every benchmark run, so these tests run that script's own
-functions on the golden corpus.  The package's ``__all__`` is checked too.
+functions on the golden corpus.  ``perfbench/run.py`` records
+``tweetlex._kernels.BACKEND`` and ``perfbench/spans.py`` replaces that
+module's ``tokenize`` and ``count_masks``, so those three are checked, and
+so is the package's ``__all__``.
 """
 
 import hashlib
@@ -14,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import tweetlex
+from tweetlex import _kernels
 
 ROOT = Path(__file__).parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -95,3 +99,9 @@ def test_every_exported_name_imports():
     namespace = {}
     exec("from tweetlex import *", namespace)
     assert set(tweetlex.__all__) <= set(namespace)
+
+
+def test_kernel_module_attributes():
+    assert _kernels.BACKEND == tweetlex.BACKEND == "pure"
+    assert callable(_kernels.tokenize)
+    assert callable(_kernels.count_masks)

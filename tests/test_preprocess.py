@@ -1,9 +1,9 @@
 """Cleaning-chain tests: golden fixtures, extraction order, blank marking.
 
 Every fixture in golden_fixtures.FIXTURES was traced by hand before the
-pipeline ran on it.  The suite runs each one through both kernel backends
-(the compiled one when it can be built) by swapping the tokenize entry
-point the preprocess module dispatches through.
+pipeline ran on it.  The suite runs each one through each implementation
+of the kernel contract by swapping the tokenize entry point the preprocess
+module dispatches through.
 """
 
 import json
@@ -22,14 +22,10 @@ from tweetlex.report import AnalyzeConfig, _may_mention, run_analyze
 
 from golden_fixtures import FIXTURES, STOPWORDS
 
-@pytest.fixture
-def backend(kernel_backend, monkeypatch):
-    monkeypatch.setattr(_kernels, "tokenize", kernel_backend.tokenize)
-    return kernel_backend
-
 
 @pytest.mark.parametrize("fx", FIXTURES, ids=lambda fx: repr(fx.text)[:48])
-def test_golden_fixture(fx, backend):
+def test_golden_fixture(fx, kernel, monkeypatch):
+    monkeypatch.setattr(_kernels, "tokenize", kernel.tokenize)
     clean = preprocess(fx.text, STOPWORDS)
     assert tuple(clean.tokens) == fx.tokens
     assert tuple(clean.mentions) == (fx.mentions or ())
