@@ -7,8 +7,8 @@ deterministic: the same inputs produce byte-identical output files.
 The stages pass plain data: a record is an ``(id, local time, text,
 location)`` tuple, a cleaned tweet a ``CleanTweet`` named tuple of its
 tokens and its final mention and hashtag keys, the lexicon a word ->
-category-bitmask dict, and the gazetteer a tuple of ``(pattern, region)``
-pairs.  ``tag_tweet`` takes the token list.
+category-bitmask dict, and the gazetteer a ``spatial.Rules`` tuple of
+``(pattern, region)`` pairs.  ``tag_tweet`` takes the token list.
 
 Hot loops (tokenization and category counting) live in tweetlex._kernels,
 in pure Python; ``BACKEND`` names that kernel (``"pure"``).

@@ -41,8 +41,9 @@ class FrequencyTable:
 
     def items_sorted(self) -> list[tuple[str, int]]:
         """All entries, count descending, ties lexicographic ascending."""
-        # Keys are distinct, so sorting the pairs orders by key; the count
-        # sort is stable under reverse=True and keeps that order in ties.
-        items = sorted(self._counts.items())
+        # Keys are distinct, so sorting on the key alone gives the order of
+        # the whole pairs; the count sort is stable under reverse=True and
+        # keeps that order in ties.
+        items = sorted(self._counts.items(), key=itemgetter(0))
         items.sort(key=itemgetter(1), reverse=True)
         return items

@@ -8,13 +8,14 @@ returns them as a tuple of ``(pattern, region)`` pairs, sorted by priority
 ascending then file order, and rules are applied first-match in that
 order, so specific patterns ("new delhi") can shadow general ones
 ("delhi").  A string matching no rule falls back to INDIA_UNSPECIFIED when
-it contains "india", else UNKNOWN.
+it contains "india", else UNKNOWN.  The tuple is a ``Rules``, which also
+indexes the rules by their patterns' first three characters, so a location
+is tested only against the rules whose prefix it contains.
 """
 
 from __future__ import annotations
 
 import csv
-import re
 from importlib import resources
 
 from .errors import GazetteerError
@@ -54,15 +55,27 @@ INDIAN_REGIONS = (
 
 REGIONS = frozenset(INDIAN_REGIONS) | {INDIA_UNSPECIFIED, FOREIGN}
 
-_WS_RE = re.compile(r"\s+")
 
+class Rules(tuple):
+    """A gazetteer: its rules as ``(pattern, region)`` pairs in match order.
 
-def _normalize(text: str) -> str:
-    return _WS_RE.sub(" ", text.strip().lower())
+    ``by_prefix`` maps the first three characters of each pattern, as a
+    3-tuple, to the ascending positions of the rules with that prefix;
+    ``short`` holds the positions of patterns shorter than three characters,
+    which every location is tested against.
+    """
 
-
-#: A gazetteer: its rules as ``(pattern, region)`` pairs in match order.
-Rules = tuple[tuple[str, str], ...]
+    def __new__(cls, pairs):
+        self = super().__new__(cls, pairs)
+        self.by_prefix = {}
+        short = []
+        for i, (pattern, _region) in enumerate(self):
+            if len(pattern) < 3:
+                short.append(i)
+            else:
+                self.by_prefix.setdefault(tuple(pattern[:3]), []).append(i)
+        self.short = tuple(short)
+        return self
 
 
 def load_gazetteer(path) -> Rules:
@@ -71,8 +84,9 @@ def load_gazetteer(path) -> Rules:
     sorted by priority, then file order.
 
     Patterns are normalized like location strings (lowercase, trimmed,
-    whitespace collapsed).  Unknown region names and non-integer priorities
-    are fatal, with the line number.
+    whitespace collapsed).  Unknown region names, non-integer priorities, a
+    NUL character and any line the ``csv`` module cannot parse (such as a
+    field past ``csv.field_size_limit()``) are fatal, with the line number.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -83,11 +97,17 @@ def load_gazetteer(path) -> Rules:
     data_lines = ((lineno, line) for lineno, line in enumerate(lines, 1)
                   if line.strip() and not line.lstrip().startswith("#"))
     for order, (lineno, line) in enumerate(data_lines):
-        fields = next(csv.reader([line]))
+        # Python 3.10's csv module raises on a NUL; later ones read it.
+        if "\0" in line:
+            raise GazetteerError(f"{path}: line {lineno}: line contains NUL")
+        try:
+            fields = next(csv.reader([line]))
+        except csv.Error as exc:
+            raise GazetteerError(f"{path}: line {lineno}: {exc}") from None
         if len(fields) != 3:
             raise GazetteerError(
                 f"{path}: line {lineno}: expected pattern,region,priority")
-        pattern = _normalize(fields[0])
+        pattern = " ".join(fields[0].lower().split())
         region = fields[1].strip()
         if not pattern:
             raise GazetteerError(f"{path}: line {lineno}: empty pattern")
@@ -102,7 +122,7 @@ def load_gazetteer(path) -> Rules:
                 f"got {fields[2].strip()!r}") from None
         rows.append((priority, order, pattern, region))
     rows.sort()
-    return tuple((pattern, region) for _p, _o, pattern, region in rows)
+    return Rules((pattern, region) for _p, _o, pattern, region in rows)
 
 
 def default_gazetteer_path():
@@ -114,16 +134,31 @@ def resolve_location(raw: str | None, rules: Rules) -> str:
     """Region for a free-text location string, or UNKNOWN.
 
     Absent/empty input is UNKNOWN; otherwise the first matching rule wins;
-    an unmatched string containing "india" is INDIA_UNSPECIFIED.
+    an unmatched string containing "india" is INDIA_UNSPECIFIED.  Only the
+    short rules and the buckets of the prefixes that occur in the string
+    are tested; each bucket stops at its first match, or once it passes the
+    best position found so far.
     """
     if raw is None:
         return UNKNOWN
-    text = _normalize(raw)
+    text = " ".join(raw.lower().split())
     if not text:
         return UNKNOWN
-    for pattern, region in rules:
-        if pattern in text:
-            return region
+    best = len(rules)
+    for i in rules.short:
+        if rules[i][0] in text:
+            best = i
+            break
+    by_prefix = rules.by_prefix
+    for key in by_prefix.keys() & set(zip(text, text[1:], text[2:])):
+        for i in by_prefix[key]:
+            if i >= best:
+                break
+            if rules[i][0] in text:
+                best = i
+                break
+    if best < len(rules):
+        return rules[best][1]
     if "india" in text:
         return INDIA_UNSPECIFIED
     return UNKNOWN

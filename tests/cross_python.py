@@ -9,7 +9,9 @@ byte. Then it runs the corpus again with ``--oracle`` and requires exit 0,
 runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
 malformed and tag the other, and runs ``SEPARATOR_CORPUS`` and
 ``UNICODE_CORPUS`` with ``--oracle``, each of which must give a fixed
-sentiment tally. Neither this script nor the run needs pytest, so PYTHON
+sentiment tally. Last it runs the golden corpus with ``--gazetteer
+NUL_GAZETTEER``, which must exit 1 with a ``tweetlex: error:`` line that
+names line 2 and no traceback. Neither this script nor the run needs pytest, so PYTHON
 may be an interpreter that has only its standard library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
@@ -34,6 +36,11 @@ GOLDEN = ROOT / "tests" / "data" / "golden_run"
 NUL_CORPUS = ("id,created_at,text,user_location\n"
               "n1,2017-07-01T10:00:00+05:30,good \0 day,Delhi\n"
               "c2,2017-07-01T11:00:00+05:30,bad poor show,\n")
+
+#: A gazetteer whose second line holds a NUL character. Python 3.10's csv
+#: module raises on that line and later ones read it; on every Python it
+#: must be a fatal gazetteer error.
+NUL_GAZETTEER = "new delhi,Delhi-NCR,1\nmum\0bai,Maharashtra,1\n"
 
 #: A JSONL corpus in which each tweet's only lexicon word comes after the
 #: run of spaces that removing its mentions and hashtags leaves, and holds
@@ -137,6 +144,16 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
             if sentiment != want:
                 problems.append(f"{name} corpus: daily.csv sentiment "
                                 f"{dict(sentiment)}, expected {want}")
+        gazetteer = Path(tmp) / "nul_gazetteer.csv"
+        gazetteer.write_bytes(NUL_GAZETTEER.encode("utf-8"))
+        proc = _analyze(python, corpus, lexicon, Path(tmp) / "nul_gazetteer",
+                        "--gazetteer", str(gazetteer))
+        if (proc.returncode != 1 or "tweetlex: error:" not in proc.stderr
+                or "line 2" not in proc.stderr
+                or "Traceback" in proc.stderr):
+            problems.append(f"NUL gazetteer: exited {proc.returncode}, "
+                            f"expected 1 with a 'tweetlex: error:' line "
+                            f"naming line 2: {proc.stderr.strip()}")
     return problems
 
 

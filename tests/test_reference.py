@@ -9,6 +9,7 @@ tests assert exact agreement from token level up to full-run reports.
 import ast
 import datetime as dt
 import json
+import pickle
 import random
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from tweetlex.reference import (
     scan_lexicon_file,
 )
 from tweetlex.report import AnalyzeConfig, run_analyze
-from tweetlex.spatial import resolve_location
+from tweetlex.spatial import REGIONS, Rules, load_gazetteer, resolve_location
 from tweetlex.tagger import tag_tweet
 
 import corpus_gen
@@ -93,6 +94,68 @@ def test_naive_count_and_label_match_tagger(tokens, toy_lexicon,
 def test_naive_resolve_matches_resolve_location(raw, bundled_gazetteer):
     assert naive_resolve(raw, bundled_gazetteer) == \
         resolve_location(raw, bundled_gazetteer)
+
+
+# Letters in both cases, a space, ".", "é" and a Devanagari letter; no "," or
+# '"', so a pattern is one plain CSV field.
+_GZ_ALPHABET = "abAB .\u00e9\u0915"
+
+
+@st.composite
+def _gazetteer_case(draw):
+    """A gazetteer file's lines and locations to resolve against it.
+
+    Patterns are 1-8 characters: some under three characters, some sharing
+    a 3-character stem, one a substring of another at a later priority.
+    Locations join pattern fragments, tabs and runs of spaces in mixed case.
+    """
+    stems = draw(st.lists(st.text("abAB.\u00e9\u0915", min_size=3,
+                                  max_size=3), min_size=1, max_size=3))
+    patterns = draw(st.lists(st.one_of(
+        st.text(_GZ_ALPHABET, min_size=1, max_size=2),
+        st.builds(str.__add__, st.sampled_from(stems),
+                  st.text(_GZ_ALPHABET, max_size=5)),
+        st.text(_GZ_ALPHABET, min_size=3, max_size=8),
+    ).filter(str.strip), min_size=1, max_size=12))
+    rows = [(pattern, draw(st.sampled_from(sorted(REGIONS))),
+             draw(st.integers(0, 4))) for pattern in patterns]
+    outer, _region, priority = draw(st.sampled_from(rows))
+    start = draw(st.integers(0, len(outer) - 1))
+    inner = outer[start:draw(st.integers(start + 1, len(outer)))]
+    if inner.strip():
+        rows.append((inner, draw(st.sampled_from(sorted(REGIONS))),
+                     priority + 1))
+    lines = [f"{pattern},{region},{priority}"
+             for pattern, region, priority in rows]
+    fragments = [pattern[i:] for pattern, _r, _p in rows for i in (0, 1)]
+    piece = st.one_of(st.sampled_from(fragments),
+                      st.sampled_from([" ", "   ", "\t", " \t ", "india"]),
+                      st.text(_GZ_ALPHABET, max_size=3))
+    locations = []
+    for raw in draw(st.lists(st.lists(piece, max_size=6).map("".join),
+                             min_size=1, max_size=8)):
+        upper = draw(st.lists(st.booleans(), min_size=len(raw),
+                              max_size=len(raw)))
+        locations.append("".join(c.upper() if up else c
+                                 for c, up in zip(raw, upper)))
+    return lines, locations
+
+
+@settings(max_examples=300)
+@given(case=_gazetteer_case())
+def test_prefix_index_matches_naive_resolve(case, tmp_path_factory):
+    lines, locations = case
+    path = tmp_path_factory.getbasetemp() / "differential_gazetteer.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rules = load_gazetteer(path)
+    restored = pickle.loads(pickle.dumps(rules))
+    assert type(restored) is Rules and restored == rules
+    assert restored.by_prefix == rules.by_prefix
+    assert restored.short == rules.short
+    for raw in locations:
+        expected = naive_resolve(raw, tuple(rules))
+        assert resolve_location(raw, rules) == expected
+        assert resolve_location(raw, restored) == expected
 
 
 # CRLF endings, padded category and flag fields, mixed-case words, and

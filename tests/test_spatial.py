@@ -125,6 +125,8 @@ class TestLoadGazetteer:
         "place,Atlantis,1",
         "place,Goa,first",
         ",Goa,1",
+        pytest.param("mum\0bai,Maharashtra,1", id="nul"),
+        pytest.param("x" * 131_073 + ",Goa,1", id="field-past-csv-limit"),
     ])
     def test_bad_lines_fatal_with_line_number(self, tmp_path, line):
         p = tmp_path / "gz.csv"
