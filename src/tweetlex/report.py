@@ -1,15 +1,18 @@
 """End-to-end corpus runs: chunked processing, merging, and file emission.
 
-A run streams admitted records in chunks of 1024 through a worker function
-(in-process when workers == 1, a multiprocessing pool otherwise), merges the
-per-chunk partial aggregates in chunk order, and only then writes output
-files.  Per-tweet tag rows are not held: the main process appends each
-chunk's rows to an anonymous temporary file as it takes the chunk, and
-copies that file out with the others.  Given the same inputs and
-configuration, every output file is byte-identical run to run, whatever
-the worker count: chunk order is fixed by the corpus, pool results are
-consumed in submission order, and all emission is sorted with "\n" line
-endings and a fixed JSON key layout.
+A run streams admitted records in chunks of 1024 through a worker function,
+merges the per-chunk partial aggregates in chunk order, and only then writes
+output files.  With one worker the chunks are processed in-process.  With
+more, the main thread reads the corpus and deals chunk k to worker process
+k mod n over that worker's own pipe, at most two chunks ahead of the results
+it has taken back, and takes the results back in chunk order.  A chunk
+carries each record's local day and hour as ints, not its datetime.
+Per-tweet tag rows are not held: the main process appends each chunk's rows
+to an anonymous temporary file as it takes the chunk, and copies that file
+out with the others.  Given the same inputs and configuration, every output
+file is byte-identical run to run, whatever the worker count: chunk order is
+fixed by the corpus, results are taken in chunk order, and all emission is
+sorted with "\n" line endings and a fixed JSON key layout.
 
 Wall-clock timing never goes into summary.json (that would break the
 byte-identical contract); the CLI reports it on stderr.
@@ -22,8 +25,11 @@ import itertools
 import json
 import multiprocessing
 import os
+import pickle
+import queue
 import shutil
 import tempfile
+import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date, timezone
@@ -128,9 +134,16 @@ class _Partial:
         return self
 
 
-# Worker-process state, set once per worker by _init_worker.  With the
-# default fork start this is cheap; initargs keep it correct under spawn.
+# Chunk-processing state, set by _init_worker once per worker process, or
+# once per run when workers == 1.  A worker gets it from its start
+# arguments, so it is correct under every start method: fork, spawn and
+# forkserver.
 _G: dict = {}
+
+#: Chunks dealt to a worker and not yet taken back: one to work on and one
+#: waiting, so a worker need not idle while the main thread reads and
+#: merges.
+_IN_FLIGHT = 2
 
 
 def _init_worker(masks: dict[str, int], stopwords: frozenset[str],
@@ -155,7 +168,8 @@ def _may_mention(text: str, at_handle: str) -> bool:
     return at_handle in text.lower()
 
 
-def _process_chunk(records: list[Record]) -> _Partial:
+def _process_chunk(records: list[tuple]) -> _Partial:
+    """Tag and aggregate one chunk of ``_iter_chunks``."""
     masks = _G["masks"]
     stopwords = _G["stopwords"]
     rules = _G["rules"]
@@ -164,11 +178,11 @@ def _process_chunk(records: list[Record]) -> _Partial:
     if mention is not None:
         at_handle = "@" + mention
         records = [record for record in records
-                   if _may_mention(record[2], at_handle)]
+                   if _may_mention(record[3], at_handle)]
 
     part = _Partial()
     region_of: dict = {}  # raw location -> region, for this chunk only
-    for rec_id, timestamp, text, location in records:
+    for rec_id, day, hour, text, location in records:
         clean = preprocess(text, stopwords)
         if mention is not None and mention not in clean.mentions:
             continue
@@ -183,8 +197,8 @@ def _process_chunk(records: list[Record]) -> _Partial:
         vector, s, e, o, tied = tag
         if tied:
             part.ties += 1
-        part.day.add(tag, timestamp)
-        part.hours.add(timestamp)
+        part.day.add(tag, day)
+        part.hours.add(hour)
         region = region_of.get(location)
         if region is None:
             region = region_of[location] = resolve_location(location, rules)
@@ -195,16 +209,70 @@ def _process_chunk(records: list[Record]) -> _Partial:
     return part
 
 
-def _iter_chunks(records: Iterable[Record]) -> Iterator[list[Record]]:
+def _iter_chunks(records: Iterable[Record]) -> Iterator[list[tuple]]:
+    """Chunks of CHUNK_SIZE records, each record as (id, local day ordinal,
+    local hour, text, location): ints pickle far cheaper than datetimes."""
     records = iter(records)
-    while chunk := list(itertools.islice(records, CHUNK_SIZE)):
+    while chunk := [(rec_id, when.toordinal(), when.hour, text, location)
+                    for rec_id, when, text, location
+                    in itertools.islice(records, CHUNK_SIZE)]:
         yield chunk
+
+
+def _work(conn, main_end, initargs: tuple) -> None:
+    """A worker process: send back over ``conn`` the ``_process_chunk`` of
+    each chunk that arrives on it, in order, until None arrives.  An
+    exception is sent back in place of a result and ends the worker.
+
+    ``main_end``, the main process's end of the pipe, is closed at once:
+    a forked worker inherits it, and while it is open here the worker
+    would never see the end of the pipe if the main process died.  A
+    thread sends the pickled results, so this process goes on taking
+    chunks off ``conn`` while a result waits to be read.  Otherwise a chunk
+    and a result that each overflow the pipe's buffer would block both
+    ends at once: the main thread sending the chunk, this process sending
+    the result that the main thread is yet to read.
+    """
+    main_end.close()
+    _init_worker(*initargs)
+    results: queue.SimpleQueue = queue.SimpleQueue()
+
+    def deliver() -> None:
+        while (result := results.get()) is not None:
+            conn.send_bytes(result)
+
+    sender = threading.Thread(target=deliver)
+    sender.start()
+    try:
+        while (chunk := conn.recv()) is not None:
+            results.put(pickle.dumps(_process_chunk(chunk),
+                                     pickle.HIGHEST_PROTOCOL))
+    except EOFError:  # the main process is gone
+        pass
+    except Exception as exc:
+        results.put(pickle.dumps(exc, pickle.HIGHEST_PROTOCOL))
+    finally:
+        results.put(None)
+        sender.join()
+
+
+def _worker_died(worker) -> TweetlexError:
+    """Join ``worker``, whose pipe broke, and name its exit code."""
+    worker.join()
+    return TweetlexError(f"a worker process exited with code "
+                         f"{worker.exitcode} before the run was done")
 
 
 def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
                 spill: BinaryIO | None) -> _Partial:
     """Process and merge every chunk in corpus order; with a ``spill``
-    file, append each chunk's tag rows to it before the merge."""
+    file, append each chunk's tag rows to it before the merge.
+
+    Worker processes and pipes are made only through the module attribute
+    ``multiprocessing``, so a caller may put a start-method context there.
+    Every worker is stopped and joined before this returns or raises; a
+    worker's exception is raised again here as itself.
+    """
     total = _Partial()
 
     def take(part: _Partial) -> None:
@@ -223,10 +291,53 @@ def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
     # Processes beyond the CPUs this one may run on only add start-up cost.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    with multiprocessing.Pool(min(workers, cpus), initializer=_init_worker,
-                              initargs=initargs) as pool:
-        for part in pool.imap(_process_chunk, _iter_chunks(reader)):
-            take(part)
+    n = min(workers, cpus)
+    procs, conns = [], []
+
+    def send(k: int, chunk) -> None:
+        try:
+            conns[k % n].send(chunk)
+        except OSError:
+            raise _worker_died(procs[k % n]) from None
+
+    def receive(k: int) -> _Partial:
+        try:
+            result = conns[k % n].recv()
+        except (EOFError, OSError):
+            raise _worker_died(procs[k % n]) from None
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    try:
+        for _ in range(n):
+            conn, child = multiprocessing.Pipe()
+            conns.append(conn)
+            with child:
+                proc = multiprocessing.Process(
+                    target=_work, args=(child, conn, initargs), daemon=True)
+                proc.start()
+            procs.append(proc)
+        sent = taken = 0
+        for chunk in _iter_chunks(reader):
+            if sent - taken == n * _IN_FLIGHT:
+                take(receive(taken))
+                taken += 1
+            send(sent, chunk)
+            sent += 1
+        for k in range(taken, sent):
+            take(receive(k))
+        for k in range(n):
+            send(k, None)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
     return total
 
 
@@ -266,9 +377,9 @@ def _region_table(regions: RegionAggregate) -> list[tuple[str, list[int]]]:
 def _daily_cells(day: DayBuckets) -> Iterator[tuple[str, str, str, int]]:
     """daily.csv's (ISO date, channel, label, count) cells in file order:
     by date, then in DAY_ROW order, zeros included."""
-    for when in sorted(day.rows):
+    for when, row in day.rows.items():
         iso = when.isoformat()
-        for (channel, label), count in zip(DAY_ROW, day.rows[when]):
+        for (channel, label), count in zip(DAY_ROW, row):
             yield iso, channel, label, count
 
 

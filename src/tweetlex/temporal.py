@@ -5,13 +5,14 @@ A label row counts the sentiment, emotion and overall labels of a group of
 tweets in the slots of ``DAY_ROW``; days (here) and regions (``spatial``)
 both keep one per key.  Every aggregate is a mergeable partial: parallel
 workers own private ones and the merged result is independent of how the
-corpus was partitioned.  Timestamps must already be converted to the
-analysis timezone before bucketing.
+corpus was partitioned.  Both bucket kinds take a tweet's time as ints,
+its local day ordinal (``date.toordinal``) and its local hour, read from a
+timestamp already converted to the analysis timezone.
 """
 
 from __future__ import annotations
 
-from datetime import date, datetime
+from datetime import date
 from operator import add
 from typing import Iterable
 
@@ -62,19 +63,26 @@ def row_tweets(row: list[int]) -> int:
 
 
 class DayBuckets:
-    """local date -> label row."""
+    """local date -> label row.  ``add`` takes the date as its ordinal
+    (``date.toordinal``), and rows are counted under that int."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("by_ordinal",)
 
     def __init__(self):
-        self.rows: dict[date, list[int]] = {}
+        self.by_ordinal: dict[int, list[int]] = {}
 
-    def add(self, tag: Tag, when: datetime) -> None:
-        count_tag(self.rows, when.date(), tag)
+    def add(self, tag: Tag, day: int) -> None:
+        count_tag(self.by_ordinal, day, tag)
 
     def merge(self, other: "DayBuckets") -> "DayBuckets":
-        merge_rows(self.rows, other.rows)
+        merge_rows(self.by_ordinal, other.by_ordinal)
         return self
+
+    @property
+    def rows(self) -> dict[date, list[int]]:
+        """local date -> label row, in date order, as a new dict."""
+        return {date.fromordinal(day): row
+                for day, row in sorted(self.by_ordinal.items())}
 
 
 class HourBuckets:
@@ -86,8 +94,8 @@ class HourBuckets:
     def __init__(self):
         self.slots: list[int] = [0] * SLOTS_PER_DAY
 
-    def add(self, when: datetime) -> None:
-        self.slots[when.hour] += 1
+    def add(self, hour: int) -> None:
+        self.slots[hour] += 1
 
     def merge(self, other: "HourBuckets") -> "HourBuckets":
         for i in range(SLOTS_PER_DAY):

@@ -11,8 +11,12 @@ malformed and tag the other, and runs ``SEPARATOR_CORPUS`` and
 ``UNICODE_CORPUS`` with ``--oracle``, each of which must give a fixed
 sentiment tally. Last it runs the golden corpus with ``--gazetteer
 NUL_GAZETTEER``, which must exit 1 with a ``tweetlex: error:`` line that
-names line 2 and no traceback. Neither this script nor the run needs pytest, so PYTHON
-may be an interpreter that has only its standard library.
+names line 2 and no traceback. Last it writes a random corpus of
+``MULTI_CHUNK_LINES`` lines with ``corpus_gen`` and requires byte-identical
+files from ``--threads 1`` and ``--threads 2``, so that both workers take
+chunks under PYTHON's default start method. Neither this script nor the run
+needs pytest, so PYTHON may be an interpreter that has only its standard
+library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
 difference to stderr and exits 1.
@@ -27,8 +31,14 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
+import corpus_gen
+
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "data" / "golden_run"
+
+#: Lines of the random corpus run at one and two workers: four chunks of
+#: ``tweetlex.report.CHUNK_SIZE`` (1,024) records and part of a fifth.
+MULTI_CHUNK_LINES = 4 * 1024 + 100
 
 #: A CSV corpus whose second line holds a NUL character. Python 3.10's csv
 #: module raises on that line and later ones read it; on every Python it
@@ -154,7 +164,29 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
             problems.append(f"NUL gazetteer: exited {proc.returncode}, "
                             f"expected 1 with a 'tweetlex: error:' line "
                             f"naming line 2: {proc.stderr.strip()}")
+        problems += _multi_chunk_problems(python, Path(tmp))
     return problems
+
+
+def _multi_chunk_problems(python, tmp: Path) -> list[str]:
+    """Differences between the ``--threads 1`` and ``--threads 2`` files of
+    a random corpus of ``MULTI_CHUNK_LINES`` lines."""
+    corpus, lexicon = tmp / "multi.jsonl", tmp / "multi_lexicon.tsv"
+    corpus_gen.write_random_corpus(corpus, MULTI_CHUNK_LINES, seed=24)
+    corpus_gen.write_toy_lexicon(lexicon)
+    trees = []
+    for threads in ("1", "2"):
+        out = tmp / f"multi{threads}"
+        proc = _analyze(python, corpus, lexicon, out, "--emit-tags",
+                        "--threads", threads)
+        if proc.returncode != 0:
+            return [f"multi-chunk corpus: --threads {threads} exited "
+                    f"{proc.returncode}: {proc.stderr.strip()}"]
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    one, two = trees
+    return [f"multi-chunk corpus: {name} differs between --threads 1 and 2"
+            for name in sorted(set(one) | set(two))
+            if one.get(name) != two.get(name)]
 
 
 def main(argv=None) -> int:

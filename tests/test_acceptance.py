@@ -123,8 +123,8 @@ def test_criterion_3_partition_invariants(work_dir, toy_lexicon,
             day, hours = DayBuckets(), HourBuckets()
             mentions, regions = FrequencyTable(), RegionAggregate()
             for result, local, region, ments in chunk:
-                day.add(result, local)
-                hours.add(local)
+                day.add(result, local.toordinal())
+                hours.add(local.hour)
                 mentions.update(ments)
                 if region != UNKNOWN:
                     regions.add(result, region)

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import cross_python
+from tweetlex import report
 
 SCRIPT = Path(cross_python.__file__)
 
@@ -25,3 +26,7 @@ def test_a_changed_expected_file_is_reported(tmp_path):
     daily.write_bytes(daily.read_bytes() + b"\n")
     assert cross_python.check(sys.executable, golden) == \
         ["daily.csv differs from the golden copy"]
+
+
+def test_multi_chunk_corpus_gives_the_second_worker_chunks():
+    assert cross_python.MULTI_CHUNK_LINES > 4 * report.CHUNK_SIZE

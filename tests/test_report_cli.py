@@ -9,16 +9,20 @@ write-after-verify contract, and the exit-code contract.
 """
 
 import csv
+import errno
 import importlib.metadata
 import io
 import itertools
 import json
 import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
+import textwrap
+import types
 from datetime import date
 from pathlib import Path
 
@@ -132,8 +136,10 @@ class TestDeterminism:
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_pool_start_method_never_changes_output(
             self, toy_lexicon_path, tmp_path, monkeypatch, method):
-        # Python 3.14 starts pools with forkserver by default on Linux; a
-        # worker must then get all its state from the pool's initargs.
+        # Python 3.14 starts processes with forkserver by default on Linux;
+        # a worker must then get all its state from its start arguments.
+        # The run makes its workers and pipes through report.multiprocessing
+        # (test_pool_never_exceeds_the_cpus counts them there).
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         corpus = tmp_path / "corpus.jsonl"
@@ -141,8 +147,8 @@ class TestDeterminism:
         trees = {}
         for workers in (1, 2):
             if workers == 2:
-                monkeypatch.setattr(report.multiprocessing, "Pool",
-                                    multiprocessing.get_context(method).Pool)
+                monkeypatch.setattr(report, "multiprocessing",
+                                    multiprocessing.get_context(method))
             out = tmp_path / f"w{workers}"
             run_analyze(AnalyzeConfig(
                 input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
@@ -156,20 +162,21 @@ class TestDeterminism:
 
     def test_pool_never_exceeds_the_cpus(self, toy_lexicon_path, tmp_path,
                                          monkeypatch):
-        # Two CPUs are faked, so the pool stays small on any host.
+        # Two CPUs are faked, so the run stays small on any host.
         monkeypatch.setattr(report.os, "sched_getaffinity",
                             lambda _pid: {0, 1}, raising=False)
-        sizes = []
-        pool = multiprocessing.Pool
+        started = []
 
-        def recording_pool(processes, *args, **kwargs):
-            sizes.append(processes)
-            return pool(processes, *args, **kwargs)
+        class CountedProcess(multiprocessing.Process):
+            def start(self):
+                started.append(self)
+                super().start()
 
-        monkeypatch.setattr(report.multiprocessing, "Pool", recording_pool)
+        monkeypatch.setattr(report, "multiprocessing", types.SimpleNamespace(
+            Process=CountedProcess, Pipe=multiprocessing.Pipe))
         corpus = tmp_path / "corpus.jsonl"
         corpus_gen.write_random_corpus(corpus, 3000, seed=13)
-        trees = {}
+        trees, counts = {}, {}
         for workers in (1, 3):
             out = tmp_path / f"w{workers}"
             run_analyze(AnalyzeConfig(
@@ -177,7 +184,8 @@ class TestDeterminism:
                 out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
                 workers=workers))
             trees[workers] = _read_tree(out)
-        assert sizes == [2]
+            counts[workers] = len(started)
+        assert counts == {1: 0, 3: 2}
         assert trees[1] == trees[3]
         summary = json.loads(trees[1]["summary.json"])
         assert summary["records_read"] > report.CHUNK_SIZE
@@ -191,6 +199,152 @@ class TestDeterminism:
                 out_dir=str(out)))
             outs.append(_read_tree(out))
         assert outs[0] == outs[1]
+
+
+def _run_script(script: str, *args) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter on this checkout's package, so
+    that a run that hangs fails the test at the timeout instead of hanging
+    the suite."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script),
+                           *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+#: Runs argv[1] (corpus) with argv[2] (lexicon) into argv[3] on two fork
+#: workers, each of which exits with code 3 at its third chunk; prints the
+#: error and then the number of live child processes.
+_DYING_WORKER = """
+    import multiprocessing, os, sys
+    from tweetlex import report
+    from tweetlex.errors import TweetlexError
+
+    process_chunk, calls = report._process_chunk, []
+
+    def dying(records):
+        calls.append(len(records))
+        if len(calls) == 3:
+            os._exit(3)
+        return process_chunk(records)
+
+    report._process_chunk = dying
+    report.multiprocessing = multiprocessing.get_context("fork")
+    try:
+        report.run_analyze(report.AnalyzeConfig(
+            input_path=sys.argv[1], lexicon_path=sys.argv[2],
+            out_dir=sys.argv[3], workers=2))
+    except TweetlexError as exc:
+        print(exc)
+    print(len(multiprocessing.active_children()))
+"""
+
+#: Runs argv[1] with argv[2] into argv[3] with tag rows at 1 and 2 workers
+#: and prints whether the two output trees are equal.
+_TWO_RUNS = """
+    import sys
+    from pathlib import Path
+    from tweetlex import report
+
+    trees = []
+    for workers in (1, 2):
+        out = Path(sys.argv[3]) / f"w{workers}"
+        report.run_analyze(report.AnalyzeConfig(
+            input_path=sys.argv[1], lexicon_path=sys.argv[2],
+            out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+            workers=workers))
+        trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+    print(trees[0] == trees[1])
+"""
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the faults are patched into forked workers")
+class TestWorkerProcesses:
+    """Worker processes never outlive a run, and a worker that fails ends
+    the run with an error instead of hanging it."""
+
+    @pytest.fixture
+    def six_chunks(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(path, 6 * report.CHUNK_SIZE, seed=17)
+        return path
+
+    def test_dead_worker_is_an_error_naming_its_exit_code(
+            self, six_chunks, toy_lexicon_path, tmp_path):
+        out = tmp_path / "out"
+        proc = _run_script(_DYING_WORKER, six_chunks, toy_lexicon_path, out)
+        assert proc.returncode == 0, proc.stderr
+        error, children = proc.stdout.splitlines()
+        assert "exited with code 3" in error
+        assert children == "0"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", [None, "worker", "reader", "spill"])
+    def test_no_worker_outlives_the_run(self, six_chunks, toy_lexicon_path,
+                                        tmp_path, monkeypatch, fault):
+        monkeypatch.setattr(report, "multiprocessing",
+                            multiprocessing.get_context("fork"))
+        calls = []
+
+        def failing(function, error):
+            def wrapped(*args):
+                calls.append(args)
+                if len(calls) == 3:
+                    raise error
+                return function(*args)
+            return wrapped
+
+        error = {"worker": ValueError("chunk fault"),
+                 "reader": OSError(errno.EIO, "read fault"),
+                 "spill": OSError(errno.ENOSPC, "spill fault")}.get(fault)
+        if fault == "worker":
+            monkeypatch.setattr(report, "_process_chunk",
+                                failing(report._process_chunk, error))
+        elif fault == "reader":
+            read = RecordReader.__iter__
+
+            def reading(reader):
+                for n, record in enumerate(read(reader)):
+                    if n == 2 * report.CHUNK_SIZE:
+                        raise error
+                    yield record
+            monkeypatch.setattr(RecordReader, "__iter__", reading)
+        elif fault == "spill":
+            monkeypatch.setattr(report, "write_tags_jsonl",
+                                failing(report.write_tags_jsonl, error))
+        config = AnalyzeConfig(input_path=str(six_chunks),
+                               lexicon_path=str(toy_lexicon_path),
+                               out_dir=str(tmp_path / "out"),
+                               emit_tags=str(tmp_path / "out" / "tags.jsonl"),
+                               workers=2)
+        if fault is None:
+            assert run_analyze(config).summary["records_read"] == \
+                6 * report.CHUNK_SIZE
+        else:
+            with pytest.raises(type(error)) as raised:
+                run_analyze(config)
+            assert raised.value.args == error.args
+            assert not (tmp_path / "out").exists()
+        assert multiprocessing.active_children() == []
+
+    def test_chunks_and_results_past_the_pipe_buffer(self, toy_lexicon_path,
+                                                     tmp_path):
+        # Each chunk pickles to about 1 MB and each result, with its tag
+        # rows and 8,192 distinct 80-letter hashtags, to about 700 KB: both
+        # past a socket pair's buffer (208 KiB on Linux by default).
+        rng = random.Random(5)
+        corpus = tmp_path / "corpus.jsonl"
+        with open(corpus, "w", encoding="utf-8") as fh:
+            for i in range(6 * report.CHUNK_SIZE):
+                tags = " ".join("#" + "".join(rng.choices("abcdefgh", k=80))
+                                for _ in range(8))
+                text = f"{tags} good day " + "gst rollout " * 28
+                fh.write(json.dumps({
+                    "id": f"t{i}", "created_at": "2017-07-01T10:00:00+05:30",
+                    "text": text, "user_location": "Delhi"}) + "\n")
+        proc = _run_script(_TWO_RUNS, corpus, toy_lexicon_path, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
 
 
 class TestWindowFlags:

@@ -82,6 +82,17 @@ class TestResolveLocation:
         for pattern, _region in bundled_gazetteer:
             assert resolve_location(pattern, bundled_gazetteer) != UNKNOWN
 
+    def test_no_bundled_rule_is_shadowed(self, bundled_gazetteer):
+        # A pattern that holds an earlier rule's pattern never matches
+        # first, so its rule can never win.
+        shadowed = [(earlier, pattern)
+                    for i, (pattern, _region) in enumerate(bundled_gazetteer)
+                    for earlier, _ in bundled_gazetteer[:i]
+                    if earlier in pattern]
+        assert shadowed == []
+        assert resolve_location("Visakhapatnam, AP",
+                                bundled_gazetteer) == "Andhra Pradesh"
+
 
 class TestLoadGazetteer:
     def _load(self, tmp_path, body):

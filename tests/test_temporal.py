@@ -51,9 +51,9 @@ def _when(day=1, hour=12) -> dt.datetime:
 class TestDayBuckets:
     def test_add_counts_once_per_channel(self):
         buckets = DayBuckets()
-        buckets.add(_result(0), _when(day=1))
-        buckets.add(_result(1), _when(day=1))
-        buckets.add(_result(0), _when(day=2))
+        buckets.add(_result(0), _when(day=1).toordinal())
+        buckets.add(_result(1), _when(day=1).toordinal())
+        buckets.add(_result(0), _when(day=2).toordinal())
         july1, july2 = dt.date(2017, 7, 1), dt.date(2017, 7, 2)
         assert _channel(buckets, july1, "sentiment") == \
             {"positive": 1, "negative": 1}
@@ -67,7 +67,7 @@ class TestDayBuckets:
     def test_every_channel_totals_match(self):
         buckets = DayBuckets()
         for i in range(17):
-            buckets.add(_result(i), _when(day=1 + i % 3))
+            buckets.add(_result(i), _when(day=1 + i % 3).toordinal())
         per_channel = {
             ch: sum(sum(_channel(buckets, day, ch).values())
                     for day in sorted(buckets.rows))
@@ -79,9 +79,9 @@ class TestDayBuckets:
 class TestHourBuckets:
     def test_slot_edges(self):
         buckets = HourBuckets()
-        buckets.add(dt.datetime(2017, 7, 1, 0, 0, 0, tzinfo=IST))
-        buckets.add(dt.datetime(2017, 7, 1, 23, 59, 59, tzinfo=IST))
-        buckets.add(dt.datetime(2017, 7, 2, 23, 0, 0, tzinfo=IST))
+        buckets.add(dt.datetime(2017, 7, 1, 0, 0, 0, tzinfo=IST).hour)
+        buckets.add(dt.datetime(2017, 7, 1, 23, 59, 59, tzinfo=IST).hour)
+        buckets.add(dt.datetime(2017, 7, 2, 23, 0, 0, tzinfo=IST).hour)
         assert buckets.slots[0] == 1
         assert buckets.slots[23] == 2
         assert buckets.total == 3
@@ -89,7 +89,7 @@ class TestHourBuckets:
     def test_peak_slot_earliest_max(self):
         buckets = HourBuckets()
         for hour in (5, 9, 9, 17, 17):
-            buckets.add(_when(hour=hour))
+            buckets.add(_when(hour=hour).hour)
         assert peak_slot(buckets) == 9
 
     def test_peak_slot_none_when_empty(self):
@@ -107,8 +107,8 @@ def _bucket(pop):
     """Day and hour buckets filled the way the chunk worker fills them."""
     days, hours = DayBuckets(), HourBuckets()
     for tag, when in pop:
-        days.add(tag, when)
-        hours.add(when)
+        days.add(tag, when.toordinal())
+        hours.add(when.hour)
     return days, hours
 
 
