@@ -1,7 +1,7 @@
 """Read, validate, and stream tweet records from JSONL/CSV files or stdin.
 
-Malformed lines never abort a stream: they are skipped, tallied by reason,
-and logged with their line number.  The accounting invariant
+Malformed lines never abort a stream: they are skipped and tallied by
+reason, with their line number.  The accounting invariant
 ``admitted + skipped == lines`` holds for every run.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import logging
 import re
 import sys
 from collections import Counter
@@ -19,8 +18,6 @@ from datetime import date, datetime, timedelta, timezone
 from typing import Iterator
 
 from .errors import CorpusFormatError, TweetlexError
-
-logger = logging.getLogger(__name__)
 
 #: Default timezone for naive timestamps and local-time bucketing (IST).
 IST = timezone(timedelta(hours=5, minutes=30))
@@ -50,9 +47,6 @@ class ReadStats:
     lines: int = 0
     skipped: Counter = field(default_factory=Counter)
     diagnostics: list[tuple[int, str, str]] = field(default_factory=list)
-    # Whether rejections go to the debug log.  The reader asks the logger
-    # once per pass, so a rejected line makes no logging call by default.
-    log_skips: bool = field(default=False, repr=False, compare=False)
 
     @property
     def skipped_total(self) -> int:
@@ -60,20 +54,18 @@ class ReadStats:
 
     def _skip(self, lineno: int, reason: str, detail: object = "") -> None:
         """Tally one rejection; ``detail`` becomes a string only when it is
-        stored or logged."""
+        stored."""
         self.skipped[reason] += 1
         if len(self.diagnostics) < _MAX_DIAGNOSTICS:
             self.diagnostics.append((lineno, reason, str(detail)))
-        if self.log_skips:
-            logger.debug("line %d skipped (%s) %s", lineno, reason, detail)
 
 
 def parse_timestamp(value, default_tz: timezone = IST) -> datetime | None:
     """Parse an RFC-3339 timestamp into ``default_tz`` local time; naive
     values are taken to be local already.
 
-    Every result shares the one ``default_tz`` object, so a pickled chunk of
-    records stores it once.  Returns None when the value does not parse or
+    Every result's tzinfo is the one ``default_tz`` object, whatever offset
+    the value carried.  Returns None when the value does not parse or
     its conversion leaves years 1-9999 (in UTC or in ``default_tz``).
     """
     if not isinstance(value, str) or not value:
@@ -117,22 +109,6 @@ def _encodes(text: str) -> bool:
     except UnicodeEncodeError:
         return False
     return True
-
-
-def _check_fields(rec_id, created_at, text,
-                  default_tz: timezone) -> datetime | str:
-    """The field rules of a parsed line: return its local timestamp, or the
-    name of the first failing field, checked in order: id, timestamp, text.
-    """
-    if not isinstance(rec_id, str) or not rec_id or \
-            not (rec_id.isascii() or _encodes(rec_id)):
-        return "id"
-    ts = parse_timestamp(created_at, default_tz)
-    if ts is None:
-        return "timestamp"
-    if not isinstance(text, str):
-        return "text"
-    return ts
 
 
 class RecordReader:
@@ -193,7 +169,6 @@ class RecordReader:
                 yield from self._read(fh)
 
     def _read(self, fh) -> Iterator[Record]:
-        self.stats.log_skips = logger.isEnabledFor(logging.DEBUG)
         if self.format == "jsonl":
             yield from self._read_jsonl(fh)
         else:
@@ -203,9 +178,16 @@ class RecordReader:
                loc) -> Record | None:
         """The record of one parsed line's four fields (in ``CSV_HEADER``
         order), or None when a check rejects it."""
-        ts = _check_fields(rec_id, created_at, text, self.default_tz)
-        if isinstance(ts, str):
-            self.stats._skip(lineno, ts)
+        if not isinstance(rec_id, str) or not rec_id or \
+                not (rec_id.isascii() or _encodes(rec_id)):
+            self.stats._skip(lineno, "id")
+            return None
+        ts = parse_timestamp(created_at, self.default_tz)
+        if ts is None:
+            self.stats._skip(lineno, "timestamp")
+            return None
+        if not isinstance(text, str):
+            self.stats._skip(lineno, "text")
             return None
         if rec_id in self._seen_ids:
             self.stats._skip(lineno, "duplicate", rec_id)

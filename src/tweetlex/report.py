@@ -134,25 +134,10 @@ class _Partial:
         return self
 
 
-# Chunk-processing state, set by _init_worker once per worker process, or
-# once per run when workers == 1.  A worker gets it from its start
-# arguments, so it is correct under every start method: fork, spawn and
-# forkserver.
-_G: dict = {}
-
 #: Chunks dealt to a worker and not yet taken back: one to work on and one
 #: waiting, so a worker need not idle while the main thread reads and
 #: merges.
 _IN_FLIGHT = 2
-
-
-def _init_worker(masks: dict[str, int], stopwords: frozenset[str],
-                 rules: Rules, emit_tags: bool, mention: str | None) -> None:
-    _G["masks"] = masks
-    _G["stopwords"] = stopwords
-    _G["rules"] = rules
-    _G["emit_tags"] = emit_tags
-    _G["mention"] = mention
 
 
 def _may_mention(text: str, at_handle: str) -> bool:
@@ -168,13 +153,10 @@ def _may_mention(text: str, at_handle: str) -> bool:
     return at_handle in text.lower()
 
 
-def _process_chunk(records: list[tuple]) -> _Partial:
+def _process_chunk(records: list[tuple], masks: dict[str, int],
+                   stopwords: frozenset[str], rules: Rules, emit_tags: bool,
+                   mention: str | None) -> _Partial:
     """Tag and aggregate one chunk of ``_iter_chunks``."""
-    masks = _G["masks"]
-    stopwords = _G["stopwords"]
-    rules = _G["rules"]
-    emit_tags = _G["emit_tags"]
-    mention = _G["mention"]
     if mention is not None:
         at_handle = "@" + mention
         records = [record for record in records
@@ -219,10 +201,12 @@ def _iter_chunks(records: Iterable[Record]) -> Iterator[list[tuple]]:
         yield chunk
 
 
-def _work(conn, main_end, initargs: tuple) -> None:
+def _work(conn, main_end, state: tuple) -> None:
     """A worker process: send back over ``conn`` the ``_process_chunk`` of
-    each chunk that arrives on it, in order, until None arrives.  An
-    exception is sent back in place of a result and ends the worker.
+    each chunk that arrives on it, with the run's ``state``, in order,
+    until None arrives.  An exception is sent back in place of a result and
+    ends the worker.  The state comes in the start arguments, so it reaches
+    the worker under every start method: fork, spawn and forkserver.
 
     ``main_end``, the main process's end of the pipe, is closed at once:
     a forked worker inherits it, and while it is open here the worker
@@ -234,7 +218,6 @@ def _work(conn, main_end, initargs: tuple) -> None:
     the result that the main thread is yet to read.
     """
     main_end.close()
-    _init_worker(*initargs)
     results: queue.SimpleQueue = queue.SimpleQueue()
 
     def deliver() -> None:
@@ -245,7 +228,7 @@ def _work(conn, main_end, initargs: tuple) -> None:
     sender.start()
     try:
         while (chunk := conn.recv()) is not None:
-            results.put(pickle.dumps(_process_chunk(chunk),
+            results.put(pickle.dumps(_process_chunk(chunk, *state),
                                      pickle.HIGHEST_PROTOCOL))
     except EOFError:  # the main process is gone
         pass
@@ -263,10 +246,11 @@ def _worker_died(worker) -> TweetlexError:
                          f"{worker.exitcode} before the run was done")
 
 
-def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
+def _run_chunks(reader: RecordReader, state: tuple, workers: int,
                 spill: BinaryIO | None) -> _Partial:
-    """Process and merge every chunk in corpus order; with a ``spill``
-    file, append each chunk's tag rows to it before the merge.
+    """Process and merge every chunk in corpus order, each with the
+    ``_process_chunk`` arguments ``state``; with a ``spill`` file, append
+    each chunk's tag rows to it before the merge.
 
     Worker processes and pipes are made only through the module attribute
     ``multiprocessing``, so a caller may put a start-method context there.
@@ -281,12 +265,8 @@ def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
         total.merge(part)
 
     if workers <= 1:
-        _init_worker(*initargs)
-        try:
-            for chunk in _iter_chunks(reader):
-                take(_process_chunk(chunk))
-        finally:
-            _G.clear()
+        for chunk in _iter_chunks(reader):
+            take(_process_chunk(chunk, *state))
         return total
     # Processes beyond the CPUs this one may run on only add start-up cost.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -315,7 +295,7 @@ def _run_chunks(reader: RecordReader, initargs: tuple, workers: int,
             conns.append(conn)
             with child:
                 proc = multiprocessing.Process(
-                    target=_work, args=(child, conn, initargs), daemon=True)
+                    target=_work, args=(child, conn, state), daemon=True)
                 proc.start()
             procs.append(proc)
         sent = taken = 0
@@ -616,11 +596,11 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     stopwords = load_stopwords(config.stopwords_path
                                or default_stopwords_path())
     rules = load_gazetteer(config.gazetteer_path or default_gazetteer_path())
-    initargs = (masks, stopwords, rules, config.emit_tags is not None,
-                config.mention)
+    state = (masks, stopwords, rules, config.emit_tags is not None,
+             config.mention)
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
-        part = _run_chunks(reader, initargs, config.workers, spill)
+        part = _run_chunks(reader, state, config.workers, spill)
         summary, tables = _outputs(config, reader.stats, part, masks)
         if config.oracle:
             _check_oracle(config, reader.stats, summary, part,

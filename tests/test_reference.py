@@ -276,8 +276,8 @@ def _window_before_dedup(monkeypatch):
     admit = RecordReader._admit
 
     def mutant(self, lineno, rec_id, created_at, text, loc):
-        ts = ingest._check_fields(rec_id, created_at, text, self.default_tz)
-        if isinstance(ts, str) or self.date_from <= ts.date() <= self.date_to:
+        ts = ingest.parse_timestamp(created_at, self.default_tz)
+        if ts is None or self.date_from <= ts.date() <= self.date_to:
             return admit(self, lineno, rec_id, created_at, text, loc)
         self.stats._skip(lineno, "out_of_range", ts.date().isoformat())
     monkeypatch.setattr(RecordReader, "_admit", mutant)

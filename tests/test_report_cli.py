@@ -134,12 +134,12 @@ class TestDeterminism:
         assert trees[False] == trees[True]
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
-    def test_pool_start_method_never_changes_output(
+    def test_start_method_never_changes_output(
             self, toy_lexicon_path, tmp_path, monkeypatch, method):
         # Python 3.14 starts processes with forkserver by default on Linux;
         # a worker must then get all its state from its start arguments.
         # The run makes its workers and pipes through report.multiprocessing
-        # (test_pool_never_exceeds_the_cpus counts them there).
+        # (test_workers_never_exceed_the_cpus counts them there).
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
         corpus = tmp_path / "corpus.jsonl"
@@ -160,8 +160,8 @@ class TestDeterminism:
         summary = json.loads(trees[1]["summary.json"])
         assert summary["records_read"] > report.CHUNK_SIZE
 
-    def test_pool_never_exceeds_the_cpus(self, toy_lexicon_path, tmp_path,
-                                         monkeypatch):
+    def test_workers_never_exceed_the_cpus(self, toy_lexicon_path, tmp_path,
+                                           monkeypatch):
         # Two CPUs are faked, so the run stays small on any host.
         monkeypatch.setattr(report.os, "sched_getaffinity",
                             lambda _pid: {0, 1}, raising=False)
@@ -221,11 +221,11 @@ _DYING_WORKER = """
 
     process_chunk, calls = report._process_chunk, []
 
-    def dying(records):
+    def dying(records, *state):
         calls.append(len(records))
         if len(calls) == 3:
             os._exit(3)
-        return process_chunk(records)
+        return process_chunk(records, *state)
 
     report._process_chunk = dying
     report.multiprocessing = multiprocessing.get_context("fork")
