@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import re
 
-# A character then two or more copies of it.  Spelled ``\1\1+``: it finds
-# the same runs as ``\1{2,}`` but scans tweet text several times faster.
-_REPEAT_RE = re.compile(r"(.)\1\1+")
+# A character then two copies of it.  No pattern here repeats a
+# backreference: ``re`` would keep about 80 bytes for each character of a run.
+_REPEAT_RE = re.compile(r"(.)\1\1")
 # The same for a token character, the alphabet of ``_TOKEN_RE`` below.
-_TOKEN_REPEAT_RE = re.compile(r"([^\W_])\1\1+")
+_TOKEN_REPEAT_RE = re.compile(r"([^\W_])\1\1")
+# Searched for from inside a run: the run's last character.
+_RUN_END_RE = re.compile(r"(.)(?!\1)")
 # A token is a maximal run of alphanumeric characters (str.isalnum()):
 # word characters minus the underscore.
 _TOKEN_RE = re.compile(r"[^\W_]+")
@@ -41,7 +43,9 @@ def tokenize(text: str, stopwords) -> list[str]:
     each chain of mentions or hashtags, so many texts hold a separator
     run and few a letter or digit run.  The search for any run is the
     cheap gate; the token class is checked only from the first run it
-    finds, as ``.`` matches every token character.
+    finds, as ``.`` matches every token character.  A letter or digit run
+    keeps its first two characters, and the text resumes after its last;
+    no search keeps state per character, so memory stays linear in length.
 
     An ASCII text is lowercased and has every non-alphanumeric character
     turned into a space in one byte-table ``translate``, and is then split
@@ -60,8 +64,14 @@ def tokenize(text: str, stopwords) -> list[str]:
     else:
         text = text.lower()
     run = _REPEAT_RE.search(text)
-    if run and _TOKEN_REPEAT_RE.search(text, run.start()):
-        text = _TOKEN_REPEAT_RE.sub(r"\1\1", text)
+    if run and (run := _TOKEN_REPEAT_RE.search(text, run.start())):
+        kept, end = [], 0
+        while run:
+            kept.append(text[end:run.start() + 2])
+            end = _RUN_END_RE.search(text, run.start() + 2).end()
+            run = _TOKEN_REPEAT_RE.search(text, end)
+        kept.append(text[end:])
+        text = "".join(kept)
     tokens = text.split() if ascii_text else _TOKEN_RE.findall(text)
     return [tok for tok in tokens
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]

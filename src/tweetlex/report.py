@@ -2,9 +2,9 @@
 
 A run streams admitted records in chunks of 1024 through a worker function,
 merges the per-chunk partial aggregates in chunk order, and only then writes
-output files.  With one worker the chunks are processed in-process.  With
-more, the main thread reads the corpus and deals chunk k to worker process
-k mod n over that worker's own pipe, at most two chunks ahead of the results
+output files.  With one worker, or one usable CPU, the chunks run in-process.
+With more, the main thread reads the corpus and deals chunk k to worker
+process k mod n over its own pipe, at most two chunks ahead of the results
 it has taken back, and takes the results back in chunk order.  A chunk
 carries each record's local day and hour as ints, not its datetime.
 Per-tweet tag rows are not held: the main process appends each chunk's rows
@@ -264,14 +264,15 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
             write_tags_jsonl(spill, part.tag_rows)
         total.merge(part)
 
-    if workers <= 1:
-        for chunk in _iter_chunks(reader):
-            take(_process_chunk(chunk, *state))
-        return total
-    # Processes beyond the CPUs this one may run on only add start-up cost.
+    # Processes beyond the CPUs this one may run on only add start-up cost,
+    # and on one CPU the chunks run in this process.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     n = min(workers, cpus)
+    if n <= 1:
+        for chunk in _iter_chunks(reader):
+            take(_process_chunk(chunk, *state))
+        return total
     procs, conns = [], []
 
     def send(k: int, chunk) -> None:
@@ -354,6 +355,22 @@ def _region_table(regions: RegionAggregate) -> list[tuple[str, list[int]]]:
                     ("TOTAL", sum_rows([india_total, foreign]))]
 
 
+def _region_rows(table: list[tuple[str, list[int]]]) -> Iterator[tuple]:
+    """regions.csv's rows, none when nothing was located: name, tweets, the
+    _REGION_COLS counts and cum_share of each _region_table row.  cum_share
+    accumulates tweets/located-total down the state rows through
+    INDIA_UNSPECIFIED and FOREIGN; INDIA_TOTAL and TOTAL show their own."""
+    grand, running = row_tweets(table[-1][1]), 0
+    for name, row in table if grand else ():
+        tweets = row_tweets(row)
+        if name in ("INDIA_TOTAL", "TOTAL"):
+            share = tweets
+        else:
+            running += tweets
+            share = running
+        yield (name, tweets, *row[:len(_REGION_COLS)], f"{share / grand:.6f}")
+
+
 def _daily_cells(day: DayBuckets) -> Iterator[tuple[str, str, str, int]]:
     """daily.csv's (ISO date, channel, label, count) cells in file order:
     by date, then in DAY_ROW order, zeros included."""
@@ -363,11 +380,17 @@ def _daily_cells(day: DayBuckets) -> Iterator[tuple[str, str, str, int]]:
             yield iso, channel, label, count
 
 
+def _csv_table(name: str, header: tuple, rows: Iterable[tuple]) -> tuple:
+    """An ``_outputs`` triple: ``rows`` to write_csv, ``header`` first."""
+    return name, write_csv, itertools.chain([header], rows)
+
+
 def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
              masks: dict) -> tuple[dict, list]:
     """The summary.json dict, and the run's tables as (file name, writer,
     data) triples in write order: the daily table alone on a subcorpus
-    run, all seven tables otherwise."""
+    run, all seven tables otherwise.  A CSV table's rows are generated
+    only as write_csv writes them."""
     totals = sum_rows(part.day.rows.values())
     read = {
         "records_read": stats.lines,
@@ -381,7 +404,8 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
                            for channel in CHANNELS},
         "tie_count": part.ties,
     }
-    tables = [("daily.csv", write_daily_csv, part.day)]
+    tables = [_csv_table("daily.csv", ("date", "channel", "label", "count"),
+                         _daily_cells(part.day))]
     if config.mention is not None:
         return {"mention": config.mention, **read,
                 "subcorpus_tweets": part.matched, **tagging,
@@ -406,11 +430,14 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
         },
         "lexicon_entries": len(masks),
     }
+    hours = enumerate(part.hours.slots) if part.hours.total else ()
     return summary, tables + [
-        ("hourly.csv", write_hourly_csv, part.hours),
-        ("mentions.csv", write_freq_csv, mentions),
-        ("hashtags.csv", write_freq_csv, hashtags),
-        ("regions.csv", write_regions_csv, regions),
+        _csv_table("hourly.csv", ("slot", "count"), hours),
+        _csv_table("mentions.csv", ("key", "count"), mentions),
+        _csv_table("hashtags.csv", ("key", "count"), hashtags),
+        _csv_table("regions.csv",
+                   ("region", "tweets", *_REGION_COLS, "cum_share"),
+                   _region_rows(regions)),
         ("wordcloud_mentions.json", write_json, mention_top),
         ("wordcloud_hashtags.json", write_json, hashtag_top),
     ]
@@ -465,64 +492,16 @@ def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
             "reference run disagrees with pipeline:\n  " + "\n  ".join(diffs))
 
 
-def _open_out(path: Path):
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
-def write_daily_csv(path: Path, day: DayBuckets) -> None:
-    """date,channel,label,count with every canonical label present (zeros
-    included) so the file shape does not depend on the data."""
-    with _open_out(path) as fh:
-        fh.write("date,channel,label,count\n")
-        for iso, channel, label, count in _daily_cells(day):
-            fh.write(f"{iso},{channel},{label},{count}\n")
-
-
-def write_hourly_csv(path: Path, hours: HourBuckets) -> None:
-    """slot,count over the 24 local-time slots; header only when the run
-    tagged nothing."""
-    with _open_out(path) as fh:
-        fh.write("slot,count\n")
-        if hours.total == 0:
-            return
-        for slot in range(24):
-            fh.write(f"{slot},{hours.slots[slot]}\n")
-
-
-def write_freq_csv(path: Path, ranked: list[tuple[str, int]]) -> None:
-    """key,count over a table's items_sorted() list."""
-    with _open_out(path) as fh:
-        fh.write("key,count\n")
-        for key, count in ranked:
-            fh.write(f"{key},{count}\n")
-
-
-def write_regions_csv(path: Path,
-                      table: list[tuple[str, list[int]]]) -> None:
-    """name,tweets, the _REGION_COLS counts and cum_share for each row of
-    a _region_table.
-
-    cum_share accumulates tweets/located-total down the state rows through
-    INDIA_UNSPECIFIED and FOREIGN; the derived INDIA_TOTAL and TOTAL rows
-    show their own share instead.  Header only when nothing was located.
-    """
-    with _open_out(path) as fh:
-        fh.write(",".join(("region", "tweets", *_REGION_COLS, "cum_share"))
-                 + "\n")
-        grand = row_tweets(table[-1][1])
-        if grand == 0:
-            return
-        running = 0
-        for name, row in table:
-            tweets = row_tweets(row)
-            if name in ("INDIA_TOTAL", "TOTAL"):
-                share = tweets
-            else:
-                running += tweets
-                share = running
-            counts = map(str, row[:len(_REGION_COLS)])
-            fh.write(",".join([name, str(tweets), *counts,
-                               f"{share / grand:.6f}"]) + "\n")
+def write_csv(path: Path, rows: Iterable[tuple]) -> None:
+    """A CSV file of ``rows``, the first one its header: each row's fields
+    as ``str``, joined by commas, one line each, written one at a time.
+    No field is quoted: no key, label or figure holds a comma or line end."""
+    rows = iter(rows)
+    header = next(rows)
+    line = ",".join(["%s"] * len(header)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(line % header)
+        fh.writelines(map(line.__mod__, rows))
 
 
 def write_tags_jsonl(fh: BinaryIO, rows: list[tuple]) -> None:
@@ -544,7 +523,7 @@ def write_spilled_tags(path: Path, spill: BinaryIO) -> None:
 
 def write_json(path: Path, data: dict) -> None:
     """summary.json or a wordcloud file, ending in a newline."""
-    with _open_out(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(data, fh, ensure_ascii=False, indent=2)
         fh.write("\n")
 

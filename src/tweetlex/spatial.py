@@ -137,7 +137,8 @@ def resolve_location(raw: str | None, rules: Rules) -> str:
     an unmatched string containing "india" is INDIA_UNSPECIFIED.  Only the
     short rules and the buckets of the prefixes that occur in the string
     are tested; each bucket stops at its first match, or once it passes the
-    best position found so far.
+    best position found so far.  The string's 3-character windows stream
+    past the index, so only the prefixes it shares are held.
     """
     if raw is None:
         return UNKNOWN
@@ -150,7 +151,7 @@ def resolve_location(raw: str | None, rules: Rules) -> str:
             best = i
             break
     by_prefix = rules.by_prefix
-    for key in by_prefix.keys() & set(zip(text, text[1:], text[2:])):
+    for key in by_prefix.keys() & zip(text, text[1:], text[2:]):
         for i in by_prefix[key]:
             if i >= best:
                 break

@@ -30,8 +30,9 @@ _CHARWALK_KERNEL = SimpleNamespace(tokenize=naive_tokenize,
 @pytest.fixture(params=["pure", "c"])
 def kernel(request):
     """Each implementation of the kernel contract in turn: "pure" is the
-    kernel module, "c" the character-walk one, so that every hand-written
-    kernel case also checks the tokenizer the ``--oracle`` pass uses."""
+    kernel module, "c" the character-walk one (not a compiled kernel; there
+    is none), so that every hand-written kernel case also checks the
+    tokenizer the ``--oracle`` pass uses."""
     if request.param == "pure":
         return _kernels
     return _CHARWALK_KERNEL

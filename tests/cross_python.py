@@ -9,14 +9,17 @@ byte. Then it runs the corpus again with ``--oracle`` and requires exit 0,
 runs ``NUL_CORPUS`` with ``--oracle``, which must reject its NUL row as
 malformed and tag the other, and runs ``SEPARATOR_CORPUS`` and
 ``UNICODE_CORPUS`` with ``--oracle``, each of which must give a fixed
-sentiment tally. Last it runs the golden corpus with ``--gazetteer
+sentiment tally. Then it runs the golden corpus with ``--gazetteer
 NUL_GAZETTEER``, which must exit 1 with a ``tweetlex: error:`` line that
-names line 2 and no traceback. Last it writes a random corpus of
+names line 2 and no traceback. Then it writes a random corpus of
 ``MULTI_CHUNK_LINES`` lines with ``corpus_gen`` and requires byte-identical
-files from ``--threads 1`` and ``--threads 2``, so that both workers take
-chunks under PYTHON's default start method. Neither this script nor the run
-needs pytest, so PYTHON may be an interpreter that has only its standard
-library.
+files from ``--threads 1`` and ``--threads 2`` with two usable CPUs faked,
+so that both workers take chunks under PYTHON's default start method.
+Last, where ``/proc`` exists, it runs one-line corpora whose line is a few
+MiB long and requires each run's peak memory to stay within a small
+multiple of its line's size (``long_line_problems``). Neither this script
+nor the run needs pytest, so PYTHON may be an interpreter that has only its
+standard library.
 
 Exits 0 when everything matches. Otherwise it prints one line per
 difference to stderr and exits 1.
@@ -25,6 +28,7 @@ difference to stderr and exits 1.
 import csv
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -77,6 +81,35 @@ UNICODE_CORPUS = (
     '{"id": "u3", "created_at": "2017-07-01T12:00:00+05:30", '
     '"text": "\u092a\u0930 hope\U0001f600 wonder"}\n')
 
+#: Characters in the long run of ``long_line_problems``' text lines.
+LONG_RUN = 4 * 1024 * 1024
+
+#: A one-line run may peak above the baseline one-line run by at most this
+#: many times its line's size in bytes.
+PEAK_PER_LINE_BYTE = 5
+
+#: Runs the CLI with argv[1:], then prints its exit code and the peak
+#: resident memory of this process in KiB (VmHWM). Read from /proc, it is
+#: this process's own: ``ru_maxrss`` would also carry the spawning
+#: process's peak.
+_PEAK_CLI = """
+import sys
+from tweetlex.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(line.split()[1] for line in fh
+                     if line.startswith("VmHWM:")))
+"""
+
+#: The CLI with two usable CPUs faked, so that ``--threads 2`` starts two
+#: worker processes on any host.
+_TWO_CPU_CLI = """
+import os, sys
+os.sched_getaffinity = lambda _pid: {0, 1}
+from tweetlex.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
 #: The daily sentiment tally each ``--oracle`` corpus must give.
 TALLIES = {
     "separator": (SEPARATOR_CORPUS,
@@ -85,9 +118,10 @@ TALLIES = {
 }
 
 
-def _analyze(python, corpus: Path, lexicon: Path, out_dir: Path, *extra):
+def _analyze(python, corpus: Path, lexicon: Path, out_dir: Path, *extra,
+             cli=("-m", "tweetlex.cli")):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    cmd = [python, "-m", "tweetlex.cli", "analyze",
+    cmd = [python, *cli, "analyze",
            "--input", str(corpus), "--lexicon", str(lexicon),
            "--out", str(out_dir), *extra]
     return subprocess.run(cmd, env=env, capture_output=True, text=True,
@@ -165,6 +199,7 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
                             f"expected 1 with a 'tweetlex: error:' line "
                             f"naming line 2: {proc.stderr.strip()}")
         problems += _multi_chunk_problems(python, Path(tmp))
+        problems += long_line_problems(python, Path(tmp))
     return problems
 
 
@@ -178,7 +213,7 @@ def _multi_chunk_problems(python, tmp: Path) -> list[str]:
     for threads in ("1", "2"):
         out = tmp / f"multi{threads}"
         proc = _analyze(python, corpus, lexicon, out, "--emit-tags",
-                        "--threads", threads)
+                        "--threads", threads, cli=("-c", _TWO_CPU_CLI))
         if proc.returncode != 0:
             return [f"multi-chunk corpus: --threads {threads} exited "
                     f"{proc.returncode}: {proc.stderr.strip()}"]
@@ -187,6 +222,51 @@ def _multi_chunk_problems(python, tmp: Path) -> list[str]:
     return [f"multi-chunk corpus: {name} differs between --threads 1 and 2"
             for name in sorted(set(one) | set(two))
             if one.get(name) != two.get(name)]
+
+
+def _tweet(text: str, location: str = "Delhi") -> str:
+    return json.dumps({"id": "t1", "created_at": "2017-07-01T10:00:00+05:30",
+                       "text": text, "user_location": location},
+                      ensure_ascii=False) + "\n"
+
+
+def long_line_problems(python, tmp: Path) -> list[str]:
+    """The one-line corpora whose analyze run peaks more than
+    ``PEAK_PER_LINE_BYTE`` times the line's size in bytes above a one-line
+    run of a short tweet. Their lines hold a text with a run of
+    ``LONG_RUN`` ``y``s, a text with a run of ``LONG_RUN`` spaces, and a
+    location of 1 Mi random CJK letters. Empty where there is no
+    ``/proc/self/status`` to read the peak from."""
+    if not Path("/proc/self/status").exists():
+        return []
+    rng = random.Random(10)
+    cjk = "".join(map(chr, rng.choices(range(0x4E00, 0xA000), k=1 << 20)))
+    lines = {"baseline": _tweet("good day gst"),
+             "letter run": _tweet("good " + "y" * LONG_RUN),
+             "space run": _tweet("good" + " " * LONG_RUN + "day"),
+             "CJK location": _tweet("good day", cjk)}
+    peaks = {}
+    for n, (name, line) in enumerate(lines.items()):
+        corpus = tmp / f"long{n}.jsonl"
+        corpus.write_text(line, encoding="utf-8")
+        proc = _analyze(python, corpus, GOLDEN / "lexicon.tsv",
+                        tmp / f"long{n}", cli=("-c", _PEAK_CLI))
+        code, peak = (["", ""] + proc.stdout.split())[-2:]
+        if proc.returncode != 0 or code != "0":
+            return [f"{name} line: exited {proc.returncode}, analyze gave "
+                    f"{code!r}: {proc.stderr.strip()}"]
+        peaks[name] = int(peak) * 1024
+    baseline = peaks.pop("baseline")
+    problems = []
+    for name, peak in peaks.items():
+        size = len(lines[name].encode("utf-8"))
+        bound = baseline + PEAK_PER_LINE_BYTE * size
+        if peak > bound:
+            problems.append(f"{name} line of {size} bytes: peak memory "
+                            f"{peak >> 20} MiB, over {bound >> 20} MiB (the "
+                            f"baseline run's {baseline >> 20} MiB plus "
+                            f"{PEAK_PER_LINE_BYTE} times the line)")
+    return problems
 
 
 def main(argv=None) -> int:

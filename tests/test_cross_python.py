@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import cross_python
 from tweetlex import report
 
@@ -30,3 +32,9 @@ def test_a_changed_expected_file_is_reported(tmp_path):
 
 def test_multi_chunk_corpus_gives_the_second_worker_chunks():
     assert cross_python.MULTI_CHUNK_LINES > 4 * report.CHUNK_SIZE
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="each run reads its peak memory from /proc")
+def test_a_long_line_peaks_within_a_multiple_of_its_size(tmp_path):
+    assert cross_python.long_line_problems(sys.executable, tmp_path) == []

@@ -187,14 +187,18 @@ def test_pure_tokenize_matches_unguarded_sub(text):
 
 
 class _CountingPattern:
-    """A compiled pattern that records each of its ``sub`` and ``findall``
-    calls as a (method, pattern) pair."""
+    """A compiled pattern that records each of its ``search``, ``sub`` and
+    ``findall`` calls as a (method, pattern) pair."""
 
     def __init__(self, pattern: re.Pattern, calls: list):
         self._pattern, self._calls = pattern, calls
 
     def __getattr__(self, name):
         return getattr(self._pattern, name)
+
+    def search(self, *args, **kwargs):
+        self._calls.append(("search", self._pattern.pattern))
+        return self._pattern.search(*args, **kwargs)
 
     def sub(self, *args, **kwargs):
         self._calls.append(("sub", self._pattern.pattern))
@@ -207,7 +211,7 @@ class _CountingPattern:
 
 def _count_pattern_calls(monkeypatch) -> list:
     """Wrap every compiled pattern of the kernel module; return the list
-    its ``sub`` and ``findall`` calls are recorded in."""
+    its ``search``, ``sub`` and ``findall`` calls are recorded in."""
     calls = []
     for name, value in list(vars(_kernels).items()):
         if isinstance(value, re.Pattern):
@@ -215,17 +219,19 @@ def _count_pattern_calls(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("raw,subs,tokens", [
+@pytest.mark.parametrize("raw,run_ends,tokens", [
     # Entity removal leaves a run of spaces; "!!!" is another separator run.
+    # A letter or digit run is shortened after a search for its last
+    # character; a separator run is left as it is.
     ("gst @a @b #c rollout!!!", 0, ["gst", "rollout"]),
     ("@a @b goooood", 1, ["good"]),
 ])
 def test_pure_tokenize_rewrites_only_letter_or_digit_runs(
-        monkeypatch, raw, subs, tokens):
+        monkeypatch, raw, run_ends, tokens):
     calls = _count_pattern_calls(monkeypatch)
     text, _mentions, _hashtags = strip_entities(raw)
     assert _kernels.tokenize(text, STOP) == tokens
-    assert [method for method, _ in calls].count("sub") == subs
+    assert calls.count(("search", _kernels._RUN_END_RE.pattern)) == run_ends
 
 
 @pytest.mark.parametrize("text,findalls,tokens", [

@@ -84,6 +84,14 @@ class TestGoldenRun:
         assert summary["oracle_check"] == "ok"
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Fake two usable CPUs, so that a run with two or more workers starts
+    two worker processes on any host."""
+    monkeypatch.setattr(report.os, "sched_getaffinity", lambda _pid: {0, 1},
+                        raising=False)
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     path = tmp_path_factory.mktemp("det") / "corpus.jsonl"
@@ -135,7 +143,7 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_start_method_never_changes_output(
-            self, toy_lexicon_path, tmp_path, monkeypatch, method):
+            self, toy_lexicon_path, tmp_path, monkeypatch, two_cpus, method):
         # Python 3.14 starts processes with forkserver by default on Linux;
         # a worker must then get all its state from its start arguments.
         # The run makes its workers and pipes through report.multiprocessing
@@ -160,11 +168,13 @@ class TestDeterminism:
         summary = json.loads(trees[1]["summary.json"])
         assert summary["records_read"] > report.CHUNK_SIZE
 
-    def test_workers_never_exceed_the_cpus(self, toy_lexicon_path, tmp_path,
-                                           monkeypatch):
-        # Two CPUs are faked, so the run stays small on any host.
+    @staticmethod
+    def _started_per_run(cpus, toy_lexicon_path, tmp_path, monkeypatch):
+        """Run a 3,000-line corpus at 1 and 3 workers with ``cpus``
+        usable CPUs faked; return the output trees and the number of
+        processes started so far after each run, by worker count."""
         monkeypatch.setattr(report.os, "sched_getaffinity",
-                            lambda _pid: {0, 1}, raising=False)
+                            lambda _pid: set(range(cpus)), raising=False)
         started = []
 
         class CountedProcess(multiprocessing.Process):
@@ -185,10 +195,24 @@ class TestDeterminism:
                 workers=workers))
             trees[workers] = _read_tree(out)
             counts[workers] = len(started)
-        assert counts == {1: 0, 3: 2}
-        assert trees[1] == trees[3]
         summary = json.loads(trees[1]["summary.json"])
         assert summary["records_read"] > report.CHUNK_SIZE
+        return trees, counts
+
+    def test_workers_never_exceed_the_cpus(self, toy_lexicon_path, tmp_path,
+                                           monkeypatch):
+        # Two CPUs are faked, so the run stays small on any host.
+        trees, counts = self._started_per_run(2, toy_lexicon_path, tmp_path,
+                                              monkeypatch)
+        assert counts == {1: 0, 3: 2}
+        assert trees[1] == trees[3]
+
+    def test_one_cpu_runs_the_chunks_in_process(self, toy_lexicon_path,
+                                                tmp_path, monkeypatch):
+        trees, counts = self._started_per_run(1, toy_lexicon_path, tmp_path,
+                                              monkeypatch)
+        assert counts == {1: 0, 3: 0}
+        assert trees[1] == trees[3]
 
     def test_rerun_is_byte_identical(self, corpus, toy_lexicon_path, tmp_path):
         outs = []
@@ -213,11 +237,14 @@ def _run_script(script: str, *args) -> subprocess.CompletedProcess:
 
 #: Runs argv[1] (corpus) with argv[2] (lexicon) into argv[3] on two fork
 #: workers, each of which exits with code 3 at its third chunk; prints the
-#: error and then the number of live child processes.
+#: error and then the number of live child processes.  Two usable CPUs are
+#: faked, so both workers start on any host.
 _DYING_WORKER = """
     import multiprocessing, os, sys
     from tweetlex import report
     from tweetlex.errors import TweetlexError
+
+    os.sched_getaffinity = lambda _pid: {0, 1}
 
     process_chunk, calls = report._process_chunk, []
 
@@ -239,11 +266,14 @@ _DYING_WORKER = """
 """
 
 #: Runs argv[1] with argv[2] into argv[3] with tag rows at 1 and 2 workers
-#: and prints whether the two output trees are equal.
+#: and prints whether the two output trees are equal.  Two usable CPUs are
+#: faked, so both workers start on any host.
 _TWO_RUNS = """
-    import sys
+    import os, sys
     from pathlib import Path
     from tweetlex import report
+
+    os.sched_getaffinity = lambda _pid: {0, 1}
 
     trees = []
     for workers in (1, 2):
@@ -281,7 +311,8 @@ class TestWorkerProcesses:
 
     @pytest.mark.parametrize("fault", [None, "worker", "reader", "spill"])
     def test_no_worker_outlives_the_run(self, six_chunks, toy_lexicon_path,
-                                        tmp_path, monkeypatch, fault):
+                                        tmp_path, monkeypatch, two_cpus,
+                                        fault):
         monkeypatch.setattr(report, "multiprocessing",
                             multiprocessing.get_context("fork"))
         calls = []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tweetlex.errors import GazetteerError
+from tweetlex.reference import naive_resolve
 from tweetlex.spatial import (
     FOREIGN,
     INDIA_UNSPECIFIED,
@@ -92,6 +93,19 @@ class TestResolveLocation:
         assert shadowed == []
         assert resolve_location("Visakhapatnam, AP",
                                 bundled_gazetteer) == "Andhra Pradesh"
+
+    def test_long_location_keeps_the_first_match(self, bundled_gazetteer):
+        # A location far past Twitter's 30-character cap resolves as its
+        # core does; "~" is in no pattern, so the padding adds no match.
+        pad = "~" * 300
+        raws = [raw for raw, _region in LOCATION_POOL if raw]
+        raws += ["mumbai, delhi", "east india company ltd", "nowhere special"]
+        raws += [pattern for pattern, _region in bundled_gazetteer]
+        for raw in raws:
+            long = f"{pad} {raw} {pad}"
+            assert resolve_location(long, bundled_gazetteer) == \
+                resolve_location(raw, bundled_gazetteer) == \
+                naive_resolve(long, bundled_gazetteer), raw
 
 
 class TestLoadGazetteer:
