@@ -91,8 +91,9 @@ def _add_pipeline_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", required=True,
                         help="output directory (created if missing)")
     parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker processes (default: 1); any value "
-                             "produces byte-identical outputs")
+                        help="processes doing the work, this one "
+                             "included, capped at the usable CPUs (default: "
+                             "1); any value produces byte-identical outputs")
 
 
 def build_parser() -> _Parser:

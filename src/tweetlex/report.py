@@ -2,17 +2,20 @@
 
 A run streams admitted records in chunks of 1024 through a worker function,
 merges the per-chunk partial aggregates in chunk order, and only then writes
-output files.  With one worker, or one usable CPU, the chunks run in-process.
-With more, the main thread reads the corpus and deals chunk k to worker
-process k mod n over its own pipe, at most two chunks ahead of the results
-it has taken back, and takes the results back in chunk order.  A chunk
-carries each record's local day and hour as ints, not its datetime.
-Per-tweet tag rows are not held: the main process appends each chunk's rows
-to an anonymous temporary file as it takes the chunk, and copies that file
-out with the others.  Given the same inputs and configuration, every output
-file is byte-identical run to run, whatever the worker count: chunk order is
-fixed by the corpus, results are taken in chunk order, and all emission is
-sorted with "\n" line endings and a fixed JSON key layout.
+output files.  n workers are n processes, capped at the usable CPUs: the
+main process and n - 1 helper processes, so with one worker, or one usable
+CPU, every chunk runs in the main process.  The main process reads the
+corpus and sends each chunk over its own pipe to the helper with the fewest
+chunks queued, unless every helper already has two; then it works on the
+chunk itself.  It takes the results back in chunk order, holding any that
+come early.  A chunk carries each record's local day and hour as ints, not
+its datetime.  Per-tweet tag rows are not held: the main process appends
+each chunk's rows to an anonymous temporary file as it takes the chunk, and
+copies that file out with the others.  Given the same inputs and
+configuration, every output file is byte-identical run to run, whatever the
+worker count: chunk order is fixed by the corpus, results are taken in chunk
+order, and all emission is sorted with "\n" line endings and a fixed JSON
+key layout.
 
 Wall-clock timing never goes into summary.json (that would break the
 byte-identical contract); the CLI reports it on stderr.
@@ -99,6 +102,8 @@ class AnalyzeConfig:
     date_to: date | None = None
     emit_tags: str | None = None
     oracle: bool = False
+    #: Processes that work on chunks, this one included, capped at the
+    #: usable CPUs; see _run_chunks.
     workers: int = 1
     mention: str | None = None
 
@@ -134,9 +139,10 @@ class _Partial:
         return self
 
 
-#: Chunks dealt to a worker and not yet taken back: one to work on and one
-#: waiting, so a worker need not idle while the main thread reads and
-#: merges.
+#: Chunks sent to a helper and not yet taken back: one to work on and one
+#: waiting, so a helper need not idle while the main process reads, merges
+#: or works on a chunk.  When every helper has this many, the main process
+#: works on the next chunk itself.
 _IN_FLIGHT = 2
 
 
@@ -202,14 +208,14 @@ def _iter_chunks(records: Iterable[Record]) -> Iterator[list[tuple]]:
 
 
 def _work(conn, main_end, state: tuple) -> None:
-    """A worker process: send back over ``conn`` the ``_process_chunk`` of
+    """A helper process: send back over ``conn`` the ``_process_chunk`` of
     each chunk that arrives on it, with the run's ``state``, in order,
     until None arrives.  An exception is sent back in place of a result and
-    ends the worker.  The state comes in the start arguments, so it reaches
-    the worker under every start method: fork, spawn and forkserver.
+    ends the helper.  The state comes in the start arguments, so it reaches
+    the helper under every start method: fork, spawn and forkserver.
 
     ``main_end``, the main process's end of the pipe, is closed at once:
-    a forked worker inherits it, and while it is open here the worker
+    a forked helper inherits it, and while it is open here the helper
     would never see the end of the pipe if the main process died.  A
     thread sends the pickled results, so this process goes on taking
     chunks off ``conn`` while a result waits to be read.  Otherwise a chunk
@@ -252,46 +258,66 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     ``_process_chunk`` arguments ``state``; with a ``spill`` file, append
     each chunk's tag rows to it before the merge.
 
-    Worker processes and pipes are made only through the module attribute
+    ``workers`` processes do the work, capped at the CPUs this one may run
+    on: this process and one helper process fewer than that, so with one
+    worker or one usable CPU no helper starts.  For each chunk it reads,
+    this process first receives the results that are ready, then sends the
+    chunk to the helper with the fewest chunks queued if that is fewer than
+    _IN_FLIGHT, and otherwise works on the chunk itself; then it merges
+    what it can in chunk order.  A result that comes before an earlier
+    chunk's waits in ``done`` until that one is merged.
+
+    Helper processes and pipes are made only through the module attribute
     ``multiprocessing``, so a caller may put a start-method context there.
-    Every worker is stopped and joined before this returns or raises; a
-    worker's exception is raised again here as itself.
+    Every helper is stopped and joined before this returns or raises; a
+    helper's exception is raised again here as itself.
     """
     total = _Partial()
+    done: dict[int, _Partial] = {}  # results not yet merged, by chunk index
+    merged = 0  # chunks merged so far
 
-    def take(part: _Partial) -> None:
-        if spill is not None:
-            write_tags_jsonl(spill, part.tag_rows)
-        total.merge(part)
+    def merge_ready() -> None:
+        nonlocal merged
+        while merged in done:
+            part = done.pop(merged)
+            if spill is not None:
+                write_tags_jsonl(spill, part.tag_rows)
+            total.merge(part)
+            merged += 1
 
-    # Processes beyond the CPUs this one may run on only add start-up cost,
-    # and on one CPU the chunks run in this process.
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    n = min(workers, cpus)
-    if n <= 1:
-        for chunk in _iter_chunks(reader):
-            take(_process_chunk(chunk, *state))
-        return total
-    procs, conns = [], []
+    # Per helper: its process, the main process's end of its pipe, and the
+    # indices of the chunks sent to it and not yet received, oldest first.
+    procs, conns, queued = [], [], []
 
-    def send(k: int, chunk) -> None:
+    def send(h: int, chunk) -> None:
         try:
-            conns[k % n].send(chunk)
+            conns[h].send(chunk)
+            return
         except OSError:
-            raise _worker_died(procs[k % n]) from None
+            pass
+        # The pipe broke: the helper is gone, and if it ended on an
+        # exception, it sent that back first.  This runs outside the except
+        # block, so no exception raised here holds the failed send's frames:
+        # freed in a reference cycle, the pickle buffer they hold raises
+        # BufferError.
+        while queued[h]:
+            receive(h)
+        raise _worker_died(procs[h])
 
-    def receive(k: int) -> _Partial:
+    def receive(h: int) -> None:
         try:
-            result = conns[k % n].recv()
+            result = conns[h].recv()
         except (EOFError, OSError):
-            raise _worker_died(procs[k % n]) from None
+            raise _worker_died(procs[h]) from None
         if isinstance(result, BaseException):
             raise result
-        return result
+        done[queued[h].pop(0)] = result
 
+    # Processes beyond the CPUs this one may run on only add start-up cost.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     try:
-        for _ in range(n):
+        for _ in range(min(workers, cpus) - 1):
             conn, child = multiprocessing.Pipe()
             conns.append(conn)
             with child:
@@ -299,17 +325,25 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
                     target=_work, args=(child, conn, state), daemon=True)
                 proc.start()
             procs.append(proc)
-        sent = taken = 0
-        for chunk in _iter_chunks(reader):
-            if sent - taken == n * _IN_FLIGHT:
-                take(receive(taken))
-                taken += 1
-            send(sent, chunk)
-            sent += 1
-        for k in range(taken, sent):
-            take(receive(k))
-        for k in range(n):
-            send(k, None)
+            queued.append([])
+        for k, chunk in enumerate(_iter_chunks(reader)):
+            for h, conn in enumerate(conns):
+                while queued[h] and conn.poll():
+                    receive(h)
+            h = min(range(len(queued)), key=lambda h: len(queued[h]),
+                    default=None)
+            if h is not None and len(queued[h]) < _IN_FLIGHT:
+                send(h, chunk)
+                queued[h].append(k)
+            else:
+                done[k] = _process_chunk(chunk, *state)
+            merge_ready()
+        while any(queued):
+            receive(next(h for h, chunks in enumerate(queued)
+                         if chunks and chunks[0] == merged))
+            merge_ready()
+        for h in range(len(procs)):
+            send(h, None)
     except BaseException:
         for proc in procs:
             proc.terminate()

@@ -14,7 +14,8 @@ NUL_GAZETTEER``, which must exit 1 with a ``tweetlex: error:`` line that
 names line 2 and no traceback. Then it writes a random corpus of
 ``MULTI_CHUNK_LINES`` lines with ``corpus_gen`` and requires byte-identical
 files from ``--threads 1`` and ``--threads 2`` with two usable CPUs faked,
-so that both workers take chunks under PYTHON's default start method.
+so that a helper process takes chunks beside the main process under
+PYTHON's default start method.
 Last, where ``/proc`` exists, it runs one-line corpora whose line is a few
 MiB long and requires each run's peak memory to stay within a small
 multiple of its line's size (``long_line_problems``). Neither this script
@@ -101,8 +102,8 @@ with open("/proc/self/status") as fh:
                      if line.startswith("VmHWM:")))
 """
 
-#: The CLI with two usable CPUs faked, so that ``--threads 2`` starts two
-#: worker processes on any host.
+#: The CLI with two usable CPUs faked, so that ``--threads 2`` starts a
+#: helper process on any host.
 _TWO_CPU_CLI = """
 import os, sys
 os.sched_getaffinity = lambda _pid: {0, 1}

@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import random
 import shutil
@@ -87,7 +88,7 @@ class TestGoldenRun:
 @pytest.fixture
 def two_cpus(monkeypatch):
     """Fake two usable CPUs, so that a run with two or more workers starts
-    two worker processes on any host."""
+    one helper process on any host."""
     monkeypatch.setattr(report.os, "sched_getaffinity", lambda _pid: {0, 1},
                         raising=False)
 
@@ -141,22 +142,43 @@ class TestDeterminism:
         assert checked == json.loads(trees[False].pop("summary.json"))
         assert trees[False] == trees[True]
 
-    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
     def test_start_method_never_changes_output(
             self, toy_lexicon_path, tmp_path, monkeypatch, two_cpus, method):
         # Python 3.14 starts processes with forkserver by default on Linux;
-        # a worker must then get all its state from its start arguments.
-        # The run makes its workers and pipes through report.multiprocessing
+        # a helper must then get all its state from its start arguments.
+        # The run makes its helpers and pipes through report.multiprocessing
         # (test_workers_never_exceed_the_cpus counts them there).
         if method not in multiprocessing.get_all_start_methods():
             pytest.skip(f"no {method} start method on this platform")
+        context = multiprocessing.get_context(method)
+        helpers, main_chunks = [], []
+        main_pid, process_chunk = os.getpid(), report._process_chunk
+
+        def helper(*args, **kwargs):
+            helpers.append(context.Process(*args, **kwargs))
+            return helpers[-1]
+
+        def counted(records, *state):
+            if os.getpid() == main_pid:
+                main_chunks.append(len(records))
+            return process_chunk(records, *state)
+
         corpus = tmp_path / "corpus.jsonl"
         corpus_gen.write_random_corpus(corpus, 3000, seed=13)
         trees = {}
         for workers in (1, 2):
             if workers == 2:
                 monkeypatch.setattr(report, "multiprocessing",
-                                    multiprocessing.get_context(method))
+                                    types.SimpleNamespace(
+                                        Process=helper, Pipe=context.Pipe))
+                monkeypatch.setattr(report, "_process_chunk", counted)
+                # No result is ready before the corpus ends, as when the
+                # helper is slow: it takes chunks 0 and 1, and the main
+                # process, with the helper _IN_FLIGHT chunks ahead, runs
+                # chunk 2.
+                monkeypatch.setattr(multiprocessing.connection.Connection,
+                                    "poll", lambda _conn, _timeout=0.0: False)
             out = tmp_path / f"w{workers}"
             run_analyze(AnalyzeConfig(
                 input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
@@ -164,9 +186,9 @@ class TestDeterminism:
                 workers=workers))
             trees[workers] = _read_tree(out)
         assert trees[1] == trees[2]
-        # More than one chunk, so the second worker really takes one.
-        summary = json.loads(trees[1]["summary.json"])
-        assert summary["records_read"] > report.CHUNK_SIZE
+        assert sorted(trees[1]) == sorted(GOLDEN_FILES)
+        assert [proc.exitcode for proc in helpers] == [0]
+        assert main_chunks == [3000 - 2 * report.CHUNK_SIZE]
 
     @staticmethod
     def _started_per_run(cpus, toy_lexicon_path, tmp_path, monkeypatch):
@@ -204,7 +226,7 @@ class TestDeterminism:
         # Two CPUs are faked, so the run stays small on any host.
         trees, counts = self._started_per_run(2, toy_lexicon_path, tmp_path,
                                               monkeypatch)
-        assert counts == {1: 0, 3: 2}
+        assert counts == {1: 0, 3: 1}
         assert trees[1] == trees[3]
 
     def test_one_cpu_runs_the_chunks_in_process(self, toy_lexicon_path,
@@ -236,9 +258,11 @@ def _run_script(script: str, *args) -> subprocess.CompletedProcess:
 
 
 #: Runs argv[1] (corpus) with argv[2] (lexicon) into argv[3] on two fork
-#: workers, each of which exits with code 3 at its third chunk; prints the
-#: error and then the number of live child processes.  Two usable CPUs are
-#: faked, so both workers start on any host.
+#: workers, the main process and one helper; the helper exits with code 3
+#: at its second chunk, which it always takes: chunks 0 and 1 go to it
+#: before it can fall _IN_FLIGHT chunks behind.  Prints the error and then
+#: the number of live child processes.  Two usable CPUs are faked, so the
+#: helper starts on any host.
 _DYING_WORKER = """
     import multiprocessing, os, sys
     from tweetlex import report
@@ -246,12 +270,13 @@ _DYING_WORKER = """
 
     os.sched_getaffinity = lambda _pid: {0, 1}
 
-    process_chunk, calls = report._process_chunk, []
+    process_chunk, calls, main_pid = report._process_chunk, [], os.getpid()
 
     def dying(records, *state):
-        calls.append(len(records))
-        if len(calls) == 3:
-            os._exit(3)
+        if os.getpid() != main_pid:
+            calls.append(len(records))
+            if len(calls) == 2:
+                os._exit(3)
         return process_chunk(records, *state)
 
     report._process_chunk = dying
@@ -267,7 +292,7 @@ _DYING_WORKER = """
 
 #: Runs argv[1] with argv[2] into argv[3] with tag rows at 1 and 2 workers
 #: and prints whether the two output trees are equal.  Two usable CPUs are
-#: faked, so both workers start on any host.
+#: faked, so the helper starts on any host.
 _TWO_RUNS = """
     import os, sys
     from pathlib import Path
@@ -309,28 +334,45 @@ class TestWorkerProcesses:
         assert children == "0"
         assert not out.exists()
 
-    @pytest.mark.parametrize("fault", [None, "worker", "reader", "spill"])
+    @pytest.mark.parametrize("fault",
+                             [None, "worker", "main", "reader", "spill"])
     def test_no_worker_outlives_the_run(self, six_chunks, toy_lexicon_path,
                                         tmp_path, monkeypatch, two_cpus,
                                         fault):
         monkeypatch.setattr(report, "multiprocessing",
                             multiprocessing.get_context("fork"))
-        calls = []
+        main_pid, calls, alive = os.getpid(), [], []
 
-        def failing(function, error):
+        def failing(function, error, nth, in_main):
+            """``function``, raising ``error`` at its ``nth`` call in the
+            main process (``in_main``) or in a forked helper; the main
+            process notes its live helpers as it raises."""
             def wrapped(*args):
-                calls.append(args)
-                if len(calls) == 3:
-                    raise error
+                if (os.getpid() == main_pid) == in_main:
+                    calls.append(args)
+                    if len(calls) == nth:
+                        alive.append(len(multiprocessing.active_children()))
+                        raise error
                 return function(*args)
             return wrapped
 
         error = {"worker": ValueError("chunk fault"),
+                 "main": ValueError("main chunk fault"),
                  "reader": OSError(errno.EIO, "read fault"),
                  "spill": OSError(errno.ENOSPC, "spill fault")}.get(fault)
         if fault == "worker":
+            # The helper always takes chunks 0 and 1.
             monkeypatch.setattr(report, "_process_chunk",
-                                failing(report._process_chunk, error))
+                                failing(report._process_chunk, error, 2,
+                                        in_main=False))
+        elif fault == "main":
+            # No result is ready before the corpus ends, so the main
+            # process runs chunk 2 while the helper holds chunks 0 and 1.
+            monkeypatch.setattr(multiprocessing.connection.Connection,
+                                "poll", lambda _conn, _timeout=0.0: False)
+            monkeypatch.setattr(report, "_process_chunk",
+                                failing(report._process_chunk, error, 1,
+                                        in_main=True))
         elif fault == "reader":
             read = RecordReader.__iter__
 
@@ -342,7 +384,8 @@ class TestWorkerProcesses:
             monkeypatch.setattr(RecordReader, "__iter__", reading)
         elif fault == "spill":
             monkeypatch.setattr(report, "write_tags_jsonl",
-                                failing(report.write_tags_jsonl, error))
+                                failing(report.write_tags_jsonl, error, 3,
+                                        in_main=True))
         config = AnalyzeConfig(input_path=str(six_chunks),
                                lexicon_path=str(toy_lexicon_path),
                                out_dir=str(tmp_path / "out"),
@@ -356,16 +399,17 @@ class TestWorkerProcesses:
                 run_analyze(config)
             assert raised.value.args == error.args
             assert not (tmp_path / "out").exists()
+        assert alive == ([1] if fault in ("main", "spill") else [])
         assert multiprocessing.active_children() == []
 
-    def test_chunks_and_results_past_the_pipe_buffer(self, toy_lexicon_path,
-                                                     tmp_path):
+    @pytest.fixture
+    def wide_chunks(self, tmp_path):
         # Each chunk pickles to about 1 MB and each result, with its tag
         # rows and 8,192 distinct 80-letter hashtags, to about 700 KB: both
         # past a socket pair's buffer (208 KiB on Linux by default).
         rng = random.Random(5)
-        corpus = tmp_path / "corpus.jsonl"
-        with open(corpus, "w", encoding="utf-8") as fh:
+        path = tmp_path / "corpus.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
             for i in range(6 * report.CHUNK_SIZE):
                 tags = " ".join("#" + "".join(rng.choices("abcdefgh", k=80))
                                 for _ in range(8))
@@ -373,9 +417,43 @@ class TestWorkerProcesses:
                 fh.write(json.dumps({
                     "id": f"t{i}", "created_at": "2017-07-01T10:00:00+05:30",
                     "text": text, "user_location": "Delhi"}) + "\n")
-        proc = _run_script(_TWO_RUNS, corpus, toy_lexicon_path, tmp_path)
+        return path
+
+    def test_chunks_and_results_past_the_pipe_buffer(self, wide_chunks,
+                                                     toy_lexicon_path,
+                                                     tmp_path):
+        proc = _run_script(_TWO_RUNS, wide_chunks, toy_lexicon_path,
+                           tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
+
+    def test_helper_fault_is_raised_past_a_broken_send(
+            self, wide_chunks, toy_lexicon_path, tmp_path, monkeypatch,
+            two_cpus):
+        # The helper raises after its second chunk.  By then the main
+        # process has often begun to send it a third, past the pipe's
+        # buffer, which the helper never reads: that send breaks when the
+        # helper exits, and the exception the helper sent back first must
+        # be raised, not a dead-worker error.
+        monkeypatch.setattr(report, "multiprocessing",
+                            multiprocessing.get_context("fork"))
+        main_pid, process_chunk, calls = os.getpid(), report._process_chunk, []
+
+        def failing(records, *state):
+            result = process_chunk(records, *state)
+            if os.getpid() != main_pid:
+                calls.append(len(records))
+                if len(calls) == 2:
+                    raise ValueError("helper fault")
+            return result
+
+        monkeypatch.setattr(report, "_process_chunk", failing)
+        with pytest.raises(ValueError, match="helper fault"):
+            run_analyze(AnalyzeConfig(input_path=str(wide_chunks),
+                                      lexicon_path=str(toy_lexicon_path),
+                                      out_dir=str(tmp_path / "out"),
+                                      workers=2))
+        assert multiprocessing.active_children() == []
 
 
 class TestWindowFlags:
