@@ -5,8 +5,9 @@ Three subcommands: ``analyze`` runs the full pipeline over a corpus,
 prints a mention or hashtag frequency ranking without loading a lexicon.
 
 Exit codes: 0 success, 1 configuration or data failure (bad flags, bad
-lexicon/stopword/gazetteer file, oracle mismatch), 2 I/O failure
-(unreadable input, unwritable output).
+lexicon/stopword/gazetteer file, an output that would overwrite an input,
+oracle mismatch), 2 I/O failure (unreadable input, stdin closed for
+``--input -``, unwritable output).
 """
 
 from __future__ import annotations

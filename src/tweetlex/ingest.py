@@ -1,13 +1,18 @@
 """Read, validate, and stream tweet records from JSONL/CSV files or stdin.
 
-Malformed lines never abort a stream: they are skipped and tallied by
-reason, with their line number.  The accounting invariant
-``admitted + skipped == lines`` holds for every run.
+A source is read one way whatever it is: ``RecordReader.__iter__`` opens
+the file, or wraps stdin's bytes (source ``"-"``), as UTF-8 text with the
+same decoding, runs the JSONL or CSV line loop over it, and then closes
+the file or detaches the wrapper, leaving stdin open.  Malformed lines
+never abort a stream: they are skipped and tallied by reason, with their
+line number.  The accounting invariant ``admitted + skipped == lines``
+holds for every run.
 """
 
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import re
@@ -130,7 +135,8 @@ class RecordReader:
     Every timestamp is converted to ``default_tz`` (naive ones are taken to
     be in it), and the optional [date_from, date_to] window is evaluated on
     that local date (both ends inclusive).  A window that ends before it
-    starts is refused here, before the source is opened.
+    starts is refused here, before the source is opened, and so is a
+    ``"-"`` source when the process has no stdin (``OSError``).
     """
 
     def __init__(self, source, fmt: str, *, default_tz: timezone = IST,
@@ -141,6 +147,8 @@ class RecordReader:
                 and date_from > date_to:
             raise TweetlexError(f"empty date window: --from {date_from} is "
                                 f"after --to {date_to}")
+        if source == "-" and sys.stdin is None:
+            raise OSError(errno.EBADF, "standard input is closed", source)
         self.source = source
         self.format = fmt
         self.default_tz = default_tz
@@ -154,25 +162,22 @@ class RecordReader:
         # file parses like any other line.  surrogateescape turns each
         # invalid byte into a lone surrogate, which the readers reject as
         # "encoding" line by line instead of the decode ending the run.
+        # Stdin is decoded exactly as a file, whatever the locale or
+        # PYTHONIOENCODING, and detached afterwards so sys.stdin stays open.
+        read = self._read_jsonl if self.format == "jsonl" else self._read_csv
         if self.source == "-":
-            # Decode stdin exactly as a file source, whatever the locale or
-            # PYTHONIOENCODING; detach afterwards so sys.stdin stays open.
             fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
                                   errors="surrogateescape", newline="")
-            try:
-                yield from self._read(fh)
-            finally:
+        else:
+            fh = open(self.source, encoding="utf-8-sig",
+                      errors="surrogateescape", newline="")
+        try:
+            yield from read(fh)
+        finally:
+            if self.source == "-":
                 fh.detach()
-        else:
-            with open(self.source, encoding="utf-8-sig",
-                      errors="surrogateescape", newline="") as fh:
-                yield from self._read(fh)
-
-    def _read(self, fh) -> Iterator[Record]:
-        if self.format == "jsonl":
-            yield from self._read_jsonl(fh)
-        else:
-            yield from self._read_csv(fh)
+            else:
+                fh.close()
 
     def _admit(self, lineno: int, rec_id, created_at, text,
                loc) -> Record | None:

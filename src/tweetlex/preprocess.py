@@ -90,14 +90,6 @@ def is_mention_key(handle: str) -> bool:
             and handle == handle.lower())
 
 
-def count_non_ascii_tokens(tokens: list[str]) -> int:
-    """Tokens containing at least one non-ASCII character (the run-level
-    "non-Latin" tally)."""
-    if "".join(tokens).isascii():  # most tweets: one scan, no loop
-        return 0
-    return sum(1 for t in tokens if not t.isascii())
-
-
 def load_stopwords(path) -> frozenset[str]:
     """One stopword per line, ``#`` comments and blank lines ignored, a
     leading byte-order mark dropped; entries are lowercased so they compare

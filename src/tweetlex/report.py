@@ -44,8 +44,8 @@ from .entities import FrequencyTable
 from .errors import OracleMismatchError, TweetlexError
 from .ingest import IST, ReadStats, Record, RecordReader
 from .lexicon import Category, load_lexicon
-from .preprocess import (count_non_ascii_tokens, default_stopwords_path,
-                         is_mention_key, load_stopwords, preprocess)
+from .preprocess import (default_stopwords_path, is_mention_key,
+                         load_stopwords, preprocess)
 from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
                       RegionAggregate, Rules, default_gazetteer_path,
                       load_gazetteer, resolve_location)
@@ -77,10 +77,12 @@ _TAG_OVERALL = tuple(f', "overall": {json.dumps(label)}'
                      for label in OVERALL_LABELS)
 _TAG_TIED = (', "tied": false}\n', ', "tied": true}\n')
 
-# The files a run may write into its output directory.
+# The files a run may write into its output directory, and those of them
+# a subcorpus run writes.
 _OUTPUT_NAMES = ("daily.csv", "hourly.csv", "mentions.csv", "hashtags.csv",
                  "regions.csv", "wordcloud_mentions.json",
                  "wordcloud_hashtags.json", "summary.json")
+_SUBCORPUS_NAMES = ("daily.csv", "summary.json")
 
 # regions.csv label columns: the sentiment labels, then the emotion labels
 # without neutral, which are the first len(_REGION_COLS) slots of a label row.
@@ -180,7 +182,8 @@ def _process_chunk(records: list[tuple], masks: dict[str, int],
         if not clean.tokens:
             part.blanks += 1
             continue
-        part.non_latin += count_non_ascii_tokens(clean.tokens)
+        if not text.isascii():  # an ASCII text has only ASCII tokens
+            part.non_latin += sum(not t.isascii() for t in clean.tokens)
         tag = tag_tweet(clean.tokens, masks)
         vector, s, e, o, tied = tag
         if tied:
@@ -562,23 +565,56 @@ def write_json(path: Path, data: dict) -> None:
         fh.write("\n")
 
 
-def _check_tags_path(config: AnalyzeConfig) -> None:
-    """Refuse a tags path that names an output or an input of the run, a
-    directory, or a file in a missing directory other than ``out_dir``."""
-    tags = Path(config.emit_tags).resolve()
-    out_dir = Path(config.out_dir).resolve()
-    taken = [out_dir / name for name in _OUTPUT_NAMES]
-    taken += [Path(p).resolve()
+def _file_id(path) -> tuple[int, int] | None:
+    """The device and inode of the file at ``path``, through any symlink or
+    hard link, or None when there is no file to stat."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return None
+    return st.st_dev, st.st_ino
+
+
+def _check_outputs(config: AnalyzeConfig) -> None:
+    """Refuse, before any input is read, a run that would overwrite one of
+    its own files or could not write one.
+
+    A tags path that names an input or an output name of the run, a
+    directory, or a file in a missing directory other than ``out_dir`` is
+    a ``TweetlexError``, and so is an output in ``out_dir`` that is an
+    input of the run, by any path or link.  An ``out_dir`` that is or
+    passes through a file, and an output path that is an existing
+    directory, are ``OSError``s, as ``mkdir`` or ``open`` would raise them
+    after the whole run.
+    """
+    out_dir = Path(config.out_dir)
+    inputs = {_file_id(p)
               for p in (config.input_path, config.lexicon_path,
                         config.stopwords_path, config.gazetteer_path)
-              if p is not None and p != "-"]
-    if tags in taken:
-        raise TweetlexError(f"--emit-tags {config.emit_tags} would "
-                            f"overwrite another file of the run")
-    if tags == out_dir or tags.is_dir() or \
-            not (tags.parent == out_dir or tags.parent.is_dir()):
-        raise TweetlexError(f"--emit-tags {config.emit_tags} is not a file "
-                            f"in an existing directory or in --out")
+              if p is not None and p != "-"} - {None}
+    if config.emit_tags is not None:
+        tags = Path(config.emit_tags).resolve()
+        resolved_out = out_dir.resolve()
+        if _file_id(tags) in inputs or \
+                tags in [resolved_out / name for name in _OUTPUT_NAMES]:
+            raise TweetlexError(f"--emit-tags {config.emit_tags} would "
+                                f"overwrite another file of the run")
+        if tags == resolved_out or tags.is_dir() or \
+                not (tags.parent == resolved_out or tags.parent.is_dir()):
+            raise TweetlexError(f"--emit-tags {config.emit_tags} is not a "
+                                f"file in an existing directory or in --out")
+    for path in (out_dir, *out_dir.parents):
+        if path.exists() and not path.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR,
+                                     os.strerror(errno.ENOTDIR), str(path))
+    names = _OUTPUT_NAMES if config.mention is None else _SUBCORPUS_NAMES
+    for path in (out_dir / name for name in names):
+        if _file_id(path) in inputs:
+            raise TweetlexError(f"output {path} would overwrite an input "
+                                f"of the run")
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
 
 
 def run_analyze(config: AnalyzeConfig) -> RunResult:
@@ -593,14 +629,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
         raise TweetlexError(
             f"a mention handle is lowercase ASCII letters, digits and "
             f"underscores, got {config.mention!r}")
-    if config.emit_tags is not None:
-        _check_tags_path(config)
+    _check_outputs(config)
     out_dir = Path(config.out_dir)
-    # A file on the --out path would stop mkdir only after the whole run.
-    for path in (out_dir, *out_dir.parents):
-        if path.exists() and not path.is_dir():
-            raise NotADirectoryError(errno.ENOTDIR,
-                                     os.strerror(errno.ENOTDIR), str(path))
     reader = RecordReader(config.input_path, config.fmt,
                           default_tz=config.default_tz,
                           date_from=config.date_from,

@@ -265,20 +265,25 @@ def block_hits(monkeypatch):
 
 def test_alphabetical_category_order_loads_by_block(tmp_path, block_hits):
     # NRC's own file lists each word's rows in alphabetical category order.
+    # The file is read with universal newlines, so CRLF line ends match
+    # block by block too.
     source = tmp_path / "scaled.txt"
     n_words = 2000
     truth = corpus_gen.write_scaled_lexicon(source, n_words, seed=11)
     rows = source.read_text("utf-8").splitlines()
     blocks = [sorted(rows[i:i + 10], key=lambda r: r.split("\t")[1])
               for i in range(0, len(rows), 10)]
-    path = _write(tmp_path, "".join(f"{r}\n" for b in blocks for r in b))
-    lex = load_lexicon(path)
-    assert lex == label_masks(truth)
-    # The first word sets the order and each piece boundary cuts at most
-    # one block, whose rows are checked one by one; every other word is one
-    # match.
-    pieces = -(-path.stat().st_size // lexicon._PIECE_CHARS)
-    assert sum(block_hits) >= n_words - pieces
+    for newline in ("\n", "\r\n"):
+        block_hits.clear()
+        path = _write(tmp_path,
+                      "".join(f"{r}{newline}" for b in blocks for r in b))
+        lex = load_lexicon(path)
+        assert lex == label_masks(truth)
+        # The first word sets the order and each piece boundary cuts at
+        # most one block, whose rows are checked one by one; every other
+        # word is one match.
+        pieces = -(-path.stat().st_size // lexicon._PIECE_CHARS)
+        assert sum(block_hits) >= n_words - pieces, newline
 
 
 @pytest.mark.parametrize("layout", ["flag_1_only", "shuffled"])

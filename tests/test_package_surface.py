@@ -6,9 +6,11 @@ would fail every benchmark run, so these tests run that script's own
 functions on the golden corpus.  ``perfbench/run.py`` records
 ``tweetlex._kernels.BACKEND`` and ``perfbench/spans.py`` replaces that
 module's ``tokenize`` and ``count_masks``, so those three are checked, and
-so is the package's ``__all__``.
+so is the package's ``__all__``.  And no module-level function or class of
+the package is left that only tests use.
 """
 
+import ast
 import hashlib
 import importlib.util
 import sys
@@ -20,6 +22,7 @@ import tweetlex
 from tweetlex import _kernels
 
 ROOT = Path(__file__).parents[1]
+PACKAGE = ROOT / "src" / "tweetlex"
 PERFBENCH = ROOT / "perfbench"
 GOLDEN = ROOT / "tests" / "data" / "golden_run"
 
@@ -105,3 +108,31 @@ def test_kernel_module_attributes():
     assert _kernels.BACKEND == tweetlex.BACKEND == "pure"
     assert callable(_kernels.tokenize)
     assert callable(_kernels.count_masks)
+
+
+def _used_names(statement: ast.AST) -> set[str]:
+    """Names and attribute names that ``statement`` reads or calls."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(statement)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_package_definition_has_a_caller_outside_tests():
+    # A definition's use of its own name (recursion) does not count, nor
+    # does an import, a docstring or a comment: only a name or attribute
+    # read in package code or in perfbench/.
+    defined: dict[str, str] = {}
+    used: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for statement in ast.parse(path.read_text("utf-8")).body:
+            names = _used_names(statement)
+            if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef)):
+                defined[statement.name] = path.name
+                names.discard(statement.name)
+            used |= names
+    for path in sorted(PERFBENCH.glob("*.py")):
+        used |= _used_names(ast.parse(path.read_text("utf-8")))
+    assert len(defined) > 50
+    assert {name: module for name, module in defined.items()
+            if name not in used} == {}

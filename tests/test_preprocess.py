@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from tweetlex import _kernels
 from tweetlex.preprocess import (
     CleanTweet,
-    count_non_ascii_tokens,
     load_stopwords,
     preprocess,
 )
@@ -186,12 +185,6 @@ def test_tokens_obey_filter_rules(text):
         assert "http" not in tok
         assert tok not in STOPWORDS
         assert all(c.isalnum() and c != "_" for c in tok)
-
-
-def test_count_non_ascii_tokens():
-    assert count_non_ascii_tokens([]) == 0
-    assert count_non_ascii_tokens(["gst", "rollout"]) == 0
-    assert count_non_ascii_tokens(["gst", "नमस", "café"]) == 2
 
 
 def test_clean_tweet_is_frozen():

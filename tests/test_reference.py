@@ -379,6 +379,33 @@ def test_oracle_counts_non_latin_tokens(tmp_path, toy_lexicon_path):
     assert summaries[0]["non_latin_token_tally"] > 0
 
 
+@pytest.mark.parametrize("text, per_tweet", [
+    ("gst rollout https://example.in/café?q=नमस्ते today", 0),  # in a URL
+    ("gst rollout #café today", 0),  # hashtag "#caf"; "é" alone is too short
+    ("gst rollout @modi\U0001F600 today", 0),  # an emoji after a mention
+    ("gst\u00a0rollout \u2014 today\u2019s tax", 0),  # separators
+    ("\u212aelvin gst rollout", 0),  # the Kelvin sign lowercases to "k"
+    ("gst नमस्ते café", 2),  # "नमस" and "café"
+])
+def test_oracle_non_latin_tally_is_exact(tmp_path, toy_lexicon_path, text,
+                                         per_tweet):
+    # More tweets than one chunk holds, so two workers split them.
+    n = report.CHUNK_SIZE + 300
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(
+        {"id": f"n{i}", "created_at": "2017-07-01T10:00:00+05:30",
+         "text": text}, ensure_ascii=False) + "\n" for i in range(n)),
+        encoding="utf-8")
+    for workers in (1, 2):
+        summary = run_analyze(AnalyzeConfig(
+            input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+            out_dir=str(tmp_path / f"w{workers}"), oracle=True,
+            workers=workers)).summary
+        assert summary["oracle_check"] == "ok"
+        assert summary["tweets_tagged"] == n
+        assert summary["non_latin_token_tally"] == n * per_tweet
+
+
 def test_oracle_reads_a_rewritten_lexicon_again(random_corpus,
                                                 toy_lexicon_path, tmp_path):
     # Two runs in one process on one lexicon path, the file rewritten in

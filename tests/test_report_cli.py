@@ -35,6 +35,7 @@ from tweetlex import _kernels, ingest, reference, report, spatial
 from tweetlex.errors import OracleMismatchError, TweetlexError
 from tweetlex.ingest import RecordReader
 from tweetlex.lexicon import Category
+from tweetlex.preprocess import default_stopwords_path
 from tweetlex.report import (AnalyzeConfig, run_analyze, run_subcorpus,
                              write_tags_jsonl)
 from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
@@ -1403,6 +1404,117 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
         assert stdin.tell() == 0
         assert blocker.read_text(encoding="utf-8") == "a file, not a directory"
+
+    @pytest.mark.parametrize("command", ["analyze", "top"])
+    def test_closed_stdin_is_io_failure(self, tmp_path, command):
+        # A child started with fd 0 closed has sys.stdin None.  analyze is
+        # given a bad lexicon: refusing stdin first makes it exit 2, not 1.
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("word only one field\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = (["analyze", "--input", "-", "--lexicon", str(bad),
+                 "--out", str(out)] if command == "analyze"
+                else ["top", "--what", "mentions", "--input", "-"])
+        proc = subprocess.run(
+            ["/bin/sh", "-c", 'exec "$0" "$@" 0<&-', sys.executable,
+             "-m", "tweetlex.cli", *args],
+            stdin=subprocess.DEVNULL, capture_output=True, timeout=120,
+            env=_child_env())
+        stderr = proc.stderr.decode()
+        assert proc.returncode == 2, stderr
+        assert stderr.startswith("tweetlex: i/o error:"), stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["input", "lexicon", "stopwords",
+                                      "gazetteer"])
+    @pytest.mark.parametrize("command, name", [
+        ("analyze", "daily.csv"), ("analyze", "regions.csv"),
+        ("subcorpus", "daily.csv"), ("subcorpus", "summary.json")])
+    def test_output_that_is_an_input_is_refused(self, tmp_path, capsys,
+                                                command, name, role):
+        out = tmp_path / "out"
+        out.mkdir()
+        sources = {"input": GOLDEN / "corpus.jsonl",
+                   "lexicon": GOLDEN / "lexicon.tsv",
+                   "stopwords": Path(str(default_stopwords_path())),
+                   "gazetteer": Path(str(spatial.default_gazetteer_path()))}
+        shutil.copyfile(sources[role], out / name)
+        paths = {**sources, role: out / name}
+        argv = [command, "--input", str(paths["input"]),
+                "--lexicon", str(paths["lexicon"]),
+                "--stopwords", str(paths["stopwords"]),
+                "--gazetteer", str(paths["gazetteer"]), "--out", str(out)]
+        if command == "subcorpus":
+            argv[1:1] = ["--mention", "GST_Council"]
+        rc = main(argv)
+        assert rc == 1
+        assert "would overwrite an input" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [name]
+        assert (out / name).read_bytes() == sources[role].read_bytes()
+
+    @pytest.mark.parametrize("output", ["regions.csv", "tags.jsonl"])
+    @pytest.mark.parametrize("link", [os.symlink, os.link],
+                             ids=["symlink", "hardlink"])
+    def test_output_linked_to_an_input_is_refused(self, tmp_path, capsys,
+                                                  link, output):
+        lexicon = tmp_path / "lexicon.tsv"
+        shutil.copyfile(GOLDEN / "lexicon.tsv", lexicon)
+        out = tmp_path / "out"
+        out.mkdir()
+        link(lexicon, out / output)
+        rc = main(["analyze", "--input", str(GOLDEN / "corpus.jsonl"),
+                   "--lexicon", str(lexicon), "--out", str(out),
+                   "--emit-tags", "tags.jsonl"])
+        assert rc == 1
+        assert "would overwrite" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == [output]
+        assert lexicon.read_bytes() == (GOLDEN / "lexicon.tsv").read_bytes()
+
+    @pytest.mark.parametrize("command, name", [
+        ("analyze", "daily.csv"), ("analyze", "regions.csv"),
+        ("analyze", "summary.json"), ("subcorpus", "daily.csv"),
+        ("subcorpus", "summary.json")])
+    def test_directory_at_output_refused_before_input_is_read(
+            self, tmp_path, monkeypatch, capsys, command, name):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)
+        stdin = io.BytesIO((GOLDEN / "corpus.jsonl").read_bytes())
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+        argv = [command, "--input", "-",
+                "--lexicon", str(GOLDEN / "lexicon.tsv"), "--out", str(out)]
+        if command == "subcorpus":
+            argv[1:1] = ["--mention", "GST_Council"]
+        rc = main(argv)
+        assert rc == 2
+        assert "i/o error" in capsys.readouterr().err
+        assert stdin.tell() == 0
+        assert [p.name for p in out.iterdir()] == [name]
+
+    def test_subcorpus_checks_only_the_files_it_writes(self, tmp_path,
+                                                       capsys):
+        # A subcorpus run writes no regions.csv, so neither a directory
+        # nor the lexicon there stops it.
+        out = tmp_path / "out"
+        (out / "regions.csv").mkdir(parents=True)
+        lexicon = out / "hourly.csv"
+        shutil.copyfile(GOLDEN / "lexicon.tsv", lexicon)
+        rc = main(["subcorpus", "--mention", "GST_Council",
+                   "--input", str(GOLDEN / "corpus.jsonl"),
+                   "--lexicon", str(lexicon), "--out", str(out)])
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == \
+            ["daily.csv", "hourly.csv", "regions.csv", "summary.json"]
+        assert lexicon.read_bytes() == (GOLDEN / "lexicon.tsv").read_bytes()
+
+    def test_checked_names_are_the_files_written(self, tmp_path):
+        for mention, names in ((None, report._OUTPUT_NAMES),
+                               ("gst_council", report._SUBCORPUS_NAMES)):
+            out = tmp_path / str(mention)
+            result = run_analyze(AnalyzeConfig(
+                input_path=str(GOLDEN / "corpus.jsonl"),
+                lexicon_path=str(GOLDEN / "lexicon.tsv"), out_dir=str(out),
+                mention=mention))
+            assert result.written == [out / name for name in names]
 
     def test_bad_lexicon_is_config_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
