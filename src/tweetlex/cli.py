@@ -5,9 +5,9 @@ Three subcommands: ``analyze`` runs the full pipeline over a corpus,
 prints a mention or hashtag frequency ranking without loading a lexicon.
 
 Exit codes: 0 success, 1 configuration or data failure (bad flags, bad
-lexicon/stopword/gazetteer file, an output that would overwrite an input,
-oracle mismatch), 2 I/O failure (unreadable input, stdin closed for
-``--input -``, unwritable output).
+lexicon/stopword/gazetteer file, an output, ``--emit-tags`` included, that
+would overwrite an input or another output, oracle mismatch), 2 I/O failure
+(unreadable input, stdin closed for ``--input -``, unwritable output).
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import re
 import sys
 import time
 from datetime import date
-from pathlib import Path
 
 from . import __version__
 from .entities import FrequencyTable
@@ -138,12 +137,6 @@ def build_parser() -> _Parser:
 
 
 def _make_config(args) -> AnalyzeConfig:
-    emit_tags = getattr(args, "emit_tags", None)
-    if emit_tags is not None:
-        tags_path = Path(emit_tags)
-        if not tags_path.is_absolute():
-            tags_path = Path(args.out) / tags_path
-        emit_tags = str(tags_path)
     mention = getattr(args, "mention", None)
     if mention is not None:
         mention = mention.removeprefix("@")
@@ -159,7 +152,7 @@ def _make_config(args) -> AnalyzeConfig:
         default_tz=args.default_tz,
         date_from=args.date_from,
         date_to=args.date_to,
-        emit_tags=emit_tags,
+        emit_tags=getattr(args, "emit_tags", None),
         oracle=getattr(args, "oracle", False),
         workers=args.threads,
         mention=mention,

@@ -77,13 +77,6 @@ _TAG_OVERALL = tuple(f', "overall": {json.dumps(label)}'
                      for label in OVERALL_LABELS)
 _TAG_TIED = (', "tied": false}\n', ', "tied": true}\n')
 
-# The files a run may write into its output directory, and those of them
-# a subcorpus run writes.
-_OUTPUT_NAMES = ("daily.csv", "hourly.csv", "mentions.csv", "hashtags.csv",
-                 "regions.csv", "wordcloud_mentions.json",
-                 "wordcloud_hashtags.json", "summary.json")
-_SUBCORPUS_NAMES = ("daily.csv", "summary.json")
-
 # regions.csv label columns: the sentiment labels, then the emotion labels
 # without neutral, which are the first len(_REGION_COLS) slots of a label row.
 _REGION_COLS = SENTIMENT_LABELS + EMOTION_LABELS[:EMOTION_NEUTRAL]
@@ -423,11 +416,12 @@ def _csv_table(name: str, header: tuple, rows: Iterable[tuple]) -> tuple:
 
 
 def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
-             masks: dict) -> tuple[dict, list]:
-    """The summary.json dict, and the run's tables as (file name, writer,
-    data) triples in write order: the daily table alone on a subcorpus
-    run, all seven tables otherwise.  A CSV table's rows are generated
-    only as write_csv writes them."""
+             masks: dict, spill: BinaryIO | None) -> tuple[dict, list]:
+    """The summary.json dict, and every file the run writes as (path,
+    writer, data) triples in write order: the daily table, the other six
+    tables unless on a subcorpus run, the tags file with emit_tags (a
+    relative path lands in out_dir), and summary.json.  A CSV table's rows
+    are generated only as write_csv writes them."""
     totals = sum_rows(part.day.rows.values())
     read = {
         "records_read": stats.lines,
@@ -441,43 +435,50 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
                            for channel in CHANNELS},
         "tie_count": part.ties,
     }
-    tables = [_csv_table("daily.csv", ("date", "channel", "label", "count"),
-                         _daily_cells(part.day))]
+    files = [_csv_table("daily.csv", ("date", "channel", "label", "count"),
+                        _daily_cells(part.day))]
     if config.mention is not None:
-        return {"mention": config.mention, **read,
-                "subcorpus_tweets": part.matched, **tagging,
-                "peak_hour_slot": peak_slot(part.hours),
-                "lexicon_entries": len(masks)}, tables
-    mention_summary, mentions, mention_top = _entity_summary(part.mentions)
-    hashtag_summary, hashtags, hashtag_top = _entity_summary(part.hashtags)
-    regions = _region_table(part.regions)
-    india_total, foreign, located = (row_tweets(row)
-                                     for _name, row in regions[-3:])
-    summary = {
-        **read, **tagging,
-        "non_latin_token_tally": part.non_latin,
-        "peak_hour_slot": peak_slot(part.hours),
-        "mentions": mention_summary,
-        "hashtags": hashtag_summary,
-        "locations": {
-            "located": located,
-            "unknown": part.hours.total - located,
-            "india_total": india_total,
-            "foreign": foreign,
-        },
-        "lexicon_entries": len(masks),
-    }
-    hours = enumerate(part.hours.slots) if part.hours.total else ()
-    return summary, tables + [
-        _csv_table("hourly.csv", ("slot", "count"), hours),
-        _csv_table("mentions.csv", ("key", "count"), mentions),
-        _csv_table("hashtags.csv", ("key", "count"), hashtags),
-        _csv_table("regions.csv",
-                   ("region", "tweets", *_REGION_COLS, "cum_share"),
-                   _region_rows(regions)),
-        ("wordcloud_mentions.json", write_json, mention_top),
-        ("wordcloud_hashtags.json", write_json, hashtag_top),
-    ]
+        summary = {"mention": config.mention, **read,
+                   "subcorpus_tweets": part.matched, **tagging,
+                   "peak_hour_slot": peak_slot(part.hours),
+                   "lexicon_entries": len(masks)}
+    else:
+        mention_summary, mentions, mention_top = _entity_summary(part.mentions)
+        hashtag_summary, hashtags, hashtag_top = _entity_summary(part.hashtags)
+        regions = _region_table(part.regions)
+        india_total, foreign, located = (row_tweets(row)
+                                         for _name, row in regions[-3:])
+        summary = {
+            **read, **tagging,
+            "non_latin_token_tally": part.non_latin,
+            "peak_hour_slot": peak_slot(part.hours),
+            "mentions": mention_summary,
+            "hashtags": hashtag_summary,
+            "locations": {
+                "located": located,
+                "unknown": part.hours.total - located,
+                "india_total": india_total,
+                "foreign": foreign,
+            },
+            "lexicon_entries": len(masks),
+        }
+        hours = enumerate(part.hours.slots) if part.hours.total else ()
+        files += [
+            _csv_table("hourly.csv", ("slot", "count"), hours),
+            _csv_table("mentions.csv", ("key", "count"), mentions),
+            _csv_table("hashtags.csv", ("key", "count"), hashtags),
+            _csv_table("regions.csv",
+                       ("region", "tweets", *_REGION_COLS, "cum_share"),
+                       _region_rows(regions)),
+            ("wordcloud_mentions.json", write_json, mention_top),
+            ("wordcloud_hashtags.json", write_json, hashtag_top),
+        ]
+    if config.emit_tags is not None:
+        files.append((config.emit_tags, write_spilled_tags, spill))
+    files.append(("summary.json", write_json, summary))
+    out_dir = Path(config.out_dir)
+    return summary, [(out_dir / name, writer, data)
+                     for name, writer, data in files]
 
 
 def _diff_dicts(prefix: str, mine, ref, out: list[str]) -> None:
@@ -579,12 +580,13 @@ def _check_outputs(config: AnalyzeConfig) -> None:
     """Refuse, before any input is read, a run that would overwrite one of
     its own files or could not write one.
 
-    A tags path that names an input or an output name of the run, a
-    directory, or a file in a missing directory other than ``out_dir`` is
-    a ``TweetlexError``, and so is an output in ``out_dir`` that is an
-    input of the run, by any path or link.  An ``out_dir`` that is or
-    passes through a file, and an output path that is an existing
-    directory, are ``OSError``s, as ``mkdir`` or ``open`` would raise them
+    Every file ``_outputs`` lists is checked by its resolved path, as it
+    will be once ``out_dir`` is made.  One that is an input of the run, by
+    any path or link, or that resolves to an earlier file of the list, is
+    a ``TweetlexError``.  An ``out_dir`` that is or passes through a file,
+    a file that is an existing directory, ``out_dir`` or a directory above
+    it, and a file whose directory is neither ``out_dir`` nor an existing
+    directory are ``OSError``s, as ``mkdir`` or ``open`` would raise them
     after the whole run.
     """
     out_dir = Path(config.out_dir)
@@ -592,28 +594,28 @@ def _check_outputs(config: AnalyzeConfig) -> None:
               for p in (config.input_path, config.lexicon_path,
                         config.stopwords_path, config.gazetteer_path)
               if p is not None and p != "-"} - {None}
-    if config.emit_tags is not None:
-        tags = Path(config.emit_tags).resolve()
-        resolved_out = out_dir.resolve()
-        if _file_id(tags) in inputs or \
-                tags in [resolved_out / name for name in _OUTPUT_NAMES]:
-            raise TweetlexError(f"--emit-tags {config.emit_tags} would "
-                                f"overwrite another file of the run")
-        if tags == resolved_out or tags.is_dir() or \
-                not (tags.parent == resolved_out or tags.parent.is_dir()):
-            raise TweetlexError(f"--emit-tags {config.emit_tags} is not a "
-                                f"file in an existing directory or in --out")
     for path in (out_dir, *out_dir.parents):
         if path.exists() and not path.is_dir():
             raise NotADirectoryError(errno.ENOTDIR,
                                      os.strerror(errno.ENOTDIR), str(path))
-    names = _OUTPUT_NAMES if config.mention is None else _SUBCORPUS_NAMES
-    for path in (out_dir / name for name in names):
-        if _file_id(path) in inputs:
+    resolved_out = out_dir.resolve()
+    _summary, outputs = _outputs(config, ReadStats(), _Partial(), {}, None)
+    seen = set()
+    for path, _writer, _data in outputs:
+        resolved = path.resolve()
+        if _file_id(resolved) in inputs:
             raise TweetlexError(f"output {path} would overwrite an input "
                                 f"of the run")
-        if path.is_dir():
+        if resolved in seen:
+            raise TweetlexError(f"output {path} would overwrite another "
+                                f"output of the run")
+        seen.add(resolved)
+        if resolved.is_dir() or resolved == resolved_out or \
+                resolved in resolved_out.parents:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    str(path))
+        if not (resolved.parent == resolved_out or resolved.parent.is_dir()):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT),
                                     str(path))
 
 
@@ -644,18 +646,13 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
         part = _run_chunks(reader, state, config.workers, spill)
-        summary, tables = _outputs(config, reader.stats, part, masks)
+        summary, outputs = _outputs(config, reader.stats, part, masks, spill)
         if config.oracle:
             _check_oracle(config, reader.stats, summary, part,
                           stopwords, rules)
             summary["oracle_check"] = "ok"
 
         out_dir.mkdir(parents=True, exist_ok=True)
-        outputs = [(out_dir / name, writer, data)
-                   for name, writer, data in tables]
-        if spill is not None:
-            outputs.append((Path(config.emit_tags), write_spilled_tags, spill))
-        outputs.append((out_dir / "summary.json", write_json, summary))
         for path, writer, data in outputs:
             writer(path, data)
     return RunResult(summary, part, out_dir,

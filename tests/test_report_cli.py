@@ -524,8 +524,10 @@ class TestEmitTags:
         assert target.read_bytes() == \
             (GOLDEN / "expected" / "tags.jsonl").read_bytes()
 
-    # The last three cannot be a new file: one in a missing directory, the
-    # --out directory itself, and an existing directory.
+    # Another output or the corpus is a refused run (exit 1) naming that
+    # path; the last three cannot be a new file and are unwritable outputs
+    # (exit 2): one in a missing directory, the --out directory itself,
+    # and the existing directory above it.
     @pytest.mark.parametrize("target", [
         *(name for name in GOLDEN_FILES if name != "tags.jsonl"), "input",
         "sub/tags.jsonl", ".", ".."])
@@ -539,8 +541,13 @@ class TestEmitTags:
         rc = main(["analyze", "--input", str(corpus),
                    "--lexicon", str(GOLDEN / "lexicon.tsv"),
                    "--out", str(out), "--emit-tags", tags])
-        assert rc == 1
-        assert "--emit-tags" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        if target in ("sub/tags.jsonl", ".", ".."):
+            assert rc == 2
+            assert err.startswith("tweetlex: i/o error:"), err
+        else:
+            assert rc == 1
+            assert str(out / tags) in err
         assert not out.exists()
         assert corpus.read_bytes() == (GOLDEN / "corpus.jsonl").read_bytes()
 
@@ -555,6 +562,33 @@ class TestEmitTags:
         assert rc == 1
         assert not (tmp_path / "out").exists()
         assert lexicon.read_bytes() == (GOLDEN / "lexicon.tsv").read_bytes()
+
+    def test_relative_library_path_lands_in_out_dir(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "out"
+        result = run_analyze(AnalyzeConfig(
+            input_path=str(GOLDEN / "corpus.jsonl"),
+            lexicon_path=str(GOLDEN / "lexicon.tsv"), out_dir=str(out),
+            emit_tags="tags.jsonl"))
+        assert result.written[-2] == out / "tags.jsonl"
+        assert (out / "tags.jsonl").read_bytes() == \
+            (GOLDEN / "expected" / "tags.jsonl").read_bytes()
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+
+    def test_subcorpus_tags_may_take_a_table_name_it_does_not_write(
+            self, tmp_path):
+        # A subcorpus run writes no regions.csv, so its tags may go there.
+        out = tmp_path / "out"
+        result = run_analyze(AnalyzeConfig(
+            input_path=str(GOLDEN / "corpus.jsonl"),
+            lexicon_path=str(GOLDEN / "lexicon.tsv"), out_dir=str(out),
+            mention="gst_council", emit_tags=str(out / "regions.csv")))
+        assert result.written == [out / "daily.csv", out / "regions.csv",
+                                  out / "summary.json"]
+        rows = (out / "regions.csv").read_text("utf-8").splitlines()
+        assert len(rows) == result.summary["tweets_tagged"] == 1
+        assert json.loads(rows[0])["id"]
 
     def test_off_by_default(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1473,7 +1507,7 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, name", [
         ("analyze", "daily.csv"), ("analyze", "regions.csv"),
         ("analyze", "summary.json"), ("subcorpus", "daily.csv"),
-        ("subcorpus", "summary.json")])
+        ("subcorpus", "summary.json"), ("analyze", "tags.jsonl")])
     def test_directory_at_output_refused_before_input_is_read(
             self, tmp_path, monkeypatch, capsys, command, name):
         out = tmp_path / "out"
@@ -1484,6 +1518,8 @@ class TestExitCodes:
                 "--lexicon", str(GOLDEN / "lexicon.tsv"), "--out", str(out)]
         if command == "subcorpus":
             argv[1:1] = ["--mention", "GST_Council"]
+        if name == "tags.jsonl":
+            argv += ["--emit-tags", name]
         rc = main(argv)
         assert rc == 2
         assert "i/o error" in capsys.readouterr().err
@@ -1507,14 +1543,22 @@ class TestExitCodes:
         assert lexicon.read_bytes() == (GOLDEN / "lexicon.tsv").read_bytes()
 
     def test_checked_names_are_the_files_written(self, tmp_path):
-        for mention, names in ((None, report._OUTPUT_NAMES),
-                               ("gst_council", report._SUBCORPUS_NAMES)):
-            out = tmp_path / str(mention)
+        tables = ["daily.csv", "hourly.csv", "mentions.csv", "hashtags.csv",
+                  "regions.csv", "wordcloud_mentions.json",
+                  "wordcloud_hashtags.json"]
+        runs = (("analyze", None, None, tables + ["summary.json"]),
+                ("subcorpus", "gst_council", None,
+                 ["daily.csv", "summary.json"]),
+                ("tags", None, "tags.jsonl",
+                 tables + ["tags.jsonl", "summary.json"]))
+        for label, mention, emit_tags, names in runs:
+            out = tmp_path / label
             result = run_analyze(AnalyzeConfig(
                 input_path=str(GOLDEN / "corpus.jsonl"),
                 lexicon_path=str(GOLDEN / "lexicon.tsv"), out_dir=str(out),
-                mention=mention))
+                mention=mention, emit_tags=emit_tags))
             assert result.written == [out / name for name in names]
+            assert sorted(p.name for p in out.iterdir()) == sorted(names)
 
     def test_bad_lexicon_is_config_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
