@@ -7,10 +7,10 @@ word -> label-set lexicon table instead of packed bitmasks, and flat dict
 tallies instead of the mergeable aggregate classes.  ``--oracle``
 runs a corpus through this module and, before any file is written,
 compares with the optimized pipeline: every summary.json figure, the
-daily label counts, the hourly slots, the mention and hashtag counts, the
-tweets per region, and the first MAX_DIAGNOSTICS rejections.  It does not
-compare the label columns of each region, the ranked order of the tables,
-or the tags.jsonl rows.
+daily label counts, the hourly slots, the mention and hashtag rankings
+(each key's rank and count), each region's sentiment, emotion and overall
+label counts, and the first MAX_DIAGNOSTICS rejections.  It does not
+compare the tags.jsonl rows.
 
 Only gazetteer *parsing* is shared with the main pipeline, on purpose;
 rule matching is redone here.  From tweetlex.ingest this module reads two
@@ -341,6 +341,13 @@ def naive_resolve(raw: str | None, rules: Rules) -> str:
     return UNKNOWN
 
 
+def _ranking(counts: dict[str, int]) -> dict[str, tuple[int, int]]:
+    """key -> (rank, count), ranked 0, 1, ... by count descending, then
+    key ascending."""
+    ranked = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
+    return {key: (rank, count) for rank, (key, count) in enumerate(ranked)}
+
+
 def _entity_figures(counts: dict[str, int]) -> dict[str, int]:
     """The summary figures of a mention or hashtag count dict."""
     return {"distinct": len(counts),
@@ -358,11 +365,12 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
 
     Returns its tallies by name: "summary" (the summary.json figures),
     "daily" (channel -> ISO date -> label -> count), "hourly" (a 24-slot
-    list), "mentions" and "hashtags" (key -> count), "regions" (region ->
-    tweets, UNKNOWN left out) and "rejections" (the first MAX_DIAGNOSTICS
-    (line number, reason, detail) triples).  With ``mention_filter`` set,
-    only tweets mentioning that (lowercase) handle are analyzed and the
-    summary takes the subcorpus shape.
+    list), "mentions" and "hashtags" (key -> (rank, count), see
+    ``_ranking``), "regions" (region -> a tuple of its sentiment, emotion
+    and overall label -> count dicts, UNKNOWN left out) and "rejections"
+    (the first MAX_DIAGNOSTICS (line number, reason, detail) triples).
+    With ``mention_filter`` set, only tweets mentioning that (lowercase)
+    handle are analyzed and the summary takes the subcorpus shape.
     """
     table = scan_lexicon_file(str(lexicon_path))
     tally = ReadTally()
@@ -373,7 +381,7 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
     hourly = [0] * 24
     mention_counts: dict[str, int] = {}
     hashtag_counts: dict[str, int] = {}
-    region_tweets: dict[str, int] = {}
+    region_labels: dict[str, tuple] = {}
     unknown_locs = 0
     blanks = 0
     tagged = 0
@@ -412,8 +420,12 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
         if region == UNKNOWN:
             unknown_locs += 1
         else:
-            region_tweets[region] = region_tweets.get(region, 0) + 1
+            labels = region_labels.setdefault(region, ({}, {}, {}))
+            for per_channel, lab in zip(labels, (s, e, o)):
+                per_channel[lab] = per_channel.get(lab, 0) + 1
 
+    region_tweets = {region: sum(sentiment.values())
+                     for region, (sentiment, _e, _o) in region_labels.items()}
     summary = {
         "records_read": tally.lines,
         "records_rejected": sum(tally.skipped.values()),
@@ -440,5 +452,6 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
             "foreign": region_tweets.get(FOREIGN, 0),
         }
     return {"summary": summary, "daily": daily, "hourly": hourly,
-            "mentions": mention_counts, "hashtags": hashtag_counts,
-            "regions": region_tweets, "rejections": tally.diagnostics}
+            "mentions": _ranking(mention_counts),
+            "hashtags": _ranking(hashtag_counts),
+            "regions": region_labels, "rejections": tally.diagnostics}

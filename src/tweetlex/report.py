@@ -6,14 +6,16 @@ output files.  n workers are n processes, capped at the usable CPUs: the
 main process and n - 1 helper processes, so with one worker, or one usable
 CPU, every chunk runs in the main process.  The main process reads the
 corpus and sends each chunk over its own pipe to the helper with the fewest
-chunks queued, unless every helper already has two; then it works on the
-chunk itself.  It takes the results back in chunk order, holding any that
-come early.  A chunk carries each record's local day and hour as ints, not
-its datetime.  Per-tweet tag rows are not held: the main process appends
-each chunk's rows to an anonymous temporary file as it takes the chunk, and
+chunks in flight, unless every helper already has two; then it works on
+the chunk itself.  One queue holds every chunk not yet merged, in chunk
+order, each as its result or as the helper working on it; finished chunks
+merge off its front.  A chunk carries each record's local day and hour as
+ints, not its datetime.  A chunk's result is its partial aggregate and,
+beside it, its per-tweet tag rows, which are not held: the main process
+appends them to an anonymous temporary file as it merges the chunk, and
 copies that file out with the others.  Given the same inputs and
 configuration, every output file is byte-identical run to run, whatever the
-worker count: chunk order is fixed by the corpus, results are taken in chunk
+worker count: chunk order is fixed by the corpus, results merge in chunk
 order, and all emission is sorted with "\n" line endings and a fixed JSON
 key layout.
 
@@ -33,6 +35,7 @@ import queue
 import shutil
 import tempfile
 import threading
+from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import date, timezone
@@ -105,7 +108,9 @@ class AnalyzeConfig:
 
 @dataclass
 class _Partial:
-    """Mergeable result of one chunk of records."""
+    """Mergeable aggregates of one chunk of records, or of every chunk
+    merged so far: only what ``merge`` adds.  A chunk's tag rows travel
+    beside its partial (see ``_process_chunk``)."""
 
     day: DayBuckets = field(default_factory=DayBuckets)
     hours: HourBuckets = field(default_factory=HourBuckets)
@@ -116,10 +121,6 @@ class _Partial:
     blanks: int = 0
     ties: int = 0
     non_latin: int = 0
-    # (id, vector, sentiment, emotion, overall, tied) per tagged tweet,
-    # kept only for --emit-tags and only in a chunk's own partial: the
-    # main process spills them as it takes the chunk, and merge drops them.
-    tag_rows: list = field(default_factory=list)
 
     def merge(self, other: "_Partial") -> "_Partial":
         self.day.merge(other.day)
@@ -156,14 +157,16 @@ def _may_mention(text: str, at_handle: str) -> bool:
 
 def _process_chunk(records: list[tuple], masks: dict[str, int],
                    stopwords: frozenset[str], rules: Rules, emit_tags: bool,
-                   mention: str | None) -> _Partial:
-    """Tag and aggregate one chunk of ``_iter_chunks``."""
+                   mention: str | None) -> tuple[_Partial, list[tuple]]:
+    """Tag and aggregate one chunk of ``_iter_chunks``: its partial, and
+    with ``emit_tags`` its tag rows for ``write_tags_jsonl``, (id, vector,
+    sentiment, emotion, overall, tied) per tagged tweet in chunk order."""
     if mention is not None:
         at_handle = "@" + mention
         records = [record for record in records
                    if _may_mention(record[3], at_handle)]
 
-    part = _Partial()
+    part, tag_rows = _Partial(), []
     region_of: dict = {}  # raw location -> region, for this chunk only
     for rec_id, day, hour, text, location in records:
         clean = preprocess(text, stopwords)
@@ -189,8 +192,8 @@ def _process_chunk(records: list[tuple], masks: dict[str, int],
         if region != UNKNOWN:
             part.regions.add(tag, region)
         if emit_tags:
-            part.tag_rows.append((rec_id, vector, s, e, o, tied))
-    return part
+            tag_rows.append((rec_id, vector, s, e, o, tied))
+    return part, tag_rows
 
 
 def _iter_chunks(records: Iterable[Record]) -> Iterator[list[tuple]]:
@@ -258,10 +261,16 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     on: this process and one helper process fewer than that, so with one
     worker or one usable CPU no helper starts.  For each chunk it reads,
     this process first receives the results that are ready, then sends the
-    chunk to the helper with the fewest chunks queued if that is fewer than
-    _IN_FLIGHT, and otherwise works on the chunk itself; then it merges
-    what it can in chunk order.  A result that comes before an earlier
-    chunk's waits in ``done`` until that one is merged.
+    chunk to the helper with the fewest chunks in flight if that is fewer
+    than _IN_FLIGHT, and otherwise works on the chunk itself; then it
+    merges the finished chunks at the front of the queue.
+
+    The queue holds every chunk not yet merged, in chunk order: a finished
+    chunk's result, or the index of the helper the chunk went to.  A
+    helper sends its results in the order it took its chunks, so each one
+    it sends replaces its first entry in the queue, and its entries left
+    there are its chunks in flight.  At the end of the corpus this process
+    receives from the helper at the front until the queue is empty.
 
     Helper processes and pipes are made only through the module attribute
     ``multiprocessing``, so a caller may put a start-method context there.
@@ -269,21 +278,15 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     helper's exception is raised again here as itself.
     """
     total = _Partial()
-    done: dict[int, _Partial] = {}  # results not yet merged, by chunk index
-    merged = 0  # chunks merged so far
+    pending: deque = deque()  # (part, tag rows) or a helper index per chunk
+    procs, conns = [], []  # per helper: its process and this end of its pipe
 
     def merge_ready() -> None:
-        nonlocal merged
-        while merged in done:
-            part = done.pop(merged)
+        while pending and not isinstance(pending[0], int):
+            part, tag_rows = pending.popleft()
             if spill is not None:
-                write_tags_jsonl(spill, part.tag_rows)
+                write_tags_jsonl(spill, tag_rows)
             total.merge(part)
-            merged += 1
-
-    # Per helper: its process, the main process's end of its pipe, and the
-    # indices of the chunks sent to it and not yet received, oldest first.
-    procs, conns, queued = [], [], []
 
     def send(h: int, chunk) -> None:
         try:
@@ -296,7 +299,7 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
         # block, so no exception raised here holds the failed send's frames:
         # freed in a reference cycle, the pickle buffer they hold raises
         # BufferError.
-        while queued[h]:
+        while h in pending:
             receive(h)
         raise _worker_died(procs[h])
 
@@ -307,7 +310,7 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
             raise _worker_died(procs[h]) from None
         if isinstance(result, BaseException):
             raise result
-        done[queued[h].pop(0)] = result
+        pending[pending.index(h)] = result
 
     # Processes beyond the CPUs this one may run on only add start-up cost.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -321,22 +324,19 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
                     target=_work, args=(child, conn, state), daemon=True)
                 proc.start()
             procs.append(proc)
-            queued.append([])
-        for k, chunk in enumerate(_iter_chunks(reader)):
+        for chunk in _iter_chunks(reader):
             for h, conn in enumerate(conns):
-                while queued[h] and conn.poll():
+                while h in pending and conn.poll():
                     receive(h)
-            h = min(range(len(queued)), key=lambda h: len(queued[h]),
-                    default=None)
-            if h is not None and len(queued[h]) < _IN_FLIGHT:
+            h = min(range(len(conns)), key=pending.count, default=None)
+            if h is not None and pending.count(h) < _IN_FLIGHT:
                 send(h, chunk)
-                queued[h].append(k)
+                pending.append(h)
             else:
-                done[k] = _process_chunk(chunk, *state)
+                pending.append(_process_chunk(chunk, *state))
             merge_ready()
-        while any(queued):
-            receive(next(h for h, chunks in enumerate(queued)
-                         if chunks and chunks[0] == merged))
+        while pending:
+            receive(pending[0])
             merge_ready()
         for h in range(len(procs)):
             send(h, None)
@@ -493,6 +493,14 @@ def _diff_dicts(prefix: str, mine, ref, out: list[str]) -> None:
         out.append(f"{prefix[:-1]}: pipeline={mine!r} reference={ref!r}")
 
 
+def _ranks(table: FrequencyTable) -> dict[str, tuple[int, int]]:
+    """key -> (rank, count) over ``table.items_sorted()``: two rankings
+    give equal dicts exactly when they are equal lists, and a difference
+    names its keys."""
+    return {key: (rank, count)
+            for rank, (key, count) in enumerate(table.items_sorted())}
+
+
 def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
                   part: _Partial, stopwords: frozenset[str],
                   rules: Rules) -> None:
@@ -513,12 +521,19 @@ def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
     for iso, channel, label, count in _daily_cells(part.day):
         if count:
             daily[channel].setdefault(iso, {})[label] = count
+    # Each region's label counts as a tuple of channel dicts, which
+    # _diff_dicts compares whole: a region that differs is one line.
+    regions = {}
+    for region, row in part.regions.rows.items():
+        labels: dict[str, dict] = {channel: {} for channel in CHANNELS}
+        for (channel, label), count in zip(DAY_ROW, row):
+            if count:
+                labels[channel][label] = count
+        regions[region] = tuple(labels.values())
     mine = {"summary": summary, "daily": daily, "hourly": part.hours.slots,
-            "mentions": dict(part.mentions.items_sorted()),
-            "hashtags": dict(part.hashtags.items_sorted()),
-            "regions": {region: row_tweets(row)
-                        for region, row in part.regions.rows.items()},
-            "rejections": stats.diagnostics}
+            "mentions": _ranks(part.mentions),
+            "hashtags": _ranks(part.hashtags),
+            "regions": regions, "rejections": stats.diagnostics}
     diffs: list[str] = []
     for name in mine:
         _diff_dicts(f"{name}.", mine[name], ref[name], diffs)

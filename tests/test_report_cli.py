@@ -23,6 +23,8 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import threading
+import time
 import types
 from datetime import date
 from pathlib import Path
@@ -32,9 +34,10 @@ from hypothesis import given, strategies as st
 
 import tweetlex
 from tweetlex import _kernels, ingest, reference, report, spatial
+from tweetlex.entities import FrequencyTable
 from tweetlex.errors import OracleMismatchError, TweetlexError
 from tweetlex.ingest import RecordReader
-from tweetlex.lexicon import Category
+from tweetlex.lexicon import Category, load_lexicon
 from tweetlex.preprocess import default_stopwords_path
 from tweetlex.report import (AnalyzeConfig, run_analyze, run_subcorpus,
                              write_tags_jsonl)
@@ -92,6 +95,18 @@ def two_cpus(monkeypatch):
     one helper process on any host."""
     monkeypatch.setattr(report.os, "sched_getaffinity", lambda _pid: {0, 1},
                         raising=False)
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Fake four usable CPUs, so that a four-worker run starts three helper
+    processes on any host."""
+    monkeypatch.setattr(report.os, "sched_getaffinity",
+                        lambda _pid: {0, 1, 2, 3}, raising=False)
+
+
+#: Records of a corpus of nine chunks and a 17-record tail.
+_NINE_CHUNKS_AND_A_TAIL = 9 * report.CHUNK_SIZE + 17
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +205,109 @@ class TestDeterminism:
         assert sorted(trees[1]) == sorted(GOLDEN_FILES)
         assert [proc.exitcode for proc in helpers] == [0]
         assert main_chunks == [3000 - 2 * report.CHUNK_SIZE]
+
+    @staticmethod
+    def _tree(corpus, toy_lexicon_path, out, workers) -> dict[str, bytes]:
+        """The files of a run on ``corpus`` with tag rows into ``out``."""
+        run_analyze(AnalyzeConfig(
+            input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+            out_dir=str(out), emit_tags=str(out / "tags.jsonl"),
+            workers=workers))
+        return _read_tree(out)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the pipe ends are recorded in the forking process")
+    def test_chunks_go_to_the_helper_with_fewest_in_flight(
+            self, toy_lexicon_path, tmp_path, monkeypatch, four_cpus):
+        # No result is ready before the corpus ends, as when every helper
+        # is slow: chunks 0-5 go to the three helpers in turn, each to the
+        # one with the fewest in flight, the lowest index on ties, and the
+        # main process, with every helper _IN_FLIGHT chunks ahead, runs
+        # chunks 6-9 itself.
+        context = multiprocessing.get_context("fork")
+        main_pid, process_chunk = os.getpid(), report._process_chunk
+        send = multiprocessing.connection.Connection.send
+        main_ends, sent, main_chunks = [], [], []
+
+        def pipe():
+            main_end, child = context.Pipe()
+            main_ends.append(main_end)
+            return main_end, child
+
+        def sending(conn, chunk):
+            """Note the helper and the first record id of each chunk."""
+            if os.getpid() == main_pid:
+                sent.append((main_ends.index(conn), chunk and chunk[0][0]))
+            send(conn, chunk)
+
+        def counted(records, *state):
+            if os.getpid() == main_pid:
+                main_chunks.append(len(records))
+            return process_chunk(records, *state)
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, _NINE_CHUNKS_AND_A_TAIL,
+                                       seed=13)
+        one = self._tree(corpus, toy_lexicon_path, tmp_path / "w1", 1)
+        monkeypatch.setattr(report, "multiprocessing", types.SimpleNamespace(
+            Process=context.Process, Pipe=pipe))
+        monkeypatch.setattr(report, "_process_chunk", counted)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "poll",
+                            lambda _conn, _timeout=0.0: False)
+        monkeypatch.setattr(multiprocessing.connection.Connection, "send",
+                            sending)
+        four = self._tree(corpus, toy_lexicon_path, tmp_path / "w4", 4)
+
+        assert four == one
+        assert sorted(one) == sorted(GOLDEN_FILES)
+        first_ids = [json.loads(line)["id"] for line in
+                     corpus.read_text(encoding="utf-8").splitlines()
+                     ][::report.CHUNK_SIZE]
+        assert sent == [(h, first_ids[k])
+                        for k, h in enumerate([0, 1, 2, 0, 1, 2])] + \
+            [(0, None), (1, None), (2, None)]
+        assert main_chunks == [report.CHUNK_SIZE] * 3 + [17]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the delay is patched into a forked helper")
+    def test_results_out_of_chunk_order_merge_in_chunk_order(
+            self, toy_lexicon_path, tmp_path, monkeypatch, four_cpus):
+        # The first helper sleeps 50 ms before each of its chunks, so the
+        # other two send the results of later chunks before it sends that
+        # of chunk 0.
+        context = multiprocessing.get_context("fork")
+        process_chunk, helpers = report._process_chunk, []
+
+        def slow(records, *state):
+            time.sleep(0.05)
+            return process_chunk(records, *state)
+
+        def slowed(work):
+            def slow_work(*args):
+                report._process_chunk = slow  # in the forked helper only
+                work(*args)
+            return slow_work
+
+        def helper(*, target, **kwargs):
+            if not helpers:
+                target = slowed(target)
+            helpers.append(context.Process(target=target, **kwargs))
+            return helpers[-1]
+
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, _NINE_CHUNKS_AND_A_TAIL,
+                                       seed=13)
+        one = self._tree(corpus, toy_lexicon_path, tmp_path / "w1", 1)
+        monkeypatch.setattr(report, "multiprocessing", types.SimpleNamespace(
+            Process=helper, Pipe=context.Pipe))
+        four = self._tree(corpus, toy_lexicon_path, tmp_path / "w4", 4)
+
+        assert four == one
+        assert [proc.exitcode for proc in helpers] == [0, 0, 0]
+        assert multiprocessing.active_children() == []
 
     @staticmethod
     def _started_per_run(cpus, toy_lexicon_path, tmp_path, monkeypatch):
@@ -455,6 +573,47 @@ class TestWorkerProcesses:
                                       out_dir=str(tmp_path / "out"),
                                       workers=2))
         assert multiprocessing.active_children() == []
+
+
+def _figures(result) -> tuple:
+    """Every figure of a ``_process_chunk`` result, comparable with ==."""
+    part, tag_rows = result
+    return (part.day.by_ordinal, part.hours.slots,
+            part.mentions.items_sorted(), part.hashtags.items_sorted(),
+            part.regions.rows, part.matched, part.blanks, part.ties,
+            part.non_latin, tag_rows)
+
+
+class TestHelperLoop:
+    def test_helper_ends_when_the_main_process_is_gone(
+            self, bundled_stopwords, bundled_gazetteer):
+        # _work runs in a thread on a pipe whose other end stands for the
+        # main process: closing that end is the main process's death.
+        state = (load_lexicon(GOLDEN / "lexicon.tsv"), bundled_stopwords,
+                 bundled_gazetteer, True, None)
+        [chunk] = report._iter_chunks(
+            RecordReader(str(GOLDEN / "corpus.jsonl"), "jsonl"))
+        main_end, helper_end = multiprocessing.Pipe()
+        # What a forked helper inherits of the main process's end: _work
+        # closes it at once.
+        inherited, spare = multiprocessing.Pipe()
+        threads = set(threading.enumerate())
+        helper = threading.Thread(target=report._work,
+                                  args=(helper_end, inherited, state),
+                                  daemon=True)
+        helper.start()
+        try:
+            main_end.send(chunk)
+            assert _figures(main_end.recv()) == \
+                _figures(report._process_chunk(chunk, *state))
+            main_end.close()
+            helper.join(timeout=5)
+            assert not helper.is_alive()
+            assert set(threading.enumerate()) == threads
+        finally:
+            for end in (main_end, helper_end, spare):
+                end.close()
+        assert inherited.closed
 
 
 class TestWindowFlags:
@@ -1031,6 +1190,47 @@ class TestOracleTallies:
                                      date_to=date(2017, 7, 4))
         assert "\n  rejections.0: pipeline=(" in message
         assert "summary." not in message
+
+    def test_region_label_counts(self, corpus, tmp_path, monkeypatch):
+        # Maharashtra's positive tweets are counted as negative: its tweet
+        # count and every summary figure stay as they were.
+        add = spatial.RegionAggregate.add
+        positive = SENTIMENT_LABELS.index("positive")
+        negative = SENTIMENT_LABELS.index("negative")
+
+        def miscounting(self, tag, region):
+            vector, s, e, o, tied = tag
+            if region == "Maharashtra" and s == positive:
+                tag = vector, negative, e, o, tied
+            add(self, tag, region)
+
+        monkeypatch.setattr(spatial.RegionAggregate, "add", miscounting)
+        lines = self._oracle_error(corpus, tmp_path).splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("  regions.Maharashtra: pipeline=(")
+
+    def test_swapped_equal_counts_in_a_ranking(self, corpus, tmp_path,
+                                               monkeypatch):
+        # A table's first two keys of equal count, if it has two, change
+        # places: every count, and so every summary figure, stays as it was.
+        items_sorted, swapped = FrequencyTable.items_sorted, set()
+
+        def swapping(table):
+            items = items_sorted(table)
+            i = next((i for i in range(len(items) - 1)
+                      if items[i][1] == items[i + 1][1]), None)
+            if i is not None:
+                items[i:i + 2] = items[i + 1], items[i]
+                swapped.update(key for key, _count in items[i:i + 2])
+            return items
+
+        monkeypatch.setattr(FrequencyTable, "items_sorted", swapping)
+        lines = self._oracle_error(corpus, tmp_path).splitlines()[1:]
+        assert swapped
+        assert sorted(line.split(": pipeline=(")[0].split(".", 1)[1]
+                      for line in lines) == sorted(swapped)
+        assert all(line.startswith(("  mentions.", "  hashtags."))
+                   for line in lines)
 
     def test_long_mismatch_list_is_capped(self, longtail_corpus, tmp_path,
                                           monkeypatch):
