@@ -2,11 +2,12 @@
 
 A source is read one way whatever it is: ``RecordReader.__iter__`` opens
 the file, or wraps stdin's bytes (source ``"-"``), as UTF-8 text with the
-same decoding, runs the JSONL or CSV line loop over it, and then closes
-the file or detaches the wrapper, leaving stdin open.  Malformed lines
-never abort a stream: they are skipped and tallied by reason, with their
-line number.  The accounting invariant ``admitted + skipped == lines``
-holds for every run.
+same decoding, and then closes the file or detaches the wrapper, leaving
+stdin open.  In between, the format's field reader (JSONL or CSV) yields
+the four fields of each line that parses, and one loop admits them by the
+same checks, whatever the format.  Malformed lines never abort a stream:
+they are skipped and tallied by reason, with their line number.  The
+accounting invariant ``admitted + skipped == lines`` holds for every run.
 """
 
 from __future__ import annotations
@@ -123,8 +124,10 @@ class RecordReader:
     Each line is checked in this order, and its first failing check names
     its rejection: ``blank_line``, ``encoding``, ``malformed`` (JSON that
     does not parse into an object, or a CSV row without four fields; a CSV
-    row holding a NUL character is ``malformed`` before any check), then
-    the fields ``id`` (a non-empty string encodable as UTF-8),
+    row holding a NUL character is ``malformed`` before any check), all
+    tallied by the format's field reader, which yields (line number,
+    ``CSV_HEADER`` fields) for every other line; then, in one loop for
+    both formats, the fields ``id`` (a non-empty string encodable as UTF-8),
     ``timestamp`` (see ``parse_timestamp``) and ``text`` (a string), then
     ``duplicate`` (an id already yielded), then ``out_of_range``.  So an
     out-of-window record whose id was yielded earlier is a ``duplicate``,
@@ -160,11 +163,13 @@ class RecordReader:
     def __iter__(self) -> Iterator[Record]:
         # utf-8-sig drops a leading byte-order mark, so line 1 of a BOM'd
         # file parses like any other line.  surrogateescape turns each
-        # invalid byte into a lone surrogate, which the readers reject as
-        # "encoding" line by line instead of the decode ending the run.
+        # invalid byte into a lone surrogate, which the field readers reject
+        # as "encoding" line by line instead of the decode ending the run.
         # Stdin is decoded exactly as a file, whatever the locale or
         # PYTHONIOENCODING, and detached afterwards so sys.stdin stays open.
-        read = self._read_jsonl if self.format == "jsonl" else self._read_csv
+        fields = self._read_jsonl if self.format == "jsonl" else self._read_csv
+        skip, seen, tz = self.stats._skip, self._seen_ids, self.default_tz
+        date_from, date_to = self.date_from, self.date_to
         if self.source == "-":
             fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
                                   errors="surrogateescape", newline="")
@@ -172,43 +177,38 @@ class RecordReader:
             fh = open(self.source, encoding="utf-8-sig",
                       errors="surrogateescape", newline="")
         try:
-            yield from read(fh)
+            for lineno, rec_id, created_at, text, loc in fields(fh):
+                if not isinstance(rec_id, str) or not rec_id or \
+                        not (rec_id.isascii() or _encodes(rec_id)):
+                    skip(lineno, "id")
+                    continue
+                ts = parse_timestamp(created_at, tz)
+                if ts is None:
+                    skip(lineno, "timestamp")
+                    continue
+                if not isinstance(text, str):
+                    skip(lineno, "text")
+                    continue
+                if rec_id in seen:
+                    skip(lineno, "duplicate", rec_id)
+                    continue
+                if date_from or date_to:
+                    local = ts.date()
+                    if (date_from and local < date_from) or \
+                            (date_to and local > date_to):
+                        skip(lineno, "out_of_range", local)
+                        continue
+                seen.add(rec_id)
+                if not isinstance(loc, str) or not loc.strip():
+                    loc = None
+                yield rec_id, ts, text, loc
         finally:
             if self.source == "-":
                 fh.detach()
             else:
                 fh.close()
 
-    def _admit(self, lineno: int, rec_id, created_at, text,
-               loc) -> Record | None:
-        """The record of one parsed line's four fields (in ``CSV_HEADER``
-        order), or None when a check rejects it."""
-        if not isinstance(rec_id, str) or not rec_id or \
-                not (rec_id.isascii() or _encodes(rec_id)):
-            self.stats._skip(lineno, "id")
-            return None
-        ts = parse_timestamp(created_at, self.default_tz)
-        if ts is None:
-            self.stats._skip(lineno, "timestamp")
-            return None
-        if not isinstance(text, str):
-            self.stats._skip(lineno, "text")
-            return None
-        if rec_id in self._seen_ids:
-            self.stats._skip(lineno, "duplicate", rec_id)
-            return None
-        if self.date_from or self.date_to:
-            local = ts.date()
-            if (self.date_from and local < self.date_from) or \
-                    (self.date_to and local > self.date_to):
-                self.stats._skip(lineno, "out_of_range", local)
-                return None
-        self._seen_ids.add(rec_id)
-        if not isinstance(loc, str) or not loc.strip():
-            loc = None
-        return rec_id, ts, text, loc
-
-    def _read_jsonl(self, fh) -> Iterator[Record]:
+    def _read_jsonl(self, fh) -> Iterator[tuple]:
         for lineno, line in enumerate(fh, 1):
             self.stats.lines += 1
             stripped = line.strip()
@@ -232,12 +232,10 @@ class RecordReader:
                 self.stats._skip(lineno, "malformed", "not a JSON object")
                 continue
             get = raw.get
-            record = self._admit(lineno, get("id"), get("created_at"),
-                                 get("text"), get("user_location"))
-            if record is not None:
-                yield record
+            yield (lineno, get("id"), get("created_at"), get("text"),
+                   get("user_location"))
 
-    def _read_csv(self, fh) -> Iterator[Record]:
+    def _read_csv(self, fh) -> Iterator[tuple]:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -271,9 +269,7 @@ class RecordReader:
                 self.stats._skip(lineno, "malformed",
                                  f"expected {len(CSV_HEADER)} fields, got {len(row)}")
                 continue
-            record = self._admit(lineno, *row)
-            if record is not None:
-                yield record
+            yield lineno, *row
 
 
 def parse_tz_offset(text: str) -> timezone:

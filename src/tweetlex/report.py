@@ -141,6 +141,12 @@ class _Partial:
 #: works on the next chunk itself.
 _IN_FLIGHT = 2
 
+#: Finished chunk results the queue may hold behind an unfinished front
+#: before the main process, about to work on a chunk itself, first waits
+#: for the front: so a stalled helper holds back at most this many results
+#: (each a partial and its tag rows), not the rest of the corpus.
+_MAX_HELD = 16
+
 
 def _may_mention(text: str, at_handle: str) -> bool:
     """Whether ``text`` can mention ``at_handle`` ("@" plus a lowercase
@@ -263,7 +269,10 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     this process first receives the results that are ready, then sends the
     chunk to the helper with the fewest chunks in flight if that is fewer
     than _IN_FLIGHT, and otherwise works on the chunk itself; then it
-    merges the finished chunks at the front of the queue.
+    merges the finished chunks at the front of the queue.  Before working
+    on a chunk itself, it receives from the helper at the front, waiting
+    if need be, until fewer than _MAX_HELD finished results are queued
+    behind the front; chunks in flight do not count.
 
     The queue holds every chunk not yet merged, in chunk order: a finished
     chunk's result, or the index of the helper the chunk went to.  A
@@ -333,6 +342,11 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
                 send(h, chunk)
                 pending.append(h)
             else:
+                merge_ready()  # a result just received may be the front's
+                while sum(not isinstance(entry, int)
+                          for entry in pending) >= _MAX_HELD:
+                    receive(pending[0])
+                    merge_ready()
                 pending.append(_process_chunk(chunk, *state))
             merge_ready()
         while pending:

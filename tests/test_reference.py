@@ -7,6 +7,7 @@ tests assert exact agreement from token level up to full-run reports.
 """
 
 import ast
+import csv
 import datetime as dt
 import json
 import pickle
@@ -264,7 +265,8 @@ class TestFullRunDifferential:
 
 
 # After a generated corpus: an admitted id with an out-of-window twin, and
-# a null text.  The oracle runs below over 2017-07-02 to 2017-07-04.
+# a null text, which a CSV corpus cannot hold.  The oracle runs below over
+# 2017-07-02 to 2017-07-04.
 _FAULT_LINES = [
     {"id": "twin", "created_at": "2017-07-03T10:00:00+05:30", "text": "good"},
     {"id": "twin", "created_at": "2017-07-06T10:00:00+05:30", "text": "bad"},
@@ -272,15 +274,25 @@ _FAULT_LINES = [
 ]
 
 
-def _window_before_dedup(monkeypatch):
-    admit = RecordReader._admit
+def _mutate_fields(monkeypatch, mutant):
+    """Pass each line's fields from either format's field reader through
+    ``mutant(reader, lineno, id, created_at, text, location)``, which
+    returns the fields the admission loop sees, or None to drop them."""
+    for name in ("_read_jsonl", "_read_csv"):
+        def reading(self, fh, read=getattr(RecordReader, name)):
+            for fields in read(self, fh):
+                if (fields := mutant(self, *fields)) is not None:
+                    yield fields
+        monkeypatch.setattr(RecordReader, name, reading)
 
+
+def _window_before_dedup(monkeypatch):
     def mutant(self, lineno, rec_id, created_at, text, loc):
         ts = ingest.parse_timestamp(created_at, self.default_tz)
         if ts is None or self.date_from <= ts.date() <= self.date_to:
-            return admit(self, lineno, rec_id, created_at, text, loc)
+            return lineno, rec_id, created_at, text, loc
         self.stats._skip(lineno, "out_of_range", ts.date().isoformat())
-    monkeypatch.setattr(RecordReader, "_admit", mutant)
+    _mutate_fields(monkeypatch, mutant)
 
 
 def _date_to_off_by_one(monkeypatch):
@@ -293,26 +305,35 @@ def _date_to_off_by_one(monkeypatch):
 
 
 def _null_text_as_empty(monkeypatch):
-    admit = RecordReader._admit
-
     def mutant(self, lineno, rec_id, created_at, text, loc):
-        if text is None:
-            text = ""
-        return admit(self, lineno, rec_id, created_at, text, loc)
-    monkeypatch.setattr(RecordReader, "_admit", mutant)
+        return lineno, rec_id, created_at, "" if text is None else text, loc
+    _mutate_fields(monkeypatch, mutant)
 
 
-@pytest.mark.parametrize("mutate", [_window_before_dedup, _date_to_off_by_one,
-                                    _null_text_as_empty])
+@pytest.mark.parametrize("fmt, mutate", [
+    *(pytest.param("jsonl", mutate, id=mutate.__name__) for mutate
+      in (_window_before_dedup, _date_to_off_by_one, _null_text_as_empty)),
+    *(pytest.param("csv", mutate, id="csv" + mutate.__name__) for mutate
+      in (_window_before_dedup, _date_to_off_by_one)),
+])
 def test_oracle_catches_an_admission_fault(tmp_path, toy_lexicon_path,
-                                           monkeypatch, mutate):
+                                           monkeypatch, fmt, mutate):
     corpus = tmp_path / "corpus.jsonl"
     corpus_gen.write_random_corpus(corpus, 300, seed=5)
     with open(corpus, "a", encoding="utf-8") as fh:
         fh.writelines(json.dumps(raw) + "\n" for raw in _FAULT_LINES)
+    if fmt == "csv":
+        rows = [json.loads(line) for line in
+                corpus.read_text(encoding="utf-8").splitlines()]
+        corpus = tmp_path / "corpus.csv"
+        with open(corpus, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(ingest.CSV_HEADER)
+            writer.writerows([row.get(key) for key in ingest.CSV_HEADER]
+                             for row in rows if row["text"] is not None)
     config = AnalyzeConfig(
         input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
-        out_dir=str(tmp_path / "out"), oracle=True,
+        out_dir=str(tmp_path / "out"), fmt=fmt, oracle=True,
         date_from=dt.date(2017, 7, 2), date_to=dt.date(2017, 7, 4))
     assert run_analyze(config).summary["oracle_check"] == "ok"
     mutate(monkeypatch)

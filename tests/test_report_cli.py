@@ -431,11 +431,45 @@ _TWO_RUNS = """
 """
 
 
+#: Runs argv[1] with argv[2] into argv[3] with tag rows on two fork
+#: workers, the helper sleeping argv[4] seconds before its first chunk,
+#: then prints this process's peak resident memory in KiB (VmHWM, its own,
+#: as cross_python's _PEAK_CLI reads it).  Two usable CPUs are faked, so
+#: the helper starts on any host.
+_STALLED_HELPER = """
+    import multiprocessing, os, sys, time
+    from tweetlex import report
+
+    os.sched_getaffinity = lambda _pid: {0, 1}
+    report.multiprocessing = multiprocessing.get_context("fork")
+    work, process_chunk = report._work, report._process_chunk
+
+    def stalled(records, *state):
+        report._process_chunk = process_chunk
+        time.sleep(float(sys.argv[4]))
+        return process_chunk(records, *state)
+
+    def stalling(*args):
+        report._process_chunk = stalled  # in the forked helper only
+        work(*args)
+
+    report._work = stalling
+    report.run_analyze(report.AnalyzeConfig(
+        input_path=sys.argv[1], lexicon_path=sys.argv[2],
+        out_dir=sys.argv[3], emit_tags=os.path.join(sys.argv[3], "tags.jsonl"),
+        workers=2))
+    with open("/proc/self/status") as fh:
+        print(next(line.split()[1] for line in fh
+                   if line.startswith("VmHWM:")))
+"""
+
+
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="the faults are patched into forked workers")
 class TestWorkerProcesses:
-    """Worker processes never outlive a run, and a worker that fails ends
-    the run with an error instead of hanging it."""
+    """Worker processes never outlive a run, a worker that fails ends the
+    run with an error instead of hanging it, and one that stalls holds back
+    few results."""
 
     @pytest.fixture
     def six_chunks(self, tmp_path):
@@ -452,6 +486,30 @@ class TestWorkerProcesses:
         assert "exited with code 3" in error
         assert children == "0"
         assert not out.exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="each run reads its peak memory from /proc")
+    def test_a_stalled_helper_holds_back_few_results(
+            self, toy_lexicon_path, tmp_path):
+        # While the helper sleeps on chunk 0, the main process works on the
+        # later chunks itself.  Held behind chunk 0, the results of all 62
+        # raise the peak by about 12 MiB (0.2 MiB each); _MAX_HELD, 16 of
+        # them, take no more than the 4 MiB allowed here, and took under
+        # 0.5 MiB in 4 runs.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus_gen.write_random_corpus(corpus, 64 * report.CHUNK_SIZE,
+                                       seed=17)
+        peaks, trees = [], []
+        for stall in (0, 2):
+            out = tmp_path / f"stall{stall}"
+            proc = _run_script(_STALLED_HELPER, corpus, toy_lexicon_path,
+                               out, stall)
+            assert proc.returncode == 0, proc.stderr
+            peaks.append(int(proc.stdout) << 10)
+            trees.append(_read_tree(out))
+        assert trees[0] == trees[1]
+        assert peaks[1] <= peaks[0] + (4 << 20), (peaks[0] >> 10,
+                                                  peaks[1] >> 10)
 
     @pytest.mark.parametrize("fault",
                              [None, "worker", "main", "reader", "spill"])
@@ -1385,9 +1443,10 @@ class TestRegionsCsv:
                                               toy_lexicon_path,
                                               bundled_stopwords,
                                               bundled_gazetteer, workers):
-        # --oracle compares each region's tweet count; this recounts every
-        # row's label columns, the row order and cum_share of regions.csv
-        # with the reference cleaner, tagger and resolver.
+        # --oracle compares each region's sentiment, emotion and overall
+        # label counts, not the file; this recounts every row of
+        # regions.csv, its order, total rows and cum_share included, with
+        # the reference cleaner, tagger and resolver.
         corpus = tmp_path / "corpus.jsonl"
         corpus_gen.write_random_corpus(corpus, 2500, seed=29)
         out = tmp_path / "out"
