@@ -8,6 +8,7 @@ for the benchmark's run record; there is only this one.
 
 from __future__ import annotations
 
+import io
 import re
 
 # A character then two copies of it.  No pattern here repeats a
@@ -45,7 +46,9 @@ def tokenize(text: str, stopwords) -> list[str]:
     cheap gate; the token class is checked only from the first run it
     finds, as ``.`` matches every token character.  A letter or digit run
     keeps its first two characters, and the text resumes after its last;
-    no search keeps state per character, so memory stays linear in length.
+    no search keeps state per character, and the kept pieces go into one
+    growing buffer, not one string object each, so memory stays within a
+    small multiple of the text's length however many runs it holds.
 
     An ASCII text is lowercased and has every non-alphanumeric character
     turned into a space in one byte-table ``translate``, and is then split
@@ -65,13 +68,13 @@ def tokenize(text: str, stopwords) -> list[str]:
         text = text.lower()
     run = _REPEAT_RE.search(text)
     if run and (run := _TOKEN_REPEAT_RE.search(text, run.start())):
-        kept, end = [], 0
+        kept, end = io.StringIO(), 0
         while run:
-            kept.append(text[end:run.start() + 2])
+            kept.write(text[end:run.start() + 2])
             end = _RUN_END_RE.search(text, run.start() + 2).end()
             run = _TOKEN_REPEAT_RE.search(text, end)
-        kept.append(text[end:])
-        text = "".join(kept)
+        kept.write(text[end:])
+        text = kept.getvalue()
     tokens = text.split() if ascii_text else _TOKEN_RE.findall(text)
     return [tok for tok in tokens
             if len(tok) >= 3 and "http" not in tok and tok not in stopwords]

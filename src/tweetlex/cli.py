@@ -182,7 +182,7 @@ def _cmd_top(args) -> int:
         mentions.update(tweet_mentions)
         hashtags.update(tweet_hashtags)
     table = mentions if args.what == "mentions" else hashtags
-    for key, count in table.items_sorted()[:args.n]:
+    for key, count in table.rows(table.ranking()[:args.n]):
         print(f"{key},{count}")
     return 0
 

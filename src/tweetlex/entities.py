@@ -8,8 +8,7 @@ differently-cased spellings of one tag merge.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, Iterator
 
 
 class FrequencyTable:
@@ -39,11 +38,21 @@ class FrequencyTable:
     def distinct_keys(self) -> int:
         return len(self._counts)
 
-    def items_sorted(self) -> list[tuple[str, int]]:
-        """All entries, count descending, ties lexicographic ascending."""
+    def ranking(self) -> list[str]:
+        """Every key, count descending, ties lexicographic ascending: one
+        list of the keys, so a ranking holds no pair per key."""
         # Keys are distinct, so sorting on the key alone gives the order of
         # the whole pairs; the count sort is stable under reverse=True and
         # keeps that order in ties.
-        items = sorted(self._counts.items(), key=itemgetter(0))
-        items.sort(key=itemgetter(1), reverse=True)
-        return items
+        keys = sorted(self._counts)
+        keys.sort(key=self._counts.__getitem__, reverse=True)
+        return keys
+
+    def rows(self, keys: Iterable[str]) -> Iterator[tuple[str, int]]:
+        """(key, count) for each of ``keys`` in turn, made as it is read."""
+        counts = self._counts
+        return ((key, counts[key]) for key in keys)
+
+    def items_sorted(self) -> list[tuple[str, int]]:
+        """All entries as (key, count) pairs in ``ranking`` order."""
+        return list(self.rows(self.ranking()))

@@ -13,7 +13,11 @@ merge off its front.  A chunk carries each record's local day and hour as
 ints, not its datetime.  A chunk's result is its partial aggregate and,
 beside it, its per-tweet tag rows, which are not held: the main process
 appends them to an anonymous temporary file as it merges the chunk, and
-copies that file out with the others.  Given the same inputs and
+copies that file out with the others.  The helper code, the
+``multiprocessing`` package and what ``_work`` imports, is imported only
+when a run starts a helper, and ``tweetlex.reference`` only when a run
+checks itself against it (``oracle``): the module attribute
+``multiprocessing`` is None until then.  Given the same inputs and
 configuration, every output file is byte-identical run to run, whatever the
 worker count: chunk order is fixed by the corpus, results merge in chunk
 order, and all emission is sorted with "\n" line endings and a fixed JSON
@@ -28,13 +32,9 @@ from __future__ import annotations
 import errno
 import itertools
 import json
-import multiprocessing
 import os
-import pickle
-import queue
 import shutil
 import tempfile
-import threading
 from collections import deque
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -42,7 +42,6 @@ from datetime import date, timezone
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from . import reference
 from .entities import FrequencyTable
 from .errors import OracleMismatchError, TweetlexError
 from .ingest import IST, ReadStats, Record, RecordReader
@@ -141,6 +140,12 @@ class _Partial:
 #: works on the next chunk itself.
 _IN_FLIGHT = 2
 
+#: The module ``_run_chunks`` makes helper processes and pipes through:
+#: None until a run first starts a helper, which then imports
+#: ``multiprocessing`` here, so a run that starts none never loads it.  A
+#: caller may put a start-method context here.
+multiprocessing = None
+
 #: Finished chunk results the queue may hold behind an unfinished front
 #: before the main process, about to work on a chunk itself, first waits
 #: for the front: so a stalled helper holds back at most this many results
@@ -228,6 +233,10 @@ def _work(conn, main_end, state: tuple) -> None:
     ends at once: the main thread sending the chunk, this process sending
     the result that the main thread is yet to read.
     """
+    import pickle
+    import queue
+    import threading
+
     main_end.close()
     results: queue.SimpleQueue = queue.SimpleQueue()
 
@@ -283,9 +292,13 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
 
     Helper processes and pipes are made only through the module attribute
     ``multiprocessing``, so a caller may put a start-method context there.
-    Every helper is stopped and joined before this returns or raises; a
-    helper's exception is raised again here as itself.
+    While it is None, as on import, the first call that will start a
+    helper imports the ``multiprocessing`` package into it; a call that
+    starts none leaves it None.  Every helper is stopped and joined before
+    this returns or raises; a helper's exception is raised again here as
+    itself.
     """
+    global multiprocessing
     total = _Partial()
     pending: deque = deque()  # (part, tag rows) or a helper index per chunk
     procs, conns = [], []  # per helper: its process and this end of its pipe
@@ -324,8 +337,11 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     # Processes beyond the CPUs this one may run on only add start-up cost.
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
+    helpers = min(workers, cpus) - 1
+    if helpers and multiprocessing is None:
+        import multiprocessing
     try:
-        for _ in range(min(workers, cpus) - 1):
+        for _ in range(helpers):
             conn, child = multiprocessing.Pipe()
             conns.append(conn)
             with child:
@@ -376,13 +392,14 @@ class RunResult:
     written: list[Path]
 
 
-def _entity_summary(table: FrequencyTable) -> tuple[dict, list, dict]:
-    """A mention or hashtag table's summary figures, ranking and top 40."""
-    ranked = table.items_sorted()
-    top = dict(ranked[:WORDCLOUD_TOP_N])
+def _entity_summary(table: FrequencyTable) -> tuple[dict, Iterator, dict]:
+    """A mention or hashtag table's summary figures, its ranked (key,
+    count) rows, each made only as it is read, and its top 40."""
+    ranking = table.ranking()
+    top = dict(table.rows(ranking[:WORDCLOUD_TOP_N]))
     return {"distinct": table.distinct_keys,
             "total_occurrences": table.total_occurrences,
-            "top40_subtotal": sum(top.values())}, ranked, top
+            "top40_subtotal": sum(top.values())}, table.rows(ranking), top
 
 
 def _region_table(regions: RegionAggregate) -> list[tuple[str, list[int]]]:
@@ -526,6 +543,8 @@ def _check_oracle(config: AnalyzeConfig, stats: ReadStats, summary: dict,
     over the input, so run_analyze admits an oracle run only on a file
     input.
     """
+    from . import reference
+
     ref = reference.run_reference(
         config.input_path, config.fmt, config.lexicon_path,
         stopwords=stopwords, gazetteer=rules, default_tz=config.default_tz,

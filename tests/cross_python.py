@@ -235,15 +235,17 @@ def long_line_problems(python, tmp: Path) -> list[str]:
     """The one-line corpora whose analyze run peaks more than
     ``PEAK_PER_LINE_BYTE`` times the line's size in bytes above a one-line
     run of a short tweet. Their lines hold a text with a run of
-    ``LONG_RUN`` ``y``s, a text with a run of ``LONG_RUN`` spaces, and a
-    location of 1 Mi random CJK letters. Empty where there is no
-    ``/proc/self/status`` to read the peak from."""
+    ``LONG_RUN`` ``y``s, a text of ``LONG_RUN`` characters in short runs
+    (``yyyz`` repeated, each ``yyy`` shortened), a text with a run of
+    ``LONG_RUN`` spaces, and a location of 1 Mi random CJK letters. Empty
+    where there is no ``/proc/self/status`` to read the peak from."""
     if not Path("/proc/self/status").exists():
         return []
     rng = random.Random(10)
     cjk = "".join(map(chr, rng.choices(range(0x4E00, 0xA000), k=1 << 20)))
     lines = {"baseline": _tweet("good day gst"),
              "letter run": _tweet("good " + "y" * LONG_RUN),
+             "short runs": _tweet("good " + "yyyz" * (LONG_RUN // 4)),
              "space run": _tweet("good" + " " * LONG_RUN + "day"),
              "CJK location": _tweet("good day", cjk)}
     peaks = {}

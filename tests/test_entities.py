@@ -2,9 +2,11 @@
 run: ordering, merging, case folding, sub-corpus membership."""
 
 import json
+import tracemalloc
 
 from hypothesis import given, strategies as st
 
+from tweetlex import report
 from tweetlex.entities import FrequencyTable
 from tweetlex.report import AnalyzeConfig, run_analyze, run_subcorpus
 
@@ -63,6 +65,31 @@ class TestFrequencyTable:
         right.update(keys[cut:])
         assert left.merge(right).items_sorted() == whole.items_sorted()
         assert whole.total_occurrences == len(keys)
+
+    def test_ranking_and_writing_hold_few_bytes_per_key(self, tmp_path):
+        # The mentions.csv and wordcloud path of a run: a ranking of the
+        # keys alone, (key, count) rows made one at a time.  A list of
+        # (key, count) pairs would take about 80 bytes per key.
+        keys = [f"user{i:06d}" for i in range(150_000)]
+        table = FrequencyTable()
+        table.update(key for i, key in enumerate(keys)
+                     for _ in range(i % 7 + 1))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            summary, rows, top = report._entity_summary(table)
+            name, writer, data = report._csv_table(
+                "mentions.csv", ("key", "count"), rows)
+            writer(tmp_path / name, data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - before) / len(keys) < 32
+        lines = (tmp_path / name).read_text("utf-8").splitlines()
+        assert len(lines) == 1 + len(keys)
+        assert lines[1:3] == ["user000006,7", "user000013,7"]
+        assert list(top.items())[:2] == [("user000006", 7), ("user000013", 7)]
+        assert summary["top40_subtotal"] == 40 * 7
 
 
 class TestEntityCounting:

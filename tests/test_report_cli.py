@@ -674,6 +674,59 @@ class TestHelperLoop:
         assert inherited.closed
 
 
+#: Runs argv[1] (corpus) with argv[2] (lexicon) into argv[3] as a one-worker
+#: analyze, a subcorpus run on argv[4] and ``tweetlex top``, then as an
+#: oracle run, then on two workers, and prints as JSON which of
+#: ``multiprocessing`` and ``tweetlex.reference`` are loaded after each
+#: step, and whether the two-worker files equal the one-worker ones.  Two
+#: usable CPUs are faked, so the helper starts on any host.
+_LOADED_MODULES = """
+    import contextlib, io, json, os, sys
+    from pathlib import Path
+    from tweetlex import report
+    from tweetlex.cli import main
+
+    os.sched_getaffinity = lambda _pid: {0, 1}
+    corpus, lexicon, out, handle = sys.argv[1:]
+
+    def run(name, entry=report.run_analyze, **fields):
+        entry(report.AnalyzeConfig(
+            input_path=corpus, lexicon_path=lexicon, out_dir=f"{out}/{name}",
+            emit_tags=f"{out}/{name}/tags.jsonl", **fields))
+        return {p.name: p.read_text("utf-8")
+                for p in Path(out, name).iterdir()}
+
+    def loaded():
+        return [name for name in ("multiprocessing", "tweetlex.reference")
+                if name in sys.modules]
+
+    one = run("w1")
+    run("sub", report.run_subcorpus, mention=handle)
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["top", "--what", "mentions", "--input", corpus])
+    steps = {"one worker": loaded()}
+    run("oracle", oracle=True)
+    steps["oracle"] = loaded()
+    two = run("w2", workers=2)
+    steps["two workers"] = loaded()
+    print(json.dumps({"steps": steps, "same files": one == two}))
+"""
+
+
+class TestLoadedModules:
+    def test_helper_and_oracle_code_load_only_when_used(self, tmp_path):
+        proc = _run_script(_LOADED_MODULES, GOLDEN / "corpus.jsonl",
+                           GOLDEN / "lexicon.tsv", tmp_path, "gst_council")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["steps"] == {
+            "one worker": [],
+            "oracle": ["tweetlex.reference"],
+            "two workers": ["multiprocessing", "tweetlex.reference"],
+        }
+        assert result["same files"]
+
+
 class TestWindowFlags:
     def test_from_to_equal_config_window(self, corpus, toy_lexicon_path,
                                           tmp_path, capsys):
