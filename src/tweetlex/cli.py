@@ -176,12 +176,12 @@ def _cmd_top(args) -> int:
     reader = RecordReader(args.input, args.format,
                           default_tz=args.default_tz,
                           date_from=args.date_from, date_to=args.date_to)
-    mentions, hashtags = FrequencyTable(), FrequencyTable()
+    # strip_entities returns (rest, mentions, hashtags); only the printed
+    # table is counted.
+    entity = 1 if args.what == "mentions" else 2
+    table = FrequencyTable()
     for _id, _timestamp, text, _location in reader:
-        _rest, tweet_mentions, tweet_hashtags = strip_entities(text)
-        mentions.update(tweet_mentions)
-        hashtags.update(tweet_hashtags)
-    table = mentions if args.what == "mentions" else hashtags
+        table.update(strip_entities(text)[entity])
     for key, count in table.rows(table.ranking()[:args.n]):
         print(f"{key},{count}")
     return 0

@@ -19,7 +19,6 @@ import json
 import re
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterator
 
@@ -37,6 +36,10 @@ _MAX_DIAGNOSTICS = 1000
 
 _BAD_BYTES = "invalid UTF-8 byte"
 
+#: Hash buckets of the packed admitted-id set (see ``RecordReader``); a
+#: power of two, so ``hash(id) & (_ID_BUCKETS - 1)`` picks one.
+_ID_BUCKETS = 4096
+
 #: The C scanner behind ``json.loads``, called directly by ``_decode``.
 _scan_once = json.JSONDecoder().scan_once
 
@@ -45,14 +48,14 @@ _scan_once = json.JSONDecoder().scan_once
 Record = tuple[str, datetime, str, str | None]
 
 
-@dataclass
 class ReadStats:
     """Accounting for one read pass: lines == admitted records + total
     skipped.  The first 1,000 rejections keep their diagnostics."""
 
-    lines: int = 0
-    skipped: Counter = field(default_factory=Counter)
-    diagnostics: list[tuple[int, str, str]] = field(default_factory=list)
+    def __init__(self) -> None:
+        self.lines = 0
+        self.skipped: Counter = Counter()
+        self.diagnostics: list[tuple[int, str, str]] = []
 
     @property
     def skipped_total(self) -> int:
@@ -135,6 +138,15 @@ class RecordReader:
     for a line that passes every check; a blank or non-string
     ``user_location`` becomes None.
 
+    The seen-set is packed: one string per hash bucket, ``_ID_BUCKETS`` of
+    them, holding a NUL character and then each of its ids followed by a
+    NUL, so an id costs its length plus one character, not a string object
+    and a set slot.  An id is seen when it occurs between two NULs in its
+    bucket, which is exact for ids without NUL; the rare id that holds one
+    (JSON ``\\u0000``) goes to a plain set instead.  Membership is exact
+    either way, so the bucket an id lands in, which follows the process's
+    hash seed, changes no result.
+
     Every timestamp is converted to ``default_tz`` (naive ones are taken to
     be in it), and the optional [date_from, date_to] window is evaluated on
     that local date (both ends inclusive).  A window that ends before it
@@ -158,7 +170,9 @@ class RecordReader:
         self.date_from = date_from
         self.date_to = date_to
         self.stats = ReadStats()
-        self._seen_ids: set[str] = set()
+        # An empty bucket is "\0" too: no id without NUL occurs in it.
+        self._id_buckets = ["\0"] * _ID_BUCKETS
+        self._nul_ids: set[str] = set()
 
     def __iter__(self) -> Iterator[Record]:
         # utf-8-sig drops a leading byte-order mark, so line 1 of a BOM'd
@@ -168,7 +182,9 @@ class RecordReader:
         # Stdin is decoded exactly as a file, whatever the locale or
         # PYTHONIOENCODING, and detached afterwards so sys.stdin stays open.
         fields = self._read_jsonl if self.format == "jsonl" else self._read_csv
-        skip, seen, tz = self.stats._skip, self._seen_ids, self.default_tz
+        skip, tz = self.stats._skip, self.default_tz
+        buckets, nul_ids = self._id_buckets, self._nul_ids
+        mask = len(buckets) - 1
         date_from, date_to = self.date_from, self.date_to
         if self.source == "-":
             fh = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig",
@@ -189,7 +205,16 @@ class RecordReader:
                 if not isinstance(text, str):
                     skip(lineno, "text")
                     continue
-                if rec_id in seen:
+                if "\0" not in rec_id:
+                    b = hash(rec_id) & mask
+                    packed = buckets[b]
+                    # The plain test allocates nothing and rules out most
+                    # new ids; the delimited one makes the answer exact.
+                    seen = rec_id in packed and f"\0{rec_id}\0" in packed
+                else:
+                    packed = None
+                    seen = rec_id in nul_ids
+                if seen:
                     skip(lineno, "duplicate", rec_id)
                     continue
                 if date_from or date_to:
@@ -198,7 +223,10 @@ class RecordReader:
                             (date_to and local > date_to):
                         skip(lineno, "out_of_range", local)
                         continue
-                seen.add(rec_id)
+                if packed is None:
+                    nul_ids.add(rec_id)
+                else:
+                    buckets[b] = f"{packed}{rec_id}\0"
                 if not isinstance(loc, str) or not loc.strip():
                     loc = None
                 yield rec_id, ts, text, loc

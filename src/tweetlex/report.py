@@ -37,10 +37,9 @@ import shutil
 import tempfile
 from collections import deque
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from datetime import date, timezone
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
 from .entities import FrequencyTable
 from .errors import OracleMismatchError, TweetlexError
@@ -84,9 +83,9 @@ _TAG_TIED = (', "tied": false}\n', ', "tied": true}\n')
 _REGION_COLS = SENTIMENT_LABELS + EMOTION_LABELS[:EMOTION_NEUTRAL]
 
 
-@dataclass
-class AnalyzeConfig:
-    """Everything one run needs; paths may be str or Path."""
+class AnalyzeConfig(NamedTuple):
+    """Everything one run needs; paths may be str or Path.  A named tuple:
+    ``config._replace(workers=2)`` makes a changed copy."""
 
     input_path: str
     lexicon_path: str
@@ -105,21 +104,21 @@ class AnalyzeConfig:
     mention: str | None = None
 
 
-@dataclass
 class _Partial:
     """Mergeable aggregates of one chunk of records, or of every chunk
     merged so far: only what ``merge`` adds.  A chunk's tag rows travel
     beside its partial (see ``_process_chunk``)."""
 
-    day: DayBuckets = field(default_factory=DayBuckets)
-    hours: HourBuckets = field(default_factory=HourBuckets)
-    mentions: FrequencyTable = field(default_factory=FrequencyTable)
-    hashtags: FrequencyTable = field(default_factory=FrequencyTable)
-    regions: RegionAggregate = field(default_factory=RegionAggregate)
-    matched: int = 0
-    blanks: int = 0
-    ties: int = 0
-    non_latin: int = 0
+    def __init__(self) -> None:
+        self.day = DayBuckets()
+        self.hours = HourBuckets()
+        self.mentions = FrequencyTable()
+        self.hashtags = FrequencyTable()
+        self.regions = RegionAggregate()
+        self.matched = 0
+        self.blanks = 0
+        self.ties = 0
+        self.non_latin = 0
 
     def merge(self, other: "_Partial") -> "_Partial":
         self.day.merge(other.day)
@@ -215,6 +214,7 @@ def _iter_chunks(records: Iterable[Record]) -> Iterator[list[tuple]]:
                     for rec_id, when, text, location
                     in itertools.islice(records, CHUNK_SIZE)]:
         yield chunk
+        del chunk  # so the next chunk is read with this one freed
 
 
 def _work(conn, main_end, state: tuple) -> None:
@@ -365,6 +365,7 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
                     merge_ready()
                 pending.append(_process_chunk(chunk, *state))
             merge_ready()
+            del chunk  # so the next chunk is read with this one freed
         while pending:
             receive(pending[0])
             merge_ready()
@@ -382,8 +383,7 @@ def _run_chunks(reader: RecordReader, state: tuple, workers: int,
     return total
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     """In-memory view of a finished run, for callers and tests."""
 
     summary: dict

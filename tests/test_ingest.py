@@ -4,10 +4,14 @@ import csv
 import datetime as dt
 import io
 import json
+import tracemalloc
+from collections import deque
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tweetlex import ingest
 from tweetlex.errors import CorpusFormatError, TweetlexError
 from tweetlex.ingest import (
     CSV_HEADER,
@@ -533,6 +537,57 @@ def test_reader_equals_plain_reference(corpus_dir, fmt, data, window):
     assert reader.stats.lines == tally.lines
     assert reader.stats.skipped == tally.skipped
     assert reader.stats.diagnostics == tally.diagnostics
+
+
+# Ids that occur inside one another, as prefixes, suffixes and middles, and
+# ids that hold NUL, so one bucket holding all of them must still tell
+# them apart.
+_NESTED_IDS = st.sampled_from(["1", "11", "111", "b1", "b10", "10", "01",
+                               "1b", "\0", "1\0", "\0" "1", "1\0" "1",
+                               "\0\0"])
+
+
+@st.composite
+def _nested_id_line(draw):
+    return json.dumps({"id": draw(_NESTED_IDS), "created_at": draw(_STAMPS),
+                       "text": "t", "user_location": draw(_LOCATIONS)})
+
+
+@pytest.mark.parametrize("buckets", [1, ingest._ID_BUCKETS])
+@settings(max_examples=150, deadline=None)
+@given(lines=st.lists(_nested_id_line(), max_size=20),
+       window=st.sampled_from(_WINDOWS))
+def test_packed_ids_equal_plain_set(corpus_dir, buckets, lines, window):
+    path = corpus_dir / "nested.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    date_from, date_to = window
+    with mock.patch.object(ingest, "_ID_BUCKETS", buckets):
+        reader = RecordReader(path, "jsonl", date_from=date_from,
+                              date_to=date_to)
+    tally = ReadTally()
+    assert _ids(reader) == _ids(naive_read(path, "jsonl", tally,
+                                           date_from=date_from,
+                                           date_to=date_to))
+    assert reader.stats.lines == tally.lines
+    assert reader.stats.skipped == tally.skipped
+    assert reader.stats.diagnostics == tally.diagnostics
+
+
+def test_admitted_ids_hold_few_bytes_each(tmp_path):
+    n = 100_000
+    path = _jsonl(tmp_path, [
+        '{"id": "%018d", "created_at": "2017-07-01T10:00:00", "text": ""}'
+        % (10**17 + i * 7919) for i in range(n)])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reader = RecordReader(path, "jsonl")
+        deque(reader, maxlen=0)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert reader.stats.lines == n and not reader.stats.skipped
+    assert held / n < 32
 
 
 class TestRejectionDiagnostics:

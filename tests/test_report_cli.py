@@ -713,6 +713,34 @@ _LOADED_MODULES = """
 """
 
 
+#: Runs a one-worker analyze, a subcorpus run on argv[4] and ``top`` on
+#: argv[1] (corpus) with argv[2] (lexicon) into argv[3] through the CLI,
+#: and prints which of ``dataclasses`` and the ``inspect`` it pulls in
+#: loaded.  From Python 3.12, ``importlib.resources``, which finds the
+#: bundled data files, imports ``inspect`` itself; the script says whether
+#: it did.
+_NO_DATACLASSES = """
+    import contextlib, io, json, sys
+    import importlib.resources
+    stdlib_inspect = "inspect" in sys.modules
+    from tweetlex.cli import main
+
+    corpus, lexicon, out, handle = sys.argv[1:]
+    common = ["--input", corpus, "--lexicon", lexicon, "--threads", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        codes = [
+            main(["analyze", *common, "--out", f"{out}/w1",
+                  "--emit-tags", "tags.jsonl"]),
+            main(["subcorpus", *common, "--out", f"{out}/sub",
+                  "--mention", handle]),
+            main(["top", "--what", "hashtags", "--input", corpus])]
+    print(json.dumps({"codes": codes, "stdlib inspect": stdlib_inspect,
+                      "loaded": [name for name in ("dataclasses", "inspect")
+                                 if name in sys.modules]}))
+"""
+
+
 class TestLoadedModules:
     def test_helper_and_oracle_code_load_only_when_used(self, tmp_path):
         proc = _run_script(_LOADED_MODULES, GOLDEN / "corpus.jsonl",
@@ -725,6 +753,15 @@ class TestLoadedModules:
             "two workers": ["multiprocessing", "tweetlex.reference"],
         }
         assert result["same files"]
+
+    def test_runs_load_no_dataclasses(self, tmp_path):
+        proc = _run_script(_NO_DATACLASSES, GOLDEN / "corpus.jsonl",
+                           GOLDEN / "lexicon.tsv", tmp_path, "gst_council")
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout)
+        assert result["codes"] == [0, 0, 0]
+        assert result["loaded"] == (["inspect"] if result["stdlib inspect"]
+                                    else [])
 
 
 class TestWindowFlags:
