@@ -14,7 +14,8 @@ class LexiconError(TweetlexError):
 
 
 class GazetteerError(TweetlexError):
-    """Malformed gazetteer file (unknown region, bad priority)."""
+    """Malformed gazetteer file (a reserved or unwritable region name, a bad
+    priority)."""
 
 
 class CorpusFormatError(TweetlexError):

@@ -27,7 +27,7 @@ lexicon, and runs report a tally of them so the data loss is visible.
 from __future__ import annotations
 
 import re
-from importlib import resources
+from pathlib import Path
 from typing import NamedTuple
 
 from . import _kernels
@@ -108,6 +108,6 @@ def load_stopwords(path) -> frozenset[str]:
     return frozenset(words)
 
 
-def default_stopwords_path():
+def default_stopwords_path() -> Path:
     """Path to the English stopword list shipped with the package."""
-    return resources.files("tweetlex.data") / "stopwords_en.txt"
+    return Path(__file__).with_name("data") / "stopwords_en.txt"

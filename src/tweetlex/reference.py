@@ -28,7 +28,7 @@ from datetime import date, datetime, timezone
 
 from .errors import CorpusFormatError
 from .ingest import CSV_HEADER, IST
-from .spatial import FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN, Rules
+from .spatial import FOREIGN, INDIA_UNSPECIFIED, UNKNOWN, Rules
 
 SENTIMENT_ORDER = ("positive", "negative")
 EMOTION_ORDER = ("joy", "trust", "anticipation", "surprise",
@@ -447,8 +447,8 @@ def run_reference(input_path, fmt: str, lexicon_path, *,
         summary["locations"] = {
             "located": sum(region_tweets.values()),
             "unknown": unknown_locs,
-            "india_total": sum(region_tweets.get(r, 0) for r in
-                               (*INDIAN_REGIONS, INDIA_UNSPECIFIED)),
+            "india_total": sum(tweets for region, tweets in
+                               region_tweets.items() if region != FOREIGN),
             "foreign": region_tweets.get(FOREIGN, 0),
         }
     return {"summary": summary, "daily": daily, "hourly": hourly,

@@ -47,7 +47,7 @@ from .ingest import IST, ReadStats, Record, RecordReader
 from .lexicon import Category, load_lexicon
 from .preprocess import (default_stopwords_path, is_mention_key,
                          load_stopwords, preprocess)
-from .spatial import (FOREIGN, INDIA_UNSPECIFIED, INDIAN_REGIONS, UNKNOWN,
+from .spatial import (FOREIGN, INDIA_TOTAL, INDIA_UNSPECIFIED, TOTAL, UNKNOWN,
                       RegionAggregate, Rules, default_gazetteer_path,
                       load_gazetteer, resolve_location)
 from .tagger import (EMOTION_LABELS, EMOTION_NEUTRAL, NEUTRAL, OVERALL_LABELS,
@@ -402,18 +402,20 @@ def _entity_summary(table: FrequencyTable) -> tuple[dict, Iterator, dict]:
             "top40_subtotal": sum(top.values())}, table.rows(ranking), top
 
 
-def _region_table(regions: RegionAggregate) -> list[tuple[str, list[int]]]:
+def _region_table(regions: RegionAggregate,
+                  names: frozenset[str]) -> list[tuple[str, list[int]]]:
     """regions.csv's (name, label row) pairs in file order: every Indian
-    region (tweet count desc, then name), INDIA_UNSPECIFIED, then the
-    INDIA_TOTAL, FOREIGN and TOTAL rows."""
+    region the gazetteer names, ``Rules.regions``, zero rows included
+    (tweet count desc, then name by code point), INDIA_UNSPECIFIED, then
+    the INDIA_TOTAL, FOREIGN and TOTAL rows."""
     rows, empty = regions.rows, [0] * len(DAY_ROW)
-    india = sorted(((name, rows.get(name, empty)) for name in INDIAN_REGIONS),
+    india = sorted(((name, rows.get(name, empty)) for name in names),
                    key=lambda item: (-row_tweets(item[1]), item[0]))
     india.append((INDIA_UNSPECIFIED, rows.get(INDIA_UNSPECIFIED, empty)))
     india_total = sum_rows(row for _name, row in india)
     foreign = rows.get(FOREIGN, empty)
-    return india + [("INDIA_TOTAL", india_total), (FOREIGN, foreign),
-                    ("TOTAL", sum_rows([india_total, foreign]))]
+    return india + [(INDIA_TOTAL, india_total), (FOREIGN, foreign),
+                    (TOTAL, sum_rows([india_total, foreign]))]
 
 
 def _region_rows(table: list[tuple[str, list[int]]]) -> Iterator[tuple]:
@@ -424,7 +426,7 @@ def _region_rows(table: list[tuple[str, list[int]]]) -> Iterator[tuple]:
     grand, running = row_tweets(table[-1][1]), 0
     for name, row in table if grand else ():
         tweets = row_tweets(row)
-        if name in ("INDIA_TOTAL", "TOTAL"):
+        if name in (INDIA_TOTAL, TOTAL):
             share = tweets
         else:
             running += tweets
@@ -447,7 +449,8 @@ def _csv_table(name: str, header: tuple, rows: Iterable[tuple]) -> tuple:
 
 
 def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
-             masks: dict, spill: BinaryIO | None) -> tuple[dict, list]:
+             masks: dict, spill: BinaryIO | None,
+             rules: Rules) -> tuple[dict, list]:
     """The summary.json dict, and every file the run writes as (path,
     writer, data) triples in write order: the daily table, the other six
     tables unless on a subcorpus run, the tags file with emit_tags (a
@@ -476,7 +479,7 @@ def _outputs(config: AnalyzeConfig, stats: ReadStats, part: _Partial,
     else:
         mention_summary, mentions, mention_top = _entity_summary(part.mentions)
         hashtag_summary, hashtags, hashtag_top = _entity_summary(part.hashtags)
-        regions = _region_table(part.regions)
+        regions = _region_table(part.regions, rules.regions)
         india_total, foreign, located = (row_tweets(row)
                                          for _name, row in regions[-3:])
         summary = {
@@ -647,7 +650,8 @@ def _check_outputs(config: AnalyzeConfig) -> None:
             raise NotADirectoryError(errno.ENOTDIR,
                                      os.strerror(errno.ENOTDIR), str(path))
     resolved_out = out_dir.resolve()
-    _summary, outputs = _outputs(config, ReadStats(), _Partial(), {}, None)
+    _summary, outputs = _outputs(config, ReadStats(), _Partial(), {}, None,
+                                 Rules(()))
     seen = set()
     for path, _writer, _data in outputs:
         resolved = path.resolve()
@@ -694,7 +698,8 @@ def run_analyze(config: AnalyzeConfig) -> RunResult:
     with (tempfile.TemporaryFile() if config.emit_tags is not None
           else nullcontext()) as spill:
         part = _run_chunks(reader, state, config.workers, spill)
-        summary, outputs = _outputs(config, reader.stats, part, masks, spill)
+        summary, outputs = _outputs(config, reader.stats, part, masks, spill,
+                                    rules)
         if config.oracle:
             _check_oracle(config, reader.stats, summary, part,
                           stopwords, rules)

@@ -2,21 +2,22 @@
 aggregation in the label rows of ``temporal``.
 
 The gazetteer is data, not code: case-insensitive substring rules mapping
-location strings to a fixed region registry (Indian states/UT groupings
-plus the FOREIGN and INDIA_UNSPECIFIED buckets).  ``load_gazetteer``
-returns them as a tuple of ``(pattern, region)`` pairs, sorted by priority
-ascending then file order, and rules are applied first-match in that
-order, so specific patterns ("new delhi") can shadow general ones
-("delhi").  A string matching no rule falls back to INDIA_UNSPECIFIED when
-it contains "india", else UNKNOWN.  The tuple is a ``Rules``, which also
-indexes the rules by their patterns' first three characters, so a location
-is tested only against the rules whose prefix it contains.
+location strings to regions.  ``load_gazetteer`` returns the rules as a
+tuple of ``(pattern, region)`` pairs, sorted by priority ascending then
+file order, and rules are applied first-match in that order, so specific
+patterns ("new delhi") can shadow general ones ("delhi").  A string
+matching no rule falls back to INDIA_UNSPECIFIED when it contains "india",
+else UNKNOWN.  The tuple is a ``Rules``, which also indexes the rules by
+their patterns' first three characters, so a location is tested only
+against the rules whose prefix it contains, and holds the Indian regions
+the rules name: every region but the FOREIGN and INDIA_UNSPECIFIED
+buckets.  The bundled gazetteer names 23 states and state groups.
 """
 
 from __future__ import annotations
 
 import csv
-from importlib import resources
+from pathlib import Path
 
 from .errors import GazetteerError
 from .tagger import Tag
@@ -26,34 +27,9 @@ UNKNOWN = "UNKNOWN"
 INDIA_UNSPECIFIED = "INDIA_UNSPECIFIED"
 FOREIGN = "FOREIGN"
 
-#: Indian states/UT groupings the shipped gazetteer resolves to.
-INDIAN_REGIONS = (
-    "Andhra Pradesh",
-    "Assam",
-    "Bihar",
-    "Chhattisgarh",
-    "Delhi-NCR",
-    "Goa",
-    "Gujarat",
-    "Haryana",
-    "Himachal Pradesh",
-    "Jammu & Kashmir",
-    "Jharkhand",
-    "Karnataka",
-    "Kerala",
-    "Madhya Pradesh",
-    "Maharashtra",
-    "Orissa",
-    "Punjab",
-    "Rajasthan",
-    "Tamil Nadu",
-    "Telangana",
-    "Uttar Pradesh",
-    "Uttarakhand",
-    "West Bengal",
-)
-
-REGIONS = frozenset(INDIAN_REGIONS) | {INDIA_UNSPECIFIED, FOREIGN}
+#: regions.csv's total rows; with UNKNOWN, names no gazetteer rule may use.
+INDIA_TOTAL = "INDIA_TOTAL"
+TOTAL = "TOTAL"
 
 
 class Rules(tuple):
@@ -62,7 +38,9 @@ class Rules(tuple):
     ``by_prefix`` maps the first three characters of each pattern, as a
     3-tuple, to the ascending positions of the rules with that prefix;
     ``short`` holds the positions of patterns shorter than three characters,
-    which every location is tested against.
+    which every location is tested against.  ``regions`` is the set of
+    Indian regions the rules name: every region but FOREIGN and
+    INDIA_UNSPECIFIED.
     """
 
     def __new__(cls, pairs):
@@ -75,6 +53,8 @@ class Rules(tuple):
             else:
                 self.by_prefix.setdefault(tuple(pattern[:3]), []).append(i)
         self.short = tuple(short)
+        self.regions = frozenset(region for _pattern, region in self) - {
+            FOREIGN, INDIA_UNSPECIFIED}
         return self
 
 
@@ -84,9 +64,12 @@ def load_gazetteer(path) -> Rules:
     sorted by priority, then file order.
 
     Patterns are normalized like location strings (lowercase, trimmed,
-    whitespace collapsed).  Unknown region names, non-integer priorities, a
-    NUL character and any line the ``csv`` module cannot parse (such as a
-    field past ``csv.field_size_limit()``) are fatal, with the line number.
+    whitespace collapsed), region names trimmed.  A region name that cannot
+    be a regions.csv row (empty, UNKNOWN, INDIA_TOTAL, TOTAL, or holding
+    ``,`` or ``"``, which ``report.write_csv`` does not quote), a
+    non-integer priority, a NUL character and any line the ``csv`` module
+    cannot parse (such as a field past ``csv.field_size_limit()``) are
+    fatal, with the line number.
     """
     try:
         with open(path, encoding="utf-8-sig") as fh:
@@ -111,9 +94,11 @@ def load_gazetteer(path) -> Rules:
         region = fields[1].strip()
         if not pattern:
             raise GazetteerError(f"{path}: line {lineno}: empty pattern")
-        if region not in REGIONS:
+        if (region in ("", UNKNOWN, INDIA_TOTAL, TOTAL) or "," in region
+                or '"' in region):
             raise GazetteerError(
-                f"{path}: line {lineno}: unknown region {region!r}")
+                f"{path}: line {lineno}: region {region!r} is empty, "
+                f"reserved or holds ',' or '\"'")
         try:
             priority = int(fields[2].strip())
         except ValueError:
@@ -125,9 +110,9 @@ def load_gazetteer(path) -> Rules:
     return Rules((pattern, region) for _p, _o, pattern, region in rows)
 
 
-def default_gazetteer_path():
+def default_gazetteer_path() -> Path:
     """Path to the India-focused gazetteer shipped with the package."""
-    return resources.files("tweetlex.data") / "gazetteer_in.csv"
+    return Path(__file__).with_name("data") / "gazetteer_in.csv"
 
 
 def resolve_location(raw: str | None, rules: Rules) -> str:

@@ -15,7 +15,8 @@ names line 2 and no traceback. Then it writes a random corpus of
 ``MULTI_CHUNK_LINES`` lines with ``corpus_gen`` and requires byte-identical
 files from ``--threads 1`` and ``--threads 2`` with two usable CPUs faked,
 so that a helper process takes chunks beside the main process under
-PYTHON's default start method.
+PYTHON's default start method. It requires a one-worker golden run to load
+neither ``dataclasses`` nor ``inspect`` (``loaded_module_problems``).
 Last, where ``/proc`` exists, it runs one-line corpora whose line is a few
 MiB long and requires each run's peak memory to stay within a small
 multiple of its line's size (``long_line_problems``). Neither this script
@@ -100,6 +101,16 @@ code = main(sys.argv[1:])
 with open("/proc/self/status") as fh:
     print(code, next(line.split()[1] for line in fh
                      if line.startswith("VmHWM:")))
+"""
+
+#: Runs the CLI with argv[1:], then prints its exit code and which of
+#: ``dataclasses`` and ``inspect`` the run loaded. No run needs either.
+_LOADED_CLI = """
+import sys
+from tweetlex.cli import main
+code = main(sys.argv[1:])
+print(code, *[name for name in ("dataclasses", "inspect")
+              if name in sys.modules])
 """
 
 #: The CLI with two usable CPUs faked, so that ``--threads 2`` starts a
@@ -200,6 +211,7 @@ def check(python, golden: Path = GOLDEN) -> list[str]:
                             f"expected 1 with a 'tweetlex: error:' line "
                             f"naming line 2: {proc.stderr.strip()}")
         problems += _multi_chunk_problems(python, Path(tmp))
+        problems += loaded_module_problems(python, Path(tmp))
         problems += long_line_problems(python, Path(tmp))
     return problems
 
@@ -223,6 +235,18 @@ def _multi_chunk_problems(python, tmp: Path) -> list[str]:
     return [f"multi-chunk corpus: {name} differs between --threads 1 and 2"
             for name in sorted(set(one) | set(two))
             if one.get(name) != two.get(name)]
+
+
+def loaded_module_problems(python, tmp: Path) -> list[str]:
+    """A one-worker golden run that fails or loads ``dataclasses`` or
+    ``inspect``, as one line; empty when it does neither."""
+    proc = _analyze(python, GOLDEN / "corpus.jsonl", GOLDEN / "lexicon.tsv",
+                    tmp / "loaded", "--threads", "1", cli=("-c", _LOADED_CLI))
+    if proc.returncode != 0 or proc.stdout.split() != ["0"]:
+        return [f"one-worker run: exited {proc.returncode} and printed "
+                f"{proc.stdout.strip()!r}, expected 0 and no dataclasses or "
+                f"inspect loaded: {proc.stderr.strip()}"]
+    return []
 
 
 def _tweet(text: str, location: str = "Delhi") -> str:

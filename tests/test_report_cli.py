@@ -715,14 +715,9 @@ _LOADED_MODULES = """
 
 #: Runs a one-worker analyze, a subcorpus run on argv[4] and ``top`` on
 #: argv[1] (corpus) with argv[2] (lexicon) into argv[3] through the CLI,
-#: and prints which of ``dataclasses`` and the ``inspect`` it pulls in
-#: loaded.  From Python 3.12, ``importlib.resources``, which finds the
-#: bundled data files, imports ``inspect`` itself; the script says whether
-#: it did.
+#: and prints which of ``dataclasses`` and ``inspect`` it pulls in loaded.
 _NO_DATACLASSES = """
     import contextlib, io, json, sys
-    import importlib.resources
-    stdlib_inspect = "inspect" in sys.modules
     from tweetlex.cli import main
 
     corpus, lexicon, out, handle = sys.argv[1:]
@@ -735,7 +730,7 @@ _NO_DATACLASSES = """
             main(["subcorpus", *common, "--out", f"{out}/sub",
                   "--mention", handle]),
             main(["top", "--what", "hashtags", "--input", corpus])]
-    print(json.dumps({"codes": codes, "stdlib inspect": stdlib_inspect,
+    print(json.dumps({"codes": codes,
                       "loaded": [name for name in ("dataclasses", "inspect")
                                  if name in sys.modules]}))
 """
@@ -760,8 +755,7 @@ class TestLoadedModules:
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout)
         assert result["codes"] == [0, 0, 0]
-        assert result["loaded"] == (["inspect"] if result["stdlib inspect"]
-                                    else [])
+        assert result["loaded"] == []
 
 
 class TestWindowFlags:
@@ -1575,7 +1569,7 @@ class TestRegionsCsv:
             return [name, sum(t["tweets"] for t in tallies), *cols]
 
         grand = sum(t["tweets"] for t in counts.values())
-        states = sorted(spatial.INDIAN_REGIONS, key=lambda n: (
+        states = sorted(bundled_gazetteer.regions, key=lambda n: (
             -counts.get(n, empty)["tweets"], n))
         expected, running = [], 0
         for name in (*states, spatial.INDIA_UNSPECIFIED):
@@ -1625,8 +1619,70 @@ class TestLocationMemo:
             with open(out / "regions.csv", newline="") as fh:
                 tweets[region] = {row["region"]: int(row["tweets"])
                                   for row in csv.DictReader(fh)}
-        assert (tweets["Goa"]["Goa"], tweets["Goa"]["Kerala"]) == (3, 0)
-        assert (tweets["Kerala"]["Goa"], tweets["Kerala"]["Kerala"]) == (0, 3)
+        # A gazetteer's regions.csv has a row only for the regions it names.
+        assert (tweets["Goa"]["Goa"], tweets["Goa"].get("Kerala", 0)) == (3, 0)
+        assert (tweets["Kerala"].get("Goa", 0),
+                tweets["Kerala"]["Kerala"]) == (0, 3)
+
+
+class TestGazetteerRegions:
+    def test_an_added_region_gets_a_row(self, tmp_path, toy_lexicon_path,
+                                        bundled_gazetteer, monkeypatch):
+        # The bundled gazetteer plus a rule for a region it does not name:
+        # the region is a regions.csv row at every worker count, with
+        # helpers taking chunks, and --oracle agrees.
+        monkeypatch.setattr(report.os, "sched_getaffinity",
+                            lambda _pid: {0, 1, 2}, raising=False)
+        gazetteer = tmp_path / "gazetteer.csv"
+        gazetteer.write_text(
+            spatial.default_gazetteer_path().read_text("utf-8")
+            + "imphal,Manipur,1\n", encoding="utf-8")
+        rules = spatial.load_gazetteer(gazetteer)
+        assert spatial.resolve_location("Imphal, Manipur", rules) == "Manipur"
+        assert rules.regions == bundled_gazetteer.regions | {"Manipur"}
+        places = ("Imphal, Manipur", "Mumbai", "London", "Springfield")
+        lines = 3 * report.CHUNK_SIZE + 5
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"id": f"g{i}", "created_at": "2017-07-01T10:00:00Z",
+                        "text": "good day", "user_location": places[i % 4]})
+            + "\n" for i in range(lines)), encoding="utf-8")
+        trees = {}
+        for workers in (1, 2, 3):
+            out = tmp_path / f"w{workers}"
+            summary = run_analyze(AnalyzeConfig(
+                input_path=str(corpus), lexicon_path=str(toy_lexicon_path),
+                out_dir=str(out), gazetteer_path=str(gazetteer),
+                oracle=True, workers=workers)).summary
+            assert summary["oracle_check"] == "ok"
+            trees[workers] = _read_tree(out)
+        assert trees[1] == trees[2] == trees[3]
+        with open(tmp_path / "w3" / "regions.csv", newline="") as fh:
+            tweets = {row["region"]: int(row["tweets"])
+                      for row in csv.DictReader(fh)}
+        assert (tweets["Manipur"], tweets["Maharashtra"]) == \
+            (len(range(0, lines, 4)), len(range(1, lines, 4)))
+        assert len(tweets) == 24 + 4
+
+    def test_a_region_left_out_has_no_row(self, tmp_path, capsys):
+        # The bundled gazetteer without its Kerala rules: the golden run
+        # writes the golden files, less regions.csv's Kerala row.
+        gazetteer = tmp_path / "gazetteer.csv"
+        with open(spatial.default_gazetteer_path(), encoding="utf-8") as fh:
+            kept = [line for line in fh if ",Kerala," not in line]
+        gazetteer.write_text("".join(kept), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(_golden_args(out, "--gazetteer", str(gazetteer),
+                                 "--oracle")) == 0
+        got = _read_tree(out)
+        for name in set(GOLDEN_FILES) - {"tags.jsonl", "summary.json",
+                                         "regions.csv"}:
+            assert got[name] == (GOLDEN / "expected" / name).read_bytes()
+        expected = (GOLDEN / "expected" / "regions.csv").read_bytes()
+        assert b"\nKerala," in expected
+        assert got["regions.csv"] == b"".join(
+            line for line in expected.splitlines(keepends=True)
+            if not line.startswith(b"Kerala,"))
 
 
 class TestLoneSurrogateId:
@@ -1918,7 +1974,7 @@ class TestExitCodes:
 
     def test_bad_gazetteer_is_config_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
-        bad.write_text("place,Atlantis,1\n", encoding="utf-8")
+        bad.write_text("place,TOTAL,1\n", encoding="utf-8")
         rc = main(_golden_args(tmp_path / "out", "--gazetteer", str(bad)))
         assert rc == 1
 

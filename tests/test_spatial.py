@@ -1,6 +1,7 @@
 """Location resolution tests: rule precedence, fallbacks, aggregation."""
 
 import csv
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,8 +11,6 @@ from tweetlex.reference import naive_resolve
 from tweetlex.spatial import (
     FOREIGN,
     INDIA_UNSPECIFIED,
-    INDIAN_REGIONS,
-    REGIONS,
     UNKNOWN,
     RegionAggregate,
     default_gazetteer_path,
@@ -22,6 +21,8 @@ from tweetlex.tagger import EMOTION_LABELS, OVERALL_LABELS, SENTIMENT_LABELS
 from tweetlex.temporal import DAY_ROW, row_tweets
 
 from corpus_gen import DELHI_LOCATIONS, LOCATION_POOL
+
+GOLDEN = Path(__file__).parent / "data" / "golden_run"
 
 
 def _result(sent="positive", emo="joy", overall="positive"):
@@ -147,7 +148,10 @@ class TestLoadGazetteer:
     @pytest.mark.parametrize("line", [
         "too,few",
         "a,b,c,d",
-        "place,Atlantis,1",
+        "place,TOTAL,1",
+        "place,UNKNOWN,1",
+        'place,"A, B",1',
+        'place,"A""B",1',
         "place,Goa,first",
         ",Goa,1",
         pytest.param("mum\0bai,Maharashtra,1", id="nul"),
@@ -171,13 +175,17 @@ class TestLoadGazetteer:
             (" ".join(pattern.lower().split()), region.strip())
             for pattern, region, _priority in rows)
         assert len(bundled_gazetteer) > 100
-        assert all(region in REGIONS for _pattern, region in bundled_gazetteer)
 
 
-def test_region_registry_shape():
-    assert len(INDIAN_REGIONS) == 23
-    assert REGIONS == frozenset(INDIAN_REGIONS) | {INDIA_UNSPECIFIED, FOREIGN}
-    assert UNKNOWN not in REGIONS
+def test_region_registry_shape(bundled_gazetteer):
+    # The bundled gazetteer's regions are the 23 state rows of the golden
+    # regions.csv, the rows above INDIA_UNSPECIFIED.
+    with open(GOLDEN / "expected" / "regions.csv", encoding="utf-8",
+              newline="") as fh:
+        names = [row[0] for row in csv.reader(fh)][1:]
+    states = names[:names.index(INDIA_UNSPECIFIED)]
+    assert len(states) == len(set(states)) == 23
+    assert bundled_gazetteer.regions == frozenset(states)
 
 
 class TestRegionAggregate:
