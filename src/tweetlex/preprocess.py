@@ -80,7 +80,9 @@ def strip_entities(text: str) -> tuple[str, list[str], list[str]]:
 def preprocess(text: str, stopwords: frozenset[str]) -> CleanTweet:
     """Run the full cleaning chain on one tweet's text."""
     text, mentions, hashtags = strip_entities(text)
-    return CleanTweet(_kernels.tokenize(text, stopwords), mentions, hashtags)
+    # tuple.__new__ skips the frame of the class's generated __new__.
+    return tuple.__new__(CleanTweet, (_kernels.tokenize(text, stopwords),
+                                      mentions, hashtags))
 
 
 def is_mention_key(handle: str) -> bool:

@@ -48,16 +48,17 @@ def tag_tweet(tokens: list[str], masks: dict[str, int]) -> Tag:
     """Tag one preprocessed tweet's tokens against the word -> category-mask
     dict that ``load_lexicon`` returns; an empty list is all-neutral."""
     vector = _kernels.count_masks(tokens, masks)
-    sentiments = vector[:_N_SENTIMENTS]
+    # A sentiment's label index is its Category value (positive 0,
+    # negative 1); a tie goes to positive.
+    positive, negative = vector[0], vector[1]
     emotions = vector[_N_SENTIMENTS:]
-    s_max = max(sentiments)
     e_max = max(emotions)
-    if s_max:
-        s = sentiments.index(s_max)
-        tied = sentiments.count(s_max) > 1
+    if positive >= negative:
+        s_max = positive
+        s = 0 if positive else SENTIMENT_NEUTRAL
+        tied = positive == negative and positive > 0
     else:
-        s = SENTIMENT_NEUTRAL
-        tied = False
+        s_max, s, tied = negative, 1, False
     if e_max:
         e = emotions.index(e_max)
         tied = tied or emotions.count(e_max) > 1

@@ -43,6 +43,9 @@ def test_collapse_repeats(kernel, raw, expected):
     ("a bb ccc dddd", []),
     ("a bb code word", ["code", "word"]),
     ("http leftovers httpx", ["leftovers"]),
+    # collapse makes "httpx" of "htttpx", so the URL test must come after it
+    ("htttpx leftovers", ["leftovers"]),
+    ("Café HTTTPé naïve", ["café", "naïve"]),
     ("Tax-reform now!", ["tax", "reform", "now"]),
     ("foo_bar", ["foo", "bar"]),
     ("", []),
@@ -63,6 +66,14 @@ def test_count_masks(kernel, toy_lexicon):
 
 def test_count_masks_empty(kernel, toy_lexicon):
     assert kernel.count_masks([], toy_lexicon) == [0] * 10
+
+
+def test_count_masks_counts_every_ten_bit_mask(kernel):
+    # Each mask, as a one-word lexicon, counts its own bits per occurrence.
+    for mask in range(1 << 10):
+        want = [2 * (mask >> bit & 1) for bit in range(10)]
+        assert kernel.count_masks(["word", "miss", "word"],
+                                  {"word": mask}) == want, mask
 
 
 def test_tokenize_rejects_nothing_valid(kernel):
