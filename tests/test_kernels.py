@@ -43,14 +43,14 @@ def test_collapse_repeats(kernel, raw, expected):
     ("a bb ccc dddd", []),
     ("a bb code word", ["code", "word"]),
     ("http leftovers httpx", ["leftovers"]),
-    # collapse makes "httpx" of "htttpx", so the URL test must come after it
-    ("htttpx leftovers", ["leftovers"]),
-    ("Café HTTTPé naïve", ["café", "naïve"]),
     ("Tax-reform now!", ["tax", "reform", "now"]),
     ("foo_bar", ["foo", "bar"]),
     ("", []),
     ("!!!", []),
     ("中国好 else", ["中国好", "else"]),
+    # collapse makes "httpx" of "htttpx", so the URL test must come after it
+    ("htttpx leftovers", ["leftovers"]),
+    ("Café HTTTPé naïve", ["café", "naïve"]),
 ])
 def test_tokenize(kernel, text, expected):
     assert kernel.tokenize(text, STOP) == expected
